@@ -3,11 +3,10 @@ emotion embeddings for speech corpora."""
 
 __version__ = "0.1.0"
 
-from . import afeat, cli, corpusio, encoder, predictor, ranker, textembed
+from . import afeat, corpusio, encoder, predictor, ranker, textembed
 
 __all__ = [
     "afeat",
-    "cli",
     "corpusio",
     "encoder",
     "predictor",

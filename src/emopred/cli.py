@@ -51,7 +51,14 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     converted = {}
     for key, raw in file_values.items():
         action = actions[key]
-        converted[key] = action.type(raw) if action.type else raw
+        if action.nargs == 0:  # store_true: the file gives the value itself
+            if raw.lower() not in ("true", "false"):
+                raise ValueError(
+                    f"{args.config}: {key} = {raw!r}: expected true or false"
+                )
+            converted[key] = raw.lower() == "true"
+        else:
+            converted[key] = action.type(raw) if action.type else raw
     parser.set_defaults(**converted)
     return parser.parse_args(argv)
 
@@ -130,9 +137,7 @@ def cmd_annotate(args) -> int:
     records = corpusio.read_manifest(args.manifest)
     features = corpusio.read_features(args.features)
     annotated, models = ranker.annotate_corpus(
-        records, features, c=args.C, epochs=args.epochs,
-        max_pairs=args.max_pairs, seed=args.seed,
-    )
+        records, features, c=args.C, epochs=args.epochs)
     corpusio.write_annotations(annotated, args.out)
     if args.models_out:
         out_dir = Path(args.models_out)
@@ -288,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", type=str, required=True)
     sub.add_argument("--C", type=float, default=ranker.DEFAULT_C)
     sub.add_argument("--epochs", type=int, default=ranker.DEFAULT_EPOCHS)
-    sub.add_argument("--max-pairs", type=int, default=ranker.DEFAULT_MAX_PAIRS)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--models-out", type=str, default="",
                      help="directory for per-emotion rank model artifacts")
 

@@ -1,11 +1,14 @@
 """Emotion-strength annotation with per-emotion linear ranking SVMs.
 
 For each non-neutral emotion a linear ranking function is trained on
-(emotional, neutral) feature pairs with the objective
+every (emotional, neutral) utterance pair with the objective
 
     J(w) = 0.5 * ||w||^2 + C * sum_pairs max(0, 1 - w.(x_strong - x_weak))
 
-over per-dimension standardized features. Rank scores are min-max
+over per-dimension standardized features. The pairs are bipartite, so
+the hinge sum and its subgradient over all n_s * n_w pairs follow from
+one sort of the scores plus prefix sums, in O((n_s + n_w) log n + n*d)
+per evaluation, without forming the pairs. Rank scores are min-max
 normalized within each emotion to [0, 1] strengths; neutral utterances
 are always assigned strength 0.
 """
@@ -26,17 +29,9 @@ from .corpusio import (
 
 DEFAULT_C = 1.0
 DEFAULT_EPOCHS = 200
-DEFAULT_MAX_PAIRS = 100000
 STEP_ETA0 = 0.1
 STD_FLOOR = 1e-8
 MAX_BACKTRACKS = 60
-
-
-class OrderedPair(NamedTuple):
-    """Indices of a (stronger, weaker) utterance pair."""
-
-    stronger: int
-    weaker: int
 
 
 class StrengthAnnotation(NamedTuple):
@@ -55,92 +50,88 @@ class RankModel:
     feat_std: np.ndarray
     c: float
     epochs: int
-    seed: int
     objective: float = float("nan")
     pair_accuracy: float = float("nan")
     objective_trace: list[float] = field(default_factory=list, repr=False)
 
 
-def build_pairs(
-    features: np.ndarray,
-    labels: Sequence[str],
-    emotion: str,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    seed: int = 0,
-) -> list[OrderedPair]:
-    """All (emotional, neutral) cross pairs for one target emotion.
-
-    When the cross product exceeds max_pairs, a uniform subsample is
-    drawn with the given seed. Deterministic.
-    """
-    if emotion == "neutral":
-        raise ValueError("cannot build pairs for the neutral class")
-    strong_idx = [i for i, lab in enumerate(labels) if lab == emotion]
-    weak_idx = [i for i, lab in enumerate(labels) if lab == "neutral"]
-    if not strong_idx:
-        raise ValueError(f"no utterances labelled {emotion!r}")
-    if not weak_idx:
-        raise ValueError("no neutral utterances to pair against")
-    pairs = [OrderedPair(s, w) for s in strong_idx for w in weak_idx]
-    if len(pairs) > max_pairs:
-        rng = np.random.default_rng(seed)
-        keep = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[i] for i in sorted(keep)]
-    return pairs
+def _hinge(s: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
+    """Sum over all pairs (i, j) of max(0, 1 - (s_i - t_j)), and the count
+    k_i of active pairs (t_j > s_i - 1) of each strong score s_i."""
+    t_sorted = np.sort(t)
+    tail = np.append(np.cumsum(t_sorted[::-1])[::-1], 0.0)
+    first = np.searchsorted(t_sorted, s - 1.0, side="right")
+    k = len(t) - first
+    return float(k @ (1.0 - s) + tail[first].sum()), k
 
 
-def _objective(w: np.ndarray, diffs: np.ndarray, c: float) -> float:
-    hinge = np.maximum(0.0, 1.0 - diffs @ w)
-    return 0.5 * float(w @ w) + c * float(hinge.sum())
+def _objective(w: np.ndarray, Zs: np.ndarray, Zw: np.ndarray,
+               c: float) -> float:
+    hinge, _ = _hinge(Zs @ w, Zw @ w)
+    return 0.5 * float(w @ w) + c * hinge
+
+
+def _subgradient(w: np.ndarray, Zs: np.ndarray, Zw: np.ndarray,
+                 c: float) -> np.ndarray:
+    """w - C * sum over active pairs of (z_i - z_j): each strong row
+    counted k_i times, each weak row m_j times."""
+    s, t = Zs @ w, Zw @ w
+    _, k = _hinge(s, t)
+    m = np.searchsorted(np.sort(s - 1.0), t, side="left")
+    return w - c * (k @ Zs - m @ Zw)
+
+
+def _pair_accuracy(w: np.ndarray, Zs: np.ndarray, Zw: np.ndarray) -> float:
+    """Share of pairs ranked correctly, s_i > t_j."""
+    s, t = Zs @ w, Zw @ w
+    below = np.searchsorted(np.sort(t), s, side="left")
+    return float(below.sum()) / (len(s) * len(t))
 
 
 def train_ranksvm(
-    pairs: Sequence[OrderedPair],
-    features: np.ndarray,
+    strong: np.ndarray,
+    weak: np.ndarray,
     c: float = DEFAULT_C,
     epochs: int = DEFAULT_EPOCHS,
-    seed: int = 0,
     emotion: str = "",
 ) -> RankModel:
     """Train a linear RankSVM by deterministic subgradient descent.
 
-    Features are standardized per dimension over the utterances
-    referenced by the pairs (std floored at 1e-8). Each epoch takes one
-    full-batch subgradient step with step size eta_t = 0.1/(1 + t/T),
-    T = epochs/2, halving the step until the objective does not
-    increase; the best iterate seen is returned. The recorded objective
-    trace is therefore non-increasing.
+    Every row of `strong` should rank above every row of `weak`; the
+    objective sums the hinge over all len(strong) * len(weak) pairs,
+    evaluated exactly by sorting in O((n_s + n_w) log n + n*d). Features
+    are standardized per dimension over the union of both sides (std
+    floored at 1e-8). Each epoch takes one full-batch subgradient step
+    with step size eta_t = 0.1/(1 + t/T), T = epochs/2, halving the step
+    until the objective does not increase; the best iterate seen is
+    returned. The recorded objective trace is therefore non-increasing.
     """
-    if len(pairs) == 0:
-        raise ValueError("empty pair set")
-    X = np.asarray(features, dtype=np.float64)
+    Xs = np.asarray(strong, dtype=np.float64)
+    Xw = np.asarray(weak, dtype=np.float64)
+    if len(Xs) == 0 or len(Xw) == 0:
+        raise ValueError(
+            f"empty pair set: {len(Xs)} strong x {len(Xw)} weak rows")
+    X = np.vstack([Xs, Xw])
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite feature values")
-    used = sorted({i for p in pairs for i in (p.stronger, p.weaker)})
-    if min(used) < 0 or max(used) >= len(X):
-        raise ValueError("pair index out of range")
-    mean = X[used].mean(axis=0)
-    std = np.maximum(X[used].std(axis=0), STD_FLOOR)
-    Z = (X - mean) / std
-    strong = np.fromiter((p.stronger for p in pairs), dtype=np.int64)
-    weak = np.fromiter((p.weaker for p in pairs), dtype=np.int64)
-    diffs = Z[strong] - Z[weak]
+    mean = X.mean(axis=0)
+    std = np.maximum(X.std(axis=0), STD_FLOOR)
+    Zs = (Xs - mean) / std
+    Zw = (Xw - mean) / std
 
-    dim = X.shape[1]
-    w = np.zeros(dim)
-    obj = _objective(w, diffs, c)
+    w = np.zeros(X.shape[1])
+    obj = _objective(w, Zs, Zw, c)
     best_w, best_obj = w.copy(), obj
     trace = [obj]
     t_half = max(1.0, epochs / 2.0)
     for t in range(epochs):
         eta = STEP_ETA0 / (1.0 + t / t_half)
-        margins = 1.0 - diffs @ w
-        grad = w - c * diffs[margins > 0.0].sum(axis=0)
+        grad = _subgradient(w, Zs, Zw, c)
         step = eta
         w_new, obj_new = w, obj
         for _ in range(MAX_BACKTRACKS):
             candidate = w - step * grad
-            candidate_obj = _objective(candidate, diffs, c)
+            candidate_obj = _objective(candidate, Zs, Zw, c)
             if candidate_obj <= obj:
                 w_new, obj_new = candidate, candidate_obj
                 break
@@ -150,11 +141,10 @@ def train_ranksvm(
             best_obj, best_w = obj, w.copy()
         trace.append(best_obj)
 
-    accuracy = float(np.mean(diffs @ best_w > 0.0))
     return RankModel(
         emotion=emotion, w=best_w, feat_mean=mean, feat_std=std,
-        c=float(c), epochs=int(epochs), seed=int(seed),
-        objective=best_obj, pair_accuracy=accuracy, objective_trace=trace,
+        c=float(c), epochs=int(epochs), objective=best_obj,
+        pair_accuracy=_pair_accuracy(best_w, Zs, Zw), objective_trace=trace,
     )
 
 
@@ -219,33 +209,33 @@ def annotate_corpus(
     features: dict[str, np.ndarray],
     c: float = DEFAULT_C,
     epochs: int = DEFAULT_EPOCHS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    seed: int = 0,
 ) -> tuple[list[AnnotatedRecord], dict[str, RankModel]]:
     """Annotate every utterance with an emotion strength.
 
-    Trains one RankSVM per non-neutral emotion present in the corpus;
-    each emotional utterance is scored by its own emotion's model and
-    min-max normalized within that emotion. Neutral strengths are 0.
+    Trains one RankSVM per non-neutral emotion present in the corpus, on
+    all of that emotion's utterances against all neutral ones; each
+    emotional utterance is scored by its own emotion's model and min-max
+    normalized within that emotion. Neutral strengths are 0.
     """
     missing = [r.id for r in records if r.id not in features]
     if missing:
         raise ValueError(f"missing features for ids: {missing[:5]}")
-    labels = [r.emotion for r in records]
+    labels = np.array([r.emotion for r in records], dtype=str)
     if "neutral" not in labels:
         raise ValueError("corpus has no neutral utterances")
+    emotions = [e for e in EMOTIONS if e != "neutral" and e in labels]
+    if not emotions:
+        raise ValueError("corpus has no utterances labelled with an emotion")
     X = np.vstack([features[r.id] for r in records])
+    neutral = X[labels == "neutral"]
 
     strengths: dict[str, float] = {r.id: 0.0 for r in records}
     models: dict[str, RankModel] = {}
-    for emotion in EMOTIONS:
-        if emotion == "neutral" or emotion not in labels:
-            continue
-        pairs = build_pairs(X, labels, emotion, max_pairs=max_pairs, seed=seed)
-        model = train_ranksvm(pairs, X, c=c, epochs=epochs, seed=seed,
+    for emotion in emotions:
+        idx = np.flatnonzero(labels == emotion)
+        model = train_ranksvm(X[idx], neutral, c=c, epochs=epochs,
                               emotion=emotion)
         models[emotion] = model
-        idx = [i for i, lab in enumerate(labels) if lab == emotion]
         scores = rank_scores(model, X[idx])
         annotations = normalize_strengths(
             [records[i].id for i in idx], [emotion] * len(idx),
@@ -277,7 +267,6 @@ def rank_model_to_artifact(model: RankModel) -> ModelArtifact:
             "emotion": model.emotion,
             "c": repr(model.c),
             "epochs": str(model.epochs),
-            "seed": str(model.seed),
             "objective": repr(model.objective),
             "pair_accuracy": repr(model.pair_accuracy),
         },
@@ -295,7 +284,6 @@ def rank_model_from_artifact(artifact: ModelArtifact) -> RankModel:
         feat_std=artifact.tensors["feat_std"],
         c=float(meta.get("c", DEFAULT_C)),
         epochs=int(meta.get("epochs", DEFAULT_EPOCHS)),
-        seed=int(meta.get("seed", 0)),
         objective=float(meta.get("objective", "nan")),
         pair_accuracy=float(meta.get("pair_accuracy", "nan")),
     )

@@ -3,7 +3,9 @@
 Produces a self-contained corpus (WAV files and a manifest) good enough
 to drive the whole pipeline end to end in tests and demos. Emotions get
 audibly different tone recipes and within-emotion intensity variation so
-the strength annotator has actual signal to rank.
+the strength annotator has actual signal to rank. Intensities are spread
+evenly over [0.4, 1] and durations over [0.5, 0.7] s whatever the corpus
+size, so every tone stays inside the 60-500 Hz F0 search range.
 """
 
 from __future__ import annotations
@@ -74,12 +76,14 @@ def generate_micro_corpus(root: str | Path, seed: int = 0,
     audio_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     records = []
+    intensities = np.linspace(0.4, 1.0, per_emotion)
+    durations = np.linspace(0.5, 0.7, per_emotion)
     for emotion, texts in TEXTS.items():
         for k in range(per_emotion):
             uid = f"{emotion}-{k:02d}"
             text = texts[k % len(texts)]
-            intensity = 1.0 if emotion == "neutral" else 0.4 + 0.3 * k
-            duration = 0.5 + 0.1 * k
+            intensity = 1.0 if emotion == "neutral" else intensities[k]
+            duration = durations[k]
             samples = _tone(emotion, intensity, duration, rng)
             wav_path = audio_dir / f"{uid}.wav"
             wavfile.write(wav_path, SAMPLE_RATE,

@@ -126,5 +126,30 @@ def oracle_forward(params, x: np.ndarray):
     return probs, raw
 
 
+def oracle_pair_hinge(w: np.ndarray, Zs: np.ndarray, Zw: np.ndarray,
+                      c: float):
+    """RankSVM objective over every (strong, weak) pair, pair by pair.
+
+    Returns (objective, subgradient, pair_accuracy); a pair with margin
+    exactly 0 is inactive and a pair with score difference exactly 0 is
+    not counted as correct.
+    """
+    hinge = 0.0
+    active = np.zeros(len(w))
+    correct = 0
+    for i in range(len(Zs)):
+        for j in range(len(Zw)):
+            diff = Zs[i] - Zw[j]
+            score = sum(w[k] * diff[k] for k in range(len(w)))
+            margin = 1.0 - score
+            if margin > 0.0:
+                hinge += margin
+                active += diff
+            if score > 0.0:
+                correct += 1
+    objective = 0.5 * sum(v * v for v in w) + c * hinge
+    return objective, w - c * active, correct / (len(Zs) * len(Zw))
+
+
 def relative_error(actual: float, expected: float, floor: float = 1e-6) -> float:
     return abs(actual - expected) / max(abs(actual), abs(expected), floor)

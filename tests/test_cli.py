@@ -1,0 +1,98 @@
+"""Command-line tests: config parsing, module start-up, and the whole
+pipeline driven in-process on a small synthetic corpus."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from emopred import cli, corpusio, predictor
+from emopred.synthcorpus import generate_micro_corpus
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _encode_args(tmp_path, config_text, *flags):
+    config = tmp_path / "encode.cfg"
+    config.write_text(config_text, encoding="utf-8")
+    argv = ["encode", "--config", str(config), *flags]
+    args = cli.build_parser().parse_args(argv)
+    return cli._apply_config(args.subparser, args, argv[1:])
+
+
+class TestConfigBooleans:
+    @pytest.mark.parametrize("raw, expected", [
+        ("false", False), ("False", False), ("true", True), ("TRUE", True)])
+    def test_store_true_parsed_strictly(self, tmp_path, raw, expected):
+        args = _encode_args(tmp_path, f"grid = {raw}\n")
+        assert args.grid is expected
+
+    @pytest.mark.parametrize("raw", ["yes", "0", ""])
+    def test_other_values_rejected(self, tmp_path, raw):
+        with pytest.raises(ValueError, match=r"encode\.cfg.*grid"):
+            _encode_args(tmp_path, f"grid = {raw}\n")
+
+    def test_flag_overrides_false_in_file(self, tmp_path):
+        assert _encode_args(tmp_path, "grid = false\n", "--grid").grid is True
+
+
+def test_module_help_has_no_runpy_warning():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "emopred.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_pipeline_end_to_end(tmp_path):
+    manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=4)
+    features = tmp_path / "features.jsonl"
+    annotated = tmp_path / "annotated.jsonl"
+    model = tmp_path / "predictor.json"
+    single = tmp_path / "single.jsonl"
+    paragraph = tmp_path / "paragraph.jsonl"
+    encoded = tmp_path / "encoded.jsonl"
+    metrics = tmp_path / "metrics.json"
+
+    steps = [
+        ["features", "--manifest", str(manifest), "--out", str(features)],
+        ["annotate", "--manifest", str(manifest), "--features", str(features),
+         "--out", str(annotated), "--models-out", str(tmp_path / "rank")],
+        ["train", "--annotated", str(annotated), "--out", str(model),
+         "--epochs", "5"],
+        ["predict", "--model", str(model), "--texts", str(annotated),
+         "--out", str(single)],
+        ["predict", "--model", str(model), "--texts", str(annotated),
+         "--mode", "paragraph", "--out", str(paragraph)],
+        ["encode", "--predictions", str(single), "--out", str(encoded)],
+        ["eval", "--predictions", str(single), "--references", str(annotated),
+         "--out", str(metrics)],
+    ]
+    for argv in steps:
+        assert cli.main(argv) == 0, argv
+
+    records = corpusio.read_annotations(annotated)
+    assert len(records) == 16
+    assert all(0.0 <= r.strength <= 1.0 for r in records)
+    assert all(r.strength == 0.0 for r in records if r.emotion == "neutral")
+    assert sorted(p.name for p in (tmp_path / "rank").iterdir()) == [
+        "rank_anger.json", "rank_happiness.json", "rank_sadness.json"]
+    for path in (single, paragraph):
+        items = predictor.predictions_from_jsonl(
+            path.read_text(encoding="utf-8"))
+        assert [uid for uid, _ in items] == [r.id for r in records]
+    lines = encoded.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 16
+    assert all(len(json.loads(line)["embedding"]) > 0 for line in lines)
+    scores = json.loads(metrics.read_text(encoding="utf-8"))
+    assert 0.0 <= scores["macro_accuracy"] <= 1.0
+
+    # every pair is used, so the pair cap and its subsample seed are gone
+    for removed in (["--max-pairs", "10"], ["--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["annotate", "--manifest", str(manifest), "--features",
+                      str(features), "--out", str(annotated), *removed])
+        assert exc.value.code == 2

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emopred import ranker
+from emopred import corpusio, ranker
 from emopred.corpusio import UtteranceRecord
+from oracles import oracle_pair_hinge, relative_error
 
 
 def make_records(labels):
@@ -16,41 +19,48 @@ def make_records(labels):
 
 
 class TestBuildPairs:
-    def test_cross_product(self):
-        X = np.zeros((5, 3))
-        labels = ["anger", "anger", "neutral", "neutral", "neutral"]
-        pairs = ranker.build_pairs(X, labels, "anger", max_pairs=100, seed=0)
-        assert len(pairs) == 6
-        assert all(labels[p.stronger] == "anger" and labels[p.weaker] == "neutral"
-                   for p in pairs)
+    """Pairs are every emotional utterance against every neutral one."""
 
     def test_no_neutral_is_error(self):
-        X = np.zeros((2, 3))
+        records = make_records(["anger", "anger"])
+        features = {rec.id: np.zeros(3) for rec in records}
         with pytest.raises(ValueError, match="neutral"):
-            ranker.build_pairs(X, ["anger", "anger"], "anger")
+            ranker.annotate_corpus(records, features)
 
     def test_no_emotional_is_error(self):
-        X = np.zeros((2, 3))
+        records = make_records(["neutral", "neutral"])
+        features = {rec.id: np.zeros(3) for rec in records}
         with pytest.raises(ValueError, match="labelled"):
-            ranker.build_pairs(X, ["neutral", "neutral"], "anger")
+            ranker.annotate_corpus(records, features)
 
-    def test_subsample_deterministic(self):
-        X = np.zeros((20, 3))
-        labels = ["sadness"] * 10 + ["neutral"] * 10
-        a = ranker.build_pairs(X, labels, "sadness", max_pairs=20, seed=7)
-        b = ranker.build_pairs(X, labels, "sadness", max_pairs=20, seed=7)
-        assert len(a) == 20
-        assert a == b
-        c = ranker.build_pairs(X, labels, "sadness", max_pairs=20, seed=8)
-        assert a != c
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_sort_based_hinge_matches_oracle(self, data):
+        # small integers: exact ties at margin 0 and duplicate rows occur
+        dim = data.draw(st.integers(1, 3))
+        ints = st.integers(-2, 2)
+        Zs = np.array(data.draw(st.lists(st.lists(ints, min_size=dim,
+                                                  max_size=dim),
+                                         min_size=1, max_size=6)), float)
+        Zw = np.array(data.draw(st.lists(st.lists(ints, min_size=dim,
+                                                  max_size=dim),
+                                         min_size=1, max_size=6)), float)
+        w = np.array(data.draw(st.lists(ints, min_size=dim, max_size=dim)),
+                     float)
+        c = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
+        objective, subgradient, accuracy = oracle_pair_hinge(w, Zs, Zw, c)
+        assert relative_error(ranker._objective(w, Zs, Zw, c),
+                              objective) <= 1e-9
+        np.testing.assert_allclose(ranker._subgradient(w, Zs, Zw, c),
+                                   subgradient, rtol=1e-9, atol=1e-9)
+        assert relative_error(ranker._pair_accuracy(w, Zs, Zw),
+                              accuracy) <= 1e-9
 
 
 class TestTrainRanksvm:
     def test_separable_1d(self):
         X = np.array([[3.0], [4.0], [5.0], [0.0], [1.0], [2.0]])
-        labels = ["happiness"] * 3 + ["neutral"] * 3
-        pairs = ranker.build_pairs(X, labels, "happiness")
-        model = ranker.train_ranksvm(pairs, X, emotion="happiness")
+        model = ranker.train_ranksvm(X[:3], X[3:], emotion="happiness")
         assert model.pair_accuracy == 1.0
         assert model.w[0] > 0
 
@@ -61,9 +71,8 @@ class TestTrainRanksvm:
         w_star = np.array([1.0, -1.0]) / np.sqrt(2.0)
         strengths = X @ w_star + rng.normal(0, 0.01, size=n)
         order = np.argsort(strengths)
-        pairs = [ranker.OrderedPair(int(order[j]), int(order[i]))
-                 for i in range(0, n, 7) for j in range(i + 20, n, 13)]
-        model = ranker.train_ranksvm(pairs, X, c=1.0, epochs=400)
+        model = ranker.train_ranksvm(X[order[n // 2:]], X[order[:n // 2]],
+                                     c=1.0, epochs=400)
         w_orig = model.w / model.feat_std
         cos = w_orig @ w_star / np.linalg.norm(w_orig)
         assert cos >= 0.99
@@ -71,13 +80,12 @@ class TestTrainRanksvm:
     def test_tiny_instance_matches_grid_search(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(3, 2))
-        pairs = [ranker.OrderedPair(0, 1), ranker.OrderedPair(1, 2)]
         c = 1.0
-        model = ranker.train_ranksvm(pairs, X, c=c, epochs=2000)
+        model = ranker.train_ranksvm(X[[0]], X[[1, 2]], c=c, epochs=2000)
 
         # brute-force oracle over the standardized difference vectors
         Z = (X - model.feat_mean) / model.feat_std
-        diffs = np.array([Z[p.stronger] - Z[p.weaker] for p in pairs])
+        diffs = np.array([Z[0] - Z[1], Z[0] - Z[2]])
         grid = np.arange(-3.0, 3.0 + 1e-12, 0.01)
         W = np.stack(np.meshgrid(grid, grid, indexing="ij"), -1).reshape(-1, 2)
         hinge = np.maximum(0.0, 1.0 - W @ diffs.T).sum(axis=1)
@@ -88,21 +96,21 @@ class TestTrainRanksvm:
     def test_objective_trace_monotone(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 8))
-        labels = ["anger"] * 15 + ["neutral"] * 15
-        pairs = ranker.build_pairs(X, labels, "anger")
-        model = ranker.train_ranksvm(pairs, X, emotion="anger")
+        model = ranker.train_ranksvm(X[:15], X[15:], emotion="anger")
         trace = model.objective_trace
         assert len(trace) == model.epochs + 1
         assert all(trace[i + 1] <= trace[i] + 1e-9 for i in range(len(trace) - 1))
 
     def test_empty_pairs_error(self):
         with pytest.raises(ValueError, match="empty"):
-            ranker.train_ranksvm([], np.zeros((2, 2)))
+            ranker.train_ranksvm(np.zeros((0, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="empty"):
+            ranker.train_ranksvm(np.zeros((2, 2)), np.zeros((0, 2)))
 
     def test_nonfinite_features_error(self):
         X = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="non-finite"):
-            ranker.train_ranksvm([ranker.OrderedPair(0, 1)], X)
+            ranker.train_ranksvm(X[:1], X[1:])
 
 
 class TestRankScore:
@@ -112,7 +120,7 @@ class TestRankScore:
             emotion="anger", w=np.asarray(w, dtype=float),
             feat_mean=np.zeros(dim) if mean is None else np.asarray(mean),
             feat_std=np.ones(dim) if std is None else np.asarray(std),
-            c=1.0, epochs=0, seed=0,
+            c=1.0, epochs=0,
         )
 
     def test_score_at_mean_is_zero(self):
@@ -137,6 +145,33 @@ class TestRankScore:
         model = self._model([1.0, 2.0])
         with pytest.raises(ValueError, match="mismatch"):
             ranker.rank_score(model, np.zeros(3))
+
+
+class TestArtifact:
+    def test_round_trip(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(8, 3))
+        model = ranker.train_ranksvm(X[:4], X[4:], epochs=5, emotion="anger")
+        back = ranker.rank_model_from_artifact(
+            ranker.rank_model_to_artifact(model))
+        np.testing.assert_array_equal(back.w, model.w)
+        assert (back.emotion, back.objective, back.pair_accuracy) == (
+            "anger", model.objective, model.pair_accuracy)
+
+    def test_artifact_with_seed_metadata_loads(self, tmp_path):
+        artifact = corpusio.ModelArtifact(
+            kind="rank",
+            tensors={"w": np.ones(2), "feat_mean": np.zeros(2),
+                     "feat_std": np.ones(2)},
+            metadata={"emotion": "anger", "c": "1.0", "epochs": "200",
+                      "seed": "0", "objective": "0.5",
+                      "pair_accuracy": "1.0"},
+        )
+        corpusio.save_model(artifact, tmp_path / "rank_anger.json")
+        model = ranker.rank_model_from_artifact(
+            corpusio.load_model(tmp_path / "rank_anger.json"))
+        assert model.objective == 0.5
+        assert ranker.rank_score(model, np.array([1.0, 2.0])) == 3.0
 
 
 class TestNormalizeStrengths:
@@ -182,7 +217,7 @@ class TestAnnotateCorpus:
         rng = np.random.default_rng(5)
         records, features = self._corpus(
             rng, {"neutral": 6, "happiness": 5, "sadness": 5, "anger": 5})
-        annotated, models = ranker.annotate_corpus(records, features, seed=1)
+        annotated, models = ranker.annotate_corpus(records, features)
         assert sorted(models) == ["anger", "happiness", "sadness"]
         assert all(rec.strength == 0.0 for rec in annotated
                    if rec.emotion == "neutral")
@@ -202,8 +237,8 @@ class TestAnnotateCorpus:
         rng = np.random.default_rng(8)
         records, features = self._corpus(
             rng, {"neutral": 4, "happiness": 4, "sadness": 3, "anger": 3})
-        a, _ = ranker.annotate_corpus(records, features, seed=42)
-        b, _ = ranker.annotate_corpus(records, features, seed=42)
+        a, _ = ranker.annotate_corpus(records, features)
+        b, _ = ranker.annotate_corpus(records, features)
         assert a == b
 
     def test_missing_neutral_error(self):
@@ -224,11 +259,10 @@ class TestInvariants:
     def test_translation_invariance_of_ordering(self):
         rng = np.random.default_rng(31)
         X = rng.normal(size=(24, 6))
-        labels = ["happiness"] * 12 + ["neutral"] * 12
-        pairs = ranker.build_pairs(X, labels, "happiness")
-        model_a = ranker.train_ranksvm(pairs, X, emotion="happiness")
+        model_a = ranker.train_ranksvm(X[:12], X[12:], emotion="happiness")
         shift = rng.normal(size=6) * 10.0
-        model_b = ranker.train_ranksvm(pairs, X + shift, emotion="happiness")
+        Y = X + shift
+        model_b = ranker.train_ranksvm(Y[:12], Y[12:], emotion="happiness")
         scores_a = ranker.rank_scores(model_a, X)
         scores_b = ranker.rank_scores(model_b, X + shift)
         np.testing.assert_array_equal(np.argsort(scores_a),
