@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 FRAME_MS = 25.0
 HOP_MS = 10.0
@@ -68,6 +67,8 @@ def load_audio(path: str | Path) -> AudioClip:
     Raises ValueError for multi-channel audio, for sample rates below
     16 kHz (no silent resampling), and for unsupported encodings.
     """
+    from scipy.io import wavfile
+
     try:
         rate, data = wavfile.read(path)
     except FileNotFoundError:

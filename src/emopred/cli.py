@@ -95,23 +95,28 @@ def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
 def _read_texts(path: str) -> tuple[list[str], list[str]]:
     """Texts file: JSONL with id/text fields, or one plain sentence per
     line (ids are then the 1-based line numbers)."""
-    ids, texts = [], []
     with open(path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    jsonl = next((ln for ln in lines if ln.strip()), "").lstrip().startswith("{")
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        if jsonl:
-            obj = json.loads(line)
-            ids.append(str(obj["id"]))
-            texts.append(str(obj["text"]))
-        else:
-            ids.append(f"{lineno:06d}")
-            texts.append(line)
-    if not texts:
+    if next((ln for ln in lines if ln.strip()), "").lstrip().startswith("{"):
+        rows = [(str(corpusio._require(obj, "id", path, lineno)),
+                 str(corpusio._require(obj, "text", path, lineno)))
+                for lineno, obj in corpusio._read_jsonl(path)]
+    else:
+        rows = [(f"{lineno:06d}", line)
+                for lineno, line in enumerate(lines, start=1) if line.strip()]
+    if not rows:
         raise ValueError(f"{path}: no texts found")
+    ids, texts = (list(column) for column in zip(*rows))
     return ids, texts
+
+
+def _emit(text: str, out: str) -> None:
+    """Write text to the file `out`, replacing it whole, or to stdout."""
+    if out:
+        with corpusio.atomic_write(out) as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +178,7 @@ def cmd_train(args) -> int:
     corpusio.save_model(predictor.params_to_artifact(params, metadata),
                         args.out)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
+        with corpusio.atomic_write(args.trace) as fh:
             for value in trace:
                 fh.write(f"{value!r}\n")
     print(f"trained {config.epochs} epochs, final loss {trace[-1]:.6f}",
@@ -189,10 +194,7 @@ def cmd_predict(args) -> int:
     predictions = predictor.predict(texts, params, provider,
                                     mode=args.mode, context_window=window)
     payload = predictor.predictions_to_jsonl(ids, predictions)
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+    _emit(payload, args.out)
     print(f"predicted {len(predictions)} sentences ({args.mode} mode)",
           file=sys.stderr)
     return 0
@@ -212,10 +214,7 @@ def cmd_encode(args) -> int:
     if args.grid:
         strengths = np.linspace(0.0, 1.0, args.grid_points).tolist()
         csv_text = encoder.export_grid(params, strengths)
-        if args.out:
-            Path(args.out).write_text(csv_text, encoding="utf-8")
-        else:
-            sys.stdout.write(csv_text)
+        _emit(csv_text, args.out)
         print(f"wrote {4 * args.grid_points}-row embedding grid",
               file=sys.stderr)
         return 0
@@ -234,10 +233,7 @@ def cmd_encode(args) -> int:
             "embedding": h.tolist(),
         }))
     payload = "\n".join(lines) + ("\n" if lines else "")
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+    _emit(payload, args.out)
     print(f"encoded {len(items)} predictions", file=sys.stderr)
     return 0
 
@@ -254,10 +250,7 @@ def cmd_eval(args) -> int:
     refs = [ref_by_id[uid] for uid, _ in items]
     metrics = predictor.evaluate(preds, refs)
     text = json.dumps(metrics, indent=1, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     print(f"macro accuracy {metrics['macro_accuracy']:.3f}, "
           f"strength MSE {metrics['strength_mse']:.6f}", file=sys.stderr)
     return 0

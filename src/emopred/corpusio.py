@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import base64
 import json
+import os
+import secrets
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,6 +57,28 @@ class AnnotatedRecord(UtteranceRecord):
                 f"neutral utterance {self.id!r} must have strength 0, "
                 f"got {self.strength}"
             )
+
+
+@contextmanager
+def atomic_write(path: str | Path):
+    """Open a text file whose content replaces `path` only on success.
+
+    Writes go to a new temporary file in the target directory, which is
+    flushed to disk and renamed over `path` (os.replace) when the block
+    exits normally. If the block raises, the temporary file is removed
+    and any previous file at `path` is left untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
@@ -110,7 +135,7 @@ def read_manifest(path: str | Path) -> list[UtteranceRecord]:
 def write_manifest(records: list[UtteranceRecord], path: str | Path) -> None:
     """Write a manifest in input order, one JSON object per line."""
     _check_unique_ids(records, path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             rec.validate()
             fh.write(json.dumps({
@@ -148,7 +173,7 @@ def write_annotations(records: list[AnnotatedRecord], path: str | Path) -> None:
     _check_unique_ids(records, path)
     for rec in records:
         rec.validate()
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(json.dumps({
                 "id": rec.id,
@@ -178,7 +203,7 @@ def write_features(features: dict[str, np.ndarray], path: str | Path,
                    order: list[str] | None = None) -> None:
     """Write features as JSONL, in `order` (default: insertion order)."""
     ids = list(features) if order is None else order
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for uid in ids:
             vec = np.asarray(features[uid], dtype=np.float64)
             fh.write(json.dumps({"id": uid, "features": vec.tolist()}) + "\n")
@@ -221,7 +246,7 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
         arr = np.ascontiguousarray(artifact.tensors[name], dtype="<f8")
         doc["shapes"][name] = list(arr.shape)
         doc["tensors"][name] = base64.b64encode(arr.tobytes()).decode("ascii")
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

@@ -239,9 +239,11 @@ def train(
 
     Embeds every text once up front (the backbone is frozen), then runs
     mini-batch gradient descent with momentum and per-epoch learning
-    rate decay. Returns the final parameters and a non-increasing
-    (best-so-far) loss trace whose first entry is the pre-training
-    loss. Deterministic for fixed (seed, config, provider).
+    rate decay. Returns the parameters of the epoch with the lowest
+    training loss (the initial parameters if no epoch improves on them)
+    and a non-increasing (best-so-far) loss trace whose first entry is
+    the pre-training loss, so trace[-1] is the loss of the returned
+    parameters. Deterministic for fixed (seed, config, provider).
     """
     config = config or TrainConfig()
     config.validate()
@@ -260,6 +262,7 @@ def train(
     n = len(records)
     lr = config.learning_rate
     best = batch_loss(params, X, class_idx, strengths, config.lambda_cls)
+    best_params = params.copy()
     trace: list[float] = [best]
     for _ in range(config.epochs):
         order = shuffle_rng.permutation(n)
@@ -273,10 +276,12 @@ def train(
         lr *= config.lr_decay
         epoch_loss = batch_loss(params, X, class_idx, strengths,
                                 config.lambda_cls)
-        best = min(best, epoch_loss)
+        if epoch_loss < best:
+            best = epoch_loss
+            best_params = params.copy()
         trace.append(best)
-    params.validate()
-    return params, trace
+    best_params.validate()
+    return best_params, trace
 
 
 def predict(

@@ -3,8 +3,11 @@
 The remote provider consumes a frozen pre-trained language model served
 over HTTP: POST {endpoint}/embed with {"texts": [...]} returns
 {"embeddings": [[...768 floats...], ...]}. The local provider is a
-deterministic offline stand-in (seeded signed hashing of character
-n-grams) for development and tests.
+deterministic offline stand-in for development and tests: signed feature
+hashing (Weinberger et al., ICML 2009) of UTF-8 byte n-grams. A text's
+vector depends only on the multiset of its n-grams, so each distinct
+n-gram is hashed once per call and weighted by its count; the result
+equals hashing every n-gram occurrence one by one.
 """
 
 from __future__ import annotations
@@ -13,10 +16,12 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
 EMBED_DIM = 768
 NGRAM_SIZES = (1, 2, 3)
+# An n-gram's code holds its bytes big-endian in the low 8*max(n) bits and
+# its length n above them, so codes of different lengths never collide.
+_LENGTH_SHIFT = 8 * max(NGRAM_SIZES)
 
 
 class ProviderError(RuntimeError):
@@ -40,29 +45,68 @@ class ProviderConfig:
             raise ValueError("timeout must be positive")
 
 
+def _ngram_codes(data: np.ndarray) -> np.ndarray:
+    """Codes of every 1..3-gram of a uint8 byte array, in any order."""
+    data = data.astype(np.int64)
+    parts = []
+    for n in NGRAM_SIZES:
+        count = len(data) - n + 1
+        if count <= 0:
+            continue
+        code = np.full(count, n << _LENGTH_SHIFT, dtype=np.int64)
+        for i in range(n):
+            code |= data[i:i + count] << (8 * (n - 1 - i))
+        parts.append(code)
+    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+
+
+def _hash_codes(codes: list[int], key: bytes) -> np.ndarray:
+    """Keyed 64-bit blake2b value of each n-gram code's bytes."""
+    values = []
+    for code in codes:
+        gram = (code & ((1 << _LENGTH_SHIFT) - 1)).to_bytes(
+            code >> _LENGTH_SHIFT, "big")
+        digest = hashlib.blake2b(gram, key=key, digest_size=8).digest()
+        values.append(int.from_bytes(digest, "little"))
+    return np.array(values, dtype=np.uint64)
+
+
 def embed_local(texts: list[str], seed: int = 0,
                 dim: int = EMBED_DIM) -> np.ndarray:
     """Deterministic hashed character n-gram embeddings, L2 normalized.
 
-    Each 1..3-gram is hashed (keyed blake2b, so the layout depends only
-    on the seed) to a bin and a sign; the empty string maps to the zero
-    vector. Embeddings are independent of batch composition.
+    Each 1..3-gram of the UTF-8 bytes is hashed (keyed blake2b, so the
+    layout depends only on the seed) to a bin and a sign, and the signs
+    are summed per bin; the empty string maps to the zero vector.
+    Embeddings are independent of batch composition. Each distinct
+    n-gram is hashed once per call and added with its count, which
+    gives exactly the vector of adding every occurrence (sums of +-1 are
+    exact in float64).
     """
     key = int(seed).to_bytes(8, "little", signed=True)
     out = np.zeros((len(texts), dim))
+    # Hashed n-grams of this call, sorted by code; bounded by the distinct
+    # n-grams of the batch, and private to the call so threads share nothing.
+    known = np.empty(0, dtype=np.int64)
+    hashes = np.empty(0, dtype=np.uint64)
     for row, text in enumerate(texts):
-        data = text.encode("utf-8")
-        if not data:
+        codes = _ngram_codes(np.frombuffer(text.encode("utf-8"),
+                                           dtype=np.uint8))
+        if not codes.size:
             continue
+        distinct, counts = np.unique(codes, return_counts=True)
+        new = distinct[~np.isin(distinct, known, assume_unique=True)]
+        if new.size:
+            known = np.concatenate([known, new])
+            order = np.argsort(known)
+            known = known[order]
+            hashes = np.concatenate([hashes, _hash_codes(new.tolist(),
+                                                         key)])[order]
+        value = hashes[np.searchsorted(known, distinct)]
+        bins = ((value >> 1) % dim).astype(np.int64)
+        signs = np.where(value & 1, 1.0, -1.0)
         vec = out[row]
-        for n in NGRAM_SIZES:
-            for start in range(max(0, len(data) - n + 1)):
-                digest = hashlib.blake2b(
-                    data[start:start + n], key=key, digest_size=8
-                ).digest()
-                value = int.from_bytes(digest, "little")
-                sign = 1.0 if value & 1 else -1.0
-                vec[(value >> 1) % dim] += sign
+        vec += np.bincount(bins, weights=signs * counts, minlength=dim)
         norm = np.linalg.norm(vec)
         if norm > 0:
             vec /= norm
@@ -81,6 +125,8 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
         raise ValueError("embed_remote requires a remote-mode config")
     if not texts:
         raise ValueError("texts must be nonempty")
+    import requests
+
     url = config.endpoint.rstrip("/") + "/embed"
     try:
         response = requests.post(url, json={"texts": list(texts)},

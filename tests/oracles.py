@@ -4,6 +4,8 @@ loops over the vectorized pipelines they are checked against."""
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 
@@ -149,6 +151,31 @@ def oracle_pair_hinge(w: np.ndarray, Zs: np.ndarray, Zw: np.ndarray,
                 correct += 1
     objective = 0.5 * sum(v * v for v in w) + c * hinge
     return objective, w - c * active, correct / (len(Zs) * len(Zw))
+
+
+def oracle_embed_local(texts: list[str], seed: int = 0,
+                       dim: int = 768) -> np.ndarray:
+    """Hashed 1..3-gram embeddings, one keyed blake2b call per n-gram
+    occurrence, L2 normalized; the empty string maps to zero."""
+    key = int(seed).to_bytes(8, "little", signed=True)
+    out = np.zeros((len(texts), dim))
+    for row, text in enumerate(texts):
+        data = text.encode("utf-8")
+        if not data:
+            continue
+        vec = out[row]
+        for n in (1, 2, 3):
+            for start in range(max(0, len(data) - n + 1)):
+                digest = hashlib.blake2b(
+                    data[start:start + n], key=key, digest_size=8
+                ).digest()
+                value = int.from_bytes(digest, "little")
+                sign = 1.0 if value & 1 else -1.0
+                vec[(value >> 1) % dim] += sign
+        norm = np.linalg.norm(vec)
+        if norm > 0:
+            vec /= norm
+    return out
 
 
 def relative_error(actual: float, expected: float, floor: float = 1e-6) -> float:

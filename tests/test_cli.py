@@ -47,6 +47,52 @@ def test_module_help_has_no_runpy_warning():
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_cli_import_loads_neither_scipy_nor_requests():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = ("import emopred.cli, sys; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'requests')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+class TestReadTexts:
+    def test_missing_field_names_file_line_and_field(self, tmp_path):
+        path = tmp_path / "texts.jsonl"
+        path.write_text('{"id": "a", "text": "fine"}\n{"id": "b"}\n',
+                        encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=r"texts\.jsonl: line 2: missing field 'text'"):
+            cli._read_texts(str(path))
+
+    def test_invalid_json_names_file_and_line(self, tmp_path):
+        path = tmp_path / "texts.txt"
+        path.write_text("{braces open a plain sentence}\nanother one\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=r"texts\.txt: line 1: invalid JSON"):
+            cli._read_texts(str(path))
+
+    def test_predict_reports_missing_field_without_traceback(self, tmp_path,
+                                                             capsys):
+        model = tmp_path / "model.json"
+        corpusio.save_model(
+            predictor.params_to_artifact(predictor.init_params(0), {}), model)
+        texts = tmp_path / "texts.jsonl"
+        texts.write_text('{"text": "no id here"}\n', encoding="utf-8")
+        code = cli.main(["predict", "--model", str(model), "--texts",
+                         str(texts)])
+        assert code == 1
+        assert "line 1: missing field 'id'" in capsys.readouterr().err
+
+    def test_plain_lines_numbered(self, tmp_path):
+        path = tmp_path / "texts.txt"
+        path.write_text("first\n\nthird\n", encoding="utf-8")
+        assert cli._read_texts(str(path)) == (["000001", "000003"],
+                                              ["first", "third"])
+
+
 def test_pipeline_end_to_end(tmp_path):
     manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=4)
     features = tmp_path / "features.jsonl"

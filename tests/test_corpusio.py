@@ -130,6 +130,36 @@ class TestFeaturesFile:
         assert first["id"] == "b"
 
 
+class TestAtomicWrite:
+    def test_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old content that is longer\n", encoding="utf-8")
+        with corpusio.atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text(encoding="utf-8") == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failure_midway_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"previous\n")
+        with pytest.raises(RuntimeError, match="midway"):
+            with corpusio.atomic_write(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("midway")
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_features_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "features.jsonl"
+        corpusio.write_features({"a": np.ones(3)}, path)
+        before = path.read_bytes()
+        with pytest.raises(KeyError):
+            corpusio.write_features({"a": np.zeros(3)}, path,
+                                    order=["a", "missing"])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["features.jsonl"]
+
+
 class TestModelArtifacts:
     def test_predictor_round_trip_bit_identical_outputs(self, tmp_path):
         params = predictor.init_params(3, 1.0)

@@ -279,6 +279,18 @@ class TestTrain:
         assert all(trace[i + 1] <= trace[i] + 1e-12
                    for i in range(len(trace) - 1))
 
+    def test_returned_params_have_the_reported_loss(self):
+        # default learning rate on this corpus: the last epoch is not the best
+        rng = np.random.default_rng(18)
+        records, provider = self._cluster_corpus(rng, n_per=6)
+        params, trace = predictor.train(records, provider,
+                                        TrainConfig(epochs=20, seed=0))
+        X = provider.embed([r.text for r in records])
+        class_idx = [EMOTIONS.index(r.emotion) for r in records]
+        strengths = [r.strength for r in records]
+        assert predictor.batch_loss(params, X, class_idx, strengths,
+                                    0.01) == trace[-1]
+
     def test_empty_corpus_error(self):
         with pytest.raises(ValueError, match="empty"):
             predictor.train([], FixedProvider(), TrainConfig())

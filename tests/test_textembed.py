@@ -5,9 +5,12 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emopred import textembed
 from emopred.textembed import ProviderConfig, ProviderError
+from oracles import oracle_embed_local
 
 
 class TestEmbedLocal:
@@ -42,6 +45,29 @@ class TestEmbedLocal:
         shuffled = textembed.embed_local(texts[::-1], seed=2)
         np.testing.assert_array_equal(E[0], shuffled[2])
         np.testing.assert_array_equal(E[2], shuffled[0])
+
+
+seeds = st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+class TestEmbedLocalOracle:
+    """Counting distinct n-grams gives exactly the per-occurrence sums."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts=st.lists(st.text(max_size=40), max_size=6), seed=seeds,
+           dim=st.sampled_from([1, 7, 768]))
+    def test_matches_per_ngram_oracle(self, texts, seed, dim):
+        batch = texts + texts[:2] + [""]  # duplicates and an empty string
+        assert np.array_equal(textembed.embed_local(batch, seed, dim),
+                              oracle_embed_local(batch, seed, dim))
+
+    @settings(max_examples=40, deadline=None)
+    @given(sentences=st.lists(st.text(min_size=1, max_size=30), min_size=1,
+                              max_size=8), seed=seeds)
+    def test_paragraph_prefixes_match_oracle(self, sentences, seed):
+        inputs = [" ".join(sentences[:i + 1]) for i in range(len(sentences))]
+        assert np.array_equal(textembed.embed_local(inputs, seed),
+                              oracle_embed_local(inputs, seed))
 
 
 class TestProviderConfig:
