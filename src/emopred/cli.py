@@ -93,17 +93,17 @@ def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _read_texts(path: str) -> tuple[list[str], list[str]]:
-    """Texts file: JSONL with id/text fields, or one plain sentence per
-    line (ids are then the 1-based line numbers)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if next((ln for ln in lines if ln.strip()), "").lstrip().startswith("{"):
+    """Texts file: JSONL with id/text fields when the name ends in
+    .jsonl (any case), otherwise one plain sentence per line (ids are
+    then the 1-based line numbers)."""
+    if path.lower().endswith(".jsonl"):
         rows = [(str(corpusio._require(obj, "id", path, lineno)),
                  str(corpusio._require(obj, "text", path, lineno)))
                 for lineno, obj in corpusio._read_jsonl(path)]
     else:
-        rows = [(f"{lineno:06d}", line)
-                for lineno, line in enumerate(lines, start=1) if line.strip()]
+        with open(path, encoding="utf-8") as fh:
+            rows = [(f"{lineno:06d}", line.rstrip("\n"))
+                    for lineno, line in enumerate(fh, start=1) if line.strip()]
     if not rows:
         raise ValueError(f"{path}: no texts found")
     ids, texts = (list(column) for column in zip(*rows))
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("predict", cmd_predict, "predict emotion class and strength")
     sub.add_argument("--model", type=str, required=True)
     sub.add_argument("--texts", type=str, required=True,
-                     help="JSONL with id/text fields, or plain lines")
+                     help="*.jsonl with id/text fields, or plain lines")
     sub.add_argument("--mode", type=str, default="single",
                      choices=("single", "paragraph"))
     sub.add_argument("--window", type=int, default=0,

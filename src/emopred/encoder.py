@@ -136,6 +136,41 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _target_arrays(targets: Sequence[tuple[str, float, np.ndarray]]):
+    """Validated (class indices, strengths, target matrix) of fit targets."""
+    if not targets:
+        raise ValueError("targets must be nonempty")
+    rows = []
+    for emotion, strength, target in targets:
+        strength = _check_strength(strength)
+        target = np.asarray(target, dtype=np.float64)
+        if target.shape != (EMB_DIM,):
+            raise ValueError(f"target shape {target.shape}")
+        rows.append((_class_index(emotion), strength, target))
+    idx, strengths, T = zip(*rows)
+    return np.array(idx), np.array(strengths), np.vstack(T)
+
+
+def _fit_arrays(params: EncoderParams, idx: np.ndarray,
+                strengths: np.ndarray, T: np.ndarray):
+    """fit_loss_and_gradients over all m targets at once."""
+    m = len(idx)
+    U = params.lut[idx]
+    scale = 1.0 + params.w_str * strengths
+    # per class, the same product as preactivation(), so exact targets fit
+    # with zero error
+    base = np.stack([params.w_emb @ u for u in params.lut])[idx]
+    z = base * scale[:, None]
+    diff = softplus(z) - T
+    d_z = (2.0 / EMB_DIM) * diff * _sigmoid(z)
+    scaled = scale[:, None] * d_z
+    g_lut = np.zeros_like(params.lut)
+    np.add.at(g_lut, idx, scaled @ params.w_emb)
+    g_ws = float(strengths @ np.einsum("ij,ij->i", d_z, base))
+    return (float(np.mean(diff ** 2, axis=1).sum()) / m, g_lut / m,
+            (scaled.T @ U) / m, g_ws / m)
+
+
 def fit_loss_and_gradients(
     params: EncoderParams,
     targets: Sequence[tuple[str, float, np.ndarray]],
@@ -145,30 +180,7 @@ def fit_loss_and_gradients(
     Returns (loss, d_lut, d_w_emb, d_w_str); the loss averages the
     squared component error over targets and components.
     """
-    if not targets:
-        raise ValueError("targets must be nonempty")
-    g_lut = np.zeros_like(params.lut)
-    g_w = np.zeros_like(params.w_emb)
-    g_ws = 0.0
-    total = 0.0
-    for emotion, strength, target in targets:
-        strength = _check_strength(strength)
-        target = np.asarray(target, dtype=np.float64)
-        if target.shape != (EMB_DIM,):
-            raise ValueError(f"target shape {target.shape}")
-        idx = _class_index(emotion)
-        u = params.lut[idx]
-        scale = 1.0 + params.w_str * strength
-        base = params.w_emb @ u
-        z = base * scale
-        diff = softplus(z) - target
-        total += float(np.mean(diff ** 2))
-        d_z = (2.0 / EMB_DIM) * diff * _sigmoid(z)
-        g_w += scale * np.outer(d_z, u)
-        g_lut[idx] += scale * (params.w_emb.T @ d_z)
-        g_ws += strength * float(d_z @ base)
-    m = len(targets)
-    return total / m, g_lut / m, g_w / m, g_ws / m
+    return _fit_arrays(params, *_target_arrays(targets))
 
 
 def toy_fit(
@@ -187,14 +199,15 @@ def toy_fit(
     """
     params = params.copy()
     params.validate()
+    arrays = _target_arrays(targets)
     trace = []
     for _ in range(steps):
-        fit_loss, g_lut, g_w, g_ws = fit_loss_and_gradients(params, targets)
+        fit_loss, g_lut, g_w, g_ws = _fit_arrays(params, *arrays)
         trace.append(fit_loss)
         params.lut -= learning_rate * g_lut
         params.w_emb -= learning_rate * g_w
         params.w_str -= learning_rate * g_ws
-    trace.append(fit_loss_and_gradients(params, targets)[0])
+    trace.append(_fit_arrays(params, *arrays)[0])
     return params, trace
 
 

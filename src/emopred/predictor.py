@@ -12,6 +12,14 @@ Training minimizes
 
 averaged over a batch, with mini-batch gradient descent and momentum.
 The embedding backbone is consumed through a provider and never updated.
+
+train() fuses the two first layers into one 512x768 layer W1 and runs
+in the row space of the n training embeddings: every gradient of W1 is
+a combination of training rows, so W1 - W1_0 = A @ B stays in the span
+of B (the embeddings when n <= 768, the identity otherwise), and
+momentum SGD on the 512 x n coefficients A is momentum SGD on W1 (the
+representer argument of Schoelkopf, Herbrich & Smola, COLT 2001). The
+iterates equal those of the plain loop up to rounding.
 """
 
 from __future__ import annotations
@@ -125,14 +133,53 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _output(h: np.ndarray, W2c, b2c, w2s, b2s):
+    """Class probabilities and raw strengths from the pre-ReLU hidden
+    layers h = [h_cls | h_str] (m x 2*HIDDEN_DIM)."""
+    a = np.maximum(h, 0.0)
+    probs = _softmax_rows(a[:, :HIDDEN_DIM] @ W2c.T + b2c)
+    raw = a[:, HIDDEN_DIM:] @ w2s.T + b2s
+    return probs, raw[:, 0]
+
+
 def _forward_batch(params: PredictorParams, X: np.ndarray):
-    """Returns (pre-ReLU class hidden, probs, pre-ReLU strength hidden,
-    raw strengths) for a batch of embeddings."""
-    h_cls = X @ params.W1c.T + params.b1c
-    probs = _softmax_rows(np.maximum(h_cls, 0.0) @ params.W2c.T + params.b2c)
-    h_str = X @ params.W1s.T + params.b1s
-    raw = np.maximum(h_str, 0.0) @ params.w2s.T + params.b2s
-    return h_cls, probs, h_str, raw[:, 0]
+    """Returns (pre-ReLU hidden layers [h_cls | h_str], probs, raw
+    strengths) for a batch of embeddings."""
+    h = np.hstack([X @ params.W1c.T + params.b1c,
+                   X @ params.W1s.T + params.b1s])
+    return (h, *_output(h, params.W2c, params.b2c, params.w2s, params.b2s))
+
+
+def _mean_loss(probs, raw, class_idx, strengths, lambda_cls) -> float:
+    picked = np.maximum(probs[np.arange(len(raw)), class_idx], PROB_FLOOR)
+    return float(np.mean((raw - strengths) ** 2)
+                 + lambda_cls * np.mean(-np.log(picked)))
+
+
+def _backward(h, probs, raw, class_idx, strengths, W2c, w2s, lambda_cls):
+    """Gradient of the mean batch loss with respect to the pre-ReLU
+    hidden layers h and the output layers.
+
+    Returns (d_h, gW2c, gb2c, gw2s, gb2s). The ReLU subgradient at
+    exactly 0 is taken as 0.
+    """
+    m = len(raw)
+    a = np.maximum(h, 0.0)
+    d_logits = probs.copy()
+    d_logits[np.arange(m), class_idx] -= 1.0
+    d_logits *= lambda_cls / m
+    d_raw = 2.0 * (raw - strengths) / m
+    d_h = np.hstack([d_logits @ W2c, d_raw[:, None] * w2s]) * (h > 0.0)
+    return (d_h, d_logits.T @ a[:, :HIDDEN_DIM], d_logits.sum(axis=0),
+            (d_raw[:, None] * a[:, HIDDEN_DIM:]).sum(axis=0)[None, :],
+            np.array([d_raw.sum()]))
+
+
+def _flat_views(buf: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of a flat buffer with the given shapes."""
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    parts = np.split(buf, np.cumsum(sizes)[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
 def forward(params: PredictorParams, x: np.ndarray) -> EmotionPrediction:
@@ -144,7 +191,7 @@ def forward(params: PredictorParams, x: np.ndarray) -> EmotionPrediction:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (EMBED_DIM,):
         raise ValueError(f"embedding shape {x.shape}, expected ({EMBED_DIM},)")
-    _, probs, _, raw = _forward_batch(params, x[None, :])
+    _, probs, raw = _forward_batch(params, x[None, :])
     probs = probs[0]
     raw_value = float(raw[0])
     return EmotionPrediction(
@@ -194,28 +241,16 @@ def gradients(
     if len(class_idx) != m or len(strengths) != m:
         raise ValueError("batch components must have equal lengths")
 
-    h_cls, probs, h_str, raw = _forward_batch(params, X)
-    a_cls = np.maximum(h_cls, 0.0)
-    a_str = np.maximum(h_str, 0.0)
-
-    d_logits = probs.copy()
-    d_logits[np.arange(m), class_idx] -= 1.0
-    d_logits *= lambda_cls / m
-    gW2c = d_logits.T @ a_cls
-    gb2c = d_logits.sum(axis=0)
-    d_hidden_c = (d_logits @ params.W2c) * (h_cls > 0.0)
-    gW1c = d_hidden_c.T @ X
-    gb1c = d_hidden_c.sum(axis=0)
-
-    d_raw = 2.0 * (raw - strengths) / m
-    gw2s = (d_raw[:, None] * a_str).sum(axis=0)[None, :]
-    gb2s = np.array([d_raw.sum()])
-    d_hidden_s = (d_raw[:, None] * params.w2s) * (h_str > 0.0)
-    gW1s = d_hidden_s.T @ X
-    gb1s = d_hidden_s.sum(axis=0)
-
-    return PredictorParams(W1c=gW1c, b1c=gb1c, W2c=gW2c, b2c=gb2c,
-                           W1s=gW1s, b1s=gb1s, w2s=gw2s, b2s=gb2s)
+    h, probs, raw = _forward_batch(params, X)
+    d_h, gW2c, gb2c, gw2s, gb2s = _backward(h, probs, raw, class_idx,
+                                            strengths, params.W2c, params.w2s,
+                                            lambda_cls)
+    gW1 = d_h.T @ X
+    gb1 = d_h.sum(axis=0)
+    return PredictorParams(W1c=gW1[:HIDDEN_DIM], b1c=gb1[:HIDDEN_DIM],
+                           W2c=gW2c, b2c=gb2c,
+                           W1s=gW1[HIDDEN_DIM:], b1s=gb1[HIDDEN_DIM:],
+                           w2s=gw2s, b2s=gb2s)
 
 
 def batch_loss(params: PredictorParams, X: np.ndarray, class_idx: np.ndarray,
@@ -224,10 +259,8 @@ def batch_loss(params: PredictorParams, X: np.ndarray, class_idx: np.ndarray,
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     class_idx = np.asarray(class_idx, dtype=np.int64).ravel()
     strengths = np.asarray(strengths, dtype=np.float64).ravel()
-    _, probs, _, raw = _forward_batch(params, X)
-    picked = np.maximum(probs[np.arange(len(X)), class_idx], PROB_FLOOR)
-    return float(np.mean((raw - strengths) ** 2)
-                 + lambda_cls * np.mean(-np.log(picked)))
+    _, probs, raw = _forward_batch(params, X)
+    return _mean_loss(probs, raw, class_idx, strengths, lambda_cls)
 
 
 def train(
@@ -241,9 +274,22 @@ def train(
     mini-batch gradient descent with momentum and per-epoch learning
     rate decay. Returns the parameters of the epoch with the lowest
     training loss (the initial parameters if no epoch improves on them)
-    and a non-increasing (best-so-far) loss trace whose first entry is
-    the pre-training loss, so trace[-1] is the loss of the returned
-    parameters. Deterministic for fixed (seed, config, provider).
+    and a best-so-far loss trace whose first entry is the pre-training
+    loss. The entries from the best epoch on are the loss of the returned
+    parameters, so trace[-1] is exactly their batch_loss().
+    Deterministic for fixed (seed, config, provider).
+
+    The loop runs in the row space of the training embeddings X (n x
+    768). The fused first layer is W1 = W1_0 + A @ B with X = Cmat @ B:
+    B = X and Cmat = I when n <= 768, B = I and Cmat = X otherwise. Its
+    gradient d_hidden.T @ X[batch] equals (d_hidden.T @ Cmat[batch]) @ B
+    and the velocity starts at 0, so the momentum update of A, applied
+    through B, is the update of W1: the iterates match the plain loop in
+    exact arithmetic. The hidden layers of training rows are
+    H0 + G @ A.T + b1 with the precomputed H0 = X @ W1_0.T and G = X @ B.T
+    (the Gram matrix when n <= 768). A, b1 and the output layers are
+    views into one flat vector, updated in place; W1 is built once, from
+    the best epoch's snapshot.
     """
     config = config or TrainConfig()
     config.validate()
@@ -255,32 +301,68 @@ def train(
         raise ValueError(f"provider returned shape {X.shape}")
     class_idx = np.array([EMOTIONS.index(r.emotion) for r in records])
     strengths = np.array([r.strength for r in records])
-
-    params = init_params(config.seed, config.init_scale)
-    velocity = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
-    shuffle_rng = np.random.default_rng([config.seed, 1])
     n = len(records)
+    if n <= EMBED_DIM:
+        B, Cmat, G = X, np.eye(n), X @ X.T
+    else:
+        B, Cmat, G = np.eye(EMBED_DIM), X, X
+
+    init = init_params(config.seed, config.init_scale)
+    W1_0 = np.vstack([init.W1c, init.W1s])
+    H0 = X @ W1_0.T
+    shapes = [(2 * HIDDEN_DIM, len(B)), (2 * HIDDEN_DIM,),
+              PARAM_SHAPES["W2c"], PARAM_SHAPES["b2c"],
+              PARAM_SHAPES["w2s"], PARAM_SHAPES["b2s"]]
+    size = sum(int(np.prod(shape)) for shape in shapes)
+    theta, grad, velocity = np.zeros((3, size))
+    A, b1, W2c, b2c, w2s, b2s = _flat_views(theta, shapes)
+    gA, gb1, gW2c, gb2c, gw2s, gb2s = _flat_views(grad, shapes)
+    b1[:] = np.concatenate([init.b1c, init.b1s])
+    W2c[:], b2c[:], w2s[:], b2s[:] = init.W2c, init.b2c, init.w2s, init.b2s
+
+    def full_loss() -> float:
+        h = H0 + G @ A.T + b1
+        return _mean_loss(*_output(h, W2c, b2c, w2s, b2s), class_idx,
+                          strengths, config.lambda_cls)
+
+    shuffle_rng = np.random.default_rng([config.seed, 1])
     lr = config.learning_rate
-    best = batch_loss(params, X, class_idx, strengths, config.lambda_cls)
-    best_params = params.copy()
+    best = full_loss()
+    best_theta, best_epoch = theta.copy(), 0
     trace: list[float] = [best]
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            grads = gradients(params, X[idx], class_idx[idx], strengths[idx],
-                              config.lambda_cls)
-            for name, g in grads.as_dict().items():
-                velocity[name] = config.momentum * velocity[name] - lr * g
-                setattr(params, name, getattr(params, name) + velocity[name])
+            h = H0[idx] + G[idx] @ A.T + b1
+            probs, raw = _output(h, W2c, b2c, w2s, b2s)
+            d_h, gW2c[:], gb2c[:], gw2s[:], gb2s[:] = _backward(
+                h, probs, raw, class_idx[idx], strengths[idx], W2c, w2s,
+                config.lambda_cls)
+            np.matmul(d_h.T, Cmat[idx], out=gA)
+            d_h.sum(axis=0, out=gb1)
+            velocity *= config.momentum
+            grad *= lr
+            velocity -= grad
+            theta += velocity
         lr *= config.lr_decay
-        epoch_loss = batch_loss(params, X, class_idx, strengths,
-                                config.lambda_cls)
+        epoch_loss = full_loss()
         if epoch_loss < best:
             best = epoch_loss
-            best_params = params.copy()
+            best_theta[:] = theta
+            best_epoch = epoch
         trace.append(best)
+
+    theta[:] = best_theta
+    W1 = W1_0 + A @ B
+    best_params = PredictorParams(
+        W1c=W1[:HIDDEN_DIM], b1c=b1[:HIDDEN_DIM], W2c=W2c, b2c=b2c,
+        W1s=W1[HIDDEN_DIM:], b1s=b1[HIDDEN_DIM:], w2s=w2s, b2s=b2s)
     best_params.validate()
+    # the loss of the built W1 agrees with the loop's to rounding; report
+    # the former, the loss of what is returned
+    final = batch_loss(best_params, X, class_idx, strengths, config.lambda_cls)
+    trace[best_epoch:] = [final] * (len(trace) - best_epoch)
     return best_params, trace
 
 

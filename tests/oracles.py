@@ -178,5 +178,80 @@ def oracle_embed_local(texts: list[str], seed: int = 0,
     return out
 
 
+def oracle_train(records, provider, config=None):
+    """predictor.train as a per-tensor loop: the public gradients() and
+    batch_loss() on the full 768-dim first layers, and a momentum update
+    that allocates new arrays for each of the eight tensors every step.
+
+    Returns (parameters of the best epoch, best-so-far loss trace).
+    """
+    from emopred.corpusio import EMOTIONS
+    from emopred.predictor import (EMBED_DIM, TrainConfig, batch_loss,
+                                   gradients, init_params)
+
+    config = config or TrainConfig()
+    config.validate()
+    if not records:
+        raise ValueError("empty corpus")
+    texts = [r.text for r in records]
+    X = np.asarray(provider.embed(texts), dtype=np.float64)
+    if X.shape != (len(records), EMBED_DIM):
+        raise ValueError(f"provider returned shape {X.shape}")
+    class_idx = np.array([EMOTIONS.index(r.emotion) for r in records])
+    strengths = np.array([r.strength for r in records])
+
+    params = init_params(config.seed, config.init_scale)
+    velocity = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
+    shuffle_rng = np.random.default_rng([config.seed, 1])
+    n = len(records)
+    lr = config.learning_rate
+    best = batch_loss(params, X, class_idx, strengths, config.lambda_cls)
+    best_params = params.copy()
+    trace: list[float] = [best]
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            grads = gradients(params, X[idx], class_idx[idx], strengths[idx],
+                              config.lambda_cls)
+            for name, g in grads.as_dict().items():
+                velocity[name] = config.momentum * velocity[name] - lr * g
+                setattr(params, name, getattr(params, name) + velocity[name])
+        lr *= config.lr_decay
+        epoch_loss = batch_loss(params, X, class_idx, strengths,
+                                config.lambda_cls)
+        if epoch_loss < best:
+            best = epoch_loss
+            best_params = params.copy()
+        trace.append(best)
+    best_params.validate()
+    return best_params, trace
+
+
+def oracle_fit_loss_and_gradients(params, targets):
+    """encoder.fit_loss_and_gradients one target at a time."""
+    from emopred.corpusio import EMOTIONS
+    from emopred.encoder import EMB_DIM, softplus
+
+    g_lut = np.zeros_like(params.lut)
+    g_w = np.zeros_like(params.w_emb)
+    g_ws = 0.0
+    total = 0.0
+    for emotion, strength, target in targets:
+        idx = EMOTIONS.index(emotion)
+        u = params.lut[idx]
+        scale = 1.0 + params.w_str * strength
+        base = params.w_emb @ u
+        z = base * scale
+        diff = softplus(z) - target
+        total += float(np.mean(diff ** 2))
+        d_z = (2.0 / EMB_DIM) * diff / (1.0 + np.exp(-z))
+        g_w += scale * np.outer(d_z, u)
+        g_lut[idx] += scale * (params.w_emb.T @ d_z)
+        g_ws += strength * float(d_z @ base)
+    m = len(targets)
+    return total / m, g_lut / m, g_w / m, g_ws / m
+
+
 def relative_error(actual: float, expected: float, floor: float = 1e-6) -> float:
     return abs(actual - expected) / max(abs(actual), abs(expected), floor)

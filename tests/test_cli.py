@@ -67,12 +67,25 @@ class TestReadTexts:
             cli._read_texts(str(path))
 
     def test_invalid_json_names_file_and_line(self, tmp_path):
-        path = tmp_path / "texts.txt"
+        path = tmp_path / "texts.jsonl"
         path.write_text("{braces open a plain sentence}\nanother one\n",
                         encoding="utf-8")
         with pytest.raises(ValueError,
-                           match=r"texts\.txt: line 1: invalid JSON"):
+                           match=r"texts\.jsonl: line 1: invalid JSON"):
             cli._read_texts(str(path))
+
+    def test_plain_file_starting_with_brace_reads_as_lines(self, tmp_path):
+        path = tmp_path / "texts.txt"
+        path.write_text('{"id": "a", "text": "json-like"}\nanother one\n',
+                        encoding="utf-8")
+        assert cli._read_texts(str(path)) == (
+            ["000001", "000002"],
+            ['{"id": "a", "text": "json-like"}', "another one"])
+
+    def test_jsonl_extension_any_case(self, tmp_path):
+        path = tmp_path / "texts.JSONL"
+        path.write_text('{"id": "a", "text": "fine"}\n', encoding="utf-8")
+        assert cli._read_texts(str(path)) == (["a"], ["fine"])
 
     def test_predict_reports_missing_field_without_traceback(self, tmp_path,
                                                              capsys):

@@ -7,10 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emopred import encoder
 from emopred.corpusio import EMOTIONS
 from emopred.encoder import EncoderParams
+
+from oracles import oracle_fit_loss_and_gradients
 
 
 def random_params(seed, w_str=None):
@@ -196,6 +200,19 @@ class TestToyFit:
         num = numeric(bump_ws)
         worst = max(worst, abs(g_ws - num) / max(abs(num), abs(g_ws), 1e-6))
         assert worst < 1e-4
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 31), m=st.integers(1, 12),
+           w_str=st.floats(-3.0, 3.0))
+    def test_gradients_match_per_target_loop(self, seed, m, w_str):
+        rng = np.random.default_rng(seed)
+        params = random_params(seed, w_str=w_str)
+        targets = [(EMOTIONS[int(rng.integers(4))], float(rng.uniform()),
+                    rng.normal(scale=3.0, size=32)) for _ in range(m)]
+        got = encoder.fit_loss_and_gradients(params, targets)
+        expected = oracle_fit_loss_and_gradients(params, targets)
+        for a, b in zip(got, expected):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
 
     def test_realizable_targets_reachable(self):
         hidden = random_params(11)

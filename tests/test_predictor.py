@@ -6,13 +6,15 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emopred import predictor
 from emopred.corpusio import AnnotatedRecord, EMOTIONS
 from emopred.predictor import EmotionPrediction, TrainConfig
 
 from conftest import FixedProvider
-from oracles import oracle_forward
+from oracles import oracle_forward, oracle_train
 
 
 def make_annotated(texts, emotions, strengths):
@@ -294,6 +296,73 @@ class TestTrain:
     def test_empty_corpus_error(self):
         with pytest.raises(ValueError, match="empty"):
             predictor.train([], FixedProvider(), TrainConfig())
+
+
+def random_corpus(n, seed, distinct=None):
+    """n records on unit-norm random embeddings; with `distinct`, record i
+    reuses text i % distinct, so rows of the embedding matrix repeat."""
+    rng = np.random.default_rng(seed)
+    distinct = distinct or n
+    vectors = rng.normal(size=(distinct, 768))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    mapping = {f"text {k}": vectors[k] for k in range(distinct)}
+    emotions = [EMOTIONS[i] for i in rng.integers(0, 4, size=n)]
+    strengths = [0.0 if e == "neutral" else float(rng.uniform(0.4, 1.0))
+                 for e in emotions]
+    texts = [f"text {i % distinct}" for i in range(n)]
+    return make_annotated(texts, emotions, strengths), ArrayProvider(mapping)
+
+
+def assert_matches_oracle(records, provider, config):
+    params, trace = predictor.train(records, provider, config)
+    expected, expected_trace = oracle_train(records, provider, config)
+    assert len(trace) == len(expected_trace) == config.epochs + 1
+    assert np.abs(np.array(trace) - np.array(expected_trace)).max() <= 1e-12
+    for name in predictor.PARAM_SHAPES:
+        assert getattr(params, name).shape == predictor.PARAM_SHAPES[name]
+        assert np.abs(getattr(params, name)
+                      - getattr(expected, name)).max() <= 1e-12, name
+
+
+class TestTrainMatchesOracle:
+    """train runs the first layer in the row space of the training
+    embeddings; it must reproduce the per-tensor loop on both sides of
+    n = 768, where the basis switches from the embeddings to the identity."""
+
+    @pytest.mark.parametrize("n, epochs, batch_size, init_scale, distinct", [
+        (80, 8, 16, 1.0, None),     # n < 768: Gram-matrix basis
+        (768, 2, 16, 1.0, None),    # n = 768: last size on the Gram basis
+        (800, 2, 16, 1.0, None),    # n > 768: identity basis
+        (50, 6, 7, 1.0, None),      # batch size does not divide n
+        (12, 6, 20, 1.0, None),     # batch size larger than n
+        (30, 5, 16, 0.0, None),     # zero initialization
+        (40, 6, 16, 1.0, 5),        # duplicate texts: singular Gram matrix
+    ])
+    def test_matches_per_tensor_loop(self, n, epochs, batch_size,
+                                     init_scale, distinct):
+        records, provider = random_corpus(n, seed=n, distinct=distinct)
+        config = TrainConfig(epochs=epochs, batch_size=batch_size, seed=2,
+                             init_scale=init_scale)
+        assert_matches_oracle(records, provider, config)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 24), distinct=st.integers(1, 24),
+           batch_size=st.integers(1, 30), epochs=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 31), init_scale=st.sampled_from(
+               [0.0, 0.5, 1.0, 2.0]),
+           learning_rate=st.floats(0.001, 0.2),
+           momentum=st.floats(0.0, 0.95), lr_decay=st.floats(0.9, 1.0),
+           lambda_cls=st.floats(0.0, 1.0))
+    def test_small_configs_match_per_tensor_loop(
+            self, n, distinct, batch_size, epochs, seed, init_scale,
+            learning_rate, momentum, lr_decay, lambda_cls):
+        records, provider = random_corpus(n, seed, distinct=min(distinct, n))
+        config = TrainConfig(lambda_cls=lambda_cls,
+                             learning_rate=learning_rate,
+                             batch_size=batch_size, epochs=epochs, seed=seed,
+                             init_scale=init_scale, momentum=momentum,
+                             lr_decay=lr_decay)
+        assert_matches_oracle(records, provider, config)
 
 
 class TestPredict:
