@@ -13,6 +13,7 @@ regression offset, slope, and residual MSE.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,33 +62,66 @@ class AudioClip:
             raise ValueError("samples contain non-finite values")
 
 
+# (format tag, bits per sample) -> sample dtype and full-scale value
+_ENCODINGS = {(1, 16): ("<i2", 32768.0), (3, 32): ("<f4", 1.0),
+              (3, 64): ("<f8", 1.0)}
+_FORMAT_NAMES = {1: "PCM", 3: "float"}
+# What follows the 2-byte tag in a standard WAVE_FORMAT_EXTENSIBLE GUID
+_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def _read_wav(path: str | Path) -> tuple[int, int, int, int, bytes]:
+    """(format tag, channels, rate, bits per sample, data) of a WAV file.
+
+    Walks the RIFF chunks, skipping all but `fmt ` and `data` (odd sizes
+    are padded to even); an extensible file's tag is its subformat's.
+    Raises ValueError if either chunk is missing or `data` is cut short."""
+    raw = Path(path).read_bytes()
+    if raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
+        raise ValueError("not a RIFF WAVE file")
+    end = min(len(raw), 8 + int.from_bytes(raw[4:8], "little"))
+    pos, fmt, data = 12, None, None
+    while pos + 8 <= end:
+        chunk_id, size = struct.unpack_from("<4sI", raw, pos)
+        body = raw[pos + 8:pos + 8 + size]
+        if chunk_id == b"fmt ":
+            fmt = body
+        elif chunk_id == b"data":
+            if len(body) < size:
+                raise ValueError("data chunk runs past the end of the file")
+            data = body
+        pos += 8 + size + (size & 1)
+    if fmt is None or len(fmt) < 16 or data is None:
+        raise ValueError("missing fmt or data chunk")
+    tag, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == 0xFFFE and fmt[26:40] == _GUID_TAIL:
+        tag = int.from_bytes(fmt[24:26], "little")
+    return tag, channels, rate, bits, data
+
+
 def load_audio(path: str | Path) -> AudioClip:
-    """Load a mono PCM WAV file (16-bit int or 32-bit float).
+    """Load a mono WAV file: 16-bit PCM, 32-bit or 64-bit float.
 
-    Raises ValueError for multi-channel audio, for sample rates below
-    16 kHz (no silent resampling), and for unsupported encodings.
+    Raises ValueError for an unreadable or truncated file, multi-channel
+    audio, sample rates below 16 kHz (no silent resampling), and any
+    other encoding (8-, 24- or 32-bit PCM, compressed formats).
     """
-    from scipy.io import wavfile
-
     try:
-        rate, data = wavfile.read(path)
+        tag, channels, rate, bits, data = _read_wav(path)
     except FileNotFoundError:
         raise
-    except Exception as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"{path}: unreadable WAV file: {exc}") from exc
-    if data.ndim != 1:
-        raise ValueError(f"{path}: multi-channel unsupported")
+    if channels != 1:
+        raise ValueError(f"{path}: multi-channel unsupported ({channels} channels)")
     if rate < MIN_SAMPLE_RATE:
         raise ValueError(f"{path}: sample rate below {MIN_SAMPLE_RATE} ({rate})")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    elif data.dtype == np.float64:
-        samples = data.copy()
-    else:
-        raise ValueError(f"{path}: unsupported sample encoding {data.dtype}")
-    clip = AudioClip(samples=samples, sample_rate=int(rate))
+    if (tag, bits) not in _ENCODINGS:
+        name = _FORMAT_NAMES.get(tag, f"format {tag:#06x}")
+        raise ValueError(f"{path}: unsupported sample encoding {bits}-bit {name}")
+    dtype, full_scale = _ENCODINGS[tag, bits]
+    samples = np.frombuffer(data, dtype, len(data) // np.dtype(dtype).itemsize)
+    clip = AudioClip(samples.astype(np.float64) / full_scale, rate)
     clip.validate()
     return clip
 

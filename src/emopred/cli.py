@@ -221,8 +221,7 @@ def cmd_encode(args) -> int:
 
     if not args.predictions:
         raise ValueError("either --predictions or --grid is required")
-    items = predictor.predictions_from_jsonl(
-        Path(args.predictions).read_text(encoding="utf-8"))
+    items = predictor.predictions_from_jsonl(args.predictions)
     lines = []
     for uid, pred in items:
         h = encoder.encode(params, pred.label, pred.strength)
@@ -239,8 +238,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    items = predictor.predictions_from_jsonl(
-        Path(args.predictions).read_text(encoding="utf-8"))
+    items = predictor.predictions_from_jsonl(args.predictions)
     references = corpusio.read_annotations(args.references)
     ref_by_id = {r.id: r for r in references}
     missing = [uid for uid, _ in items if uid not in ref_by_id]

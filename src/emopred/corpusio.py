@@ -12,7 +12,7 @@ import json
 import os
 import secrets
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -112,17 +112,14 @@ def _check_unique_ids(records, path) -> None:
         seen.add(rec.id)
 
 
-def read_manifest(path: str | Path) -> list[UtteranceRecord]:
-    """Read and validate a corpus manifest (JSONL, one utterance per line)."""
+def _read_records(path: str | Path, cls) -> list:
+    """Read and validate records of dataclass `cls`, one JSON per line;
+    every field is required and cast to the type its annotation names."""
+    casts = {f.name: {"str": str, "float": float}[f.type] for f in fields(cls)}
     records = []
     for lineno, obj in _read_jsonl(path):
-        rec = UtteranceRecord(
-            id=str(_require(obj, "id", path, lineno)),
-            text=str(_require(obj, "text", path, lineno)),
-            emotion=str(_require(obj, "emotion", path, lineno)),
-            audio_path=str(_require(obj, "audio_path", path, lineno)),
-            split=str(_require(obj, "split", path, lineno)),
-        )
+        rec = cls(**{name: cast(_require(obj, name, path, lineno))
+                     for name, cast in casts.items()})
         try:
             rec.validate()
         except ValueError as exc:
@@ -130,59 +127,38 @@ def read_manifest(path: str | Path) -> list[UtteranceRecord]:
         records.append(rec)
     _check_unique_ids(records, path)
     return records
+
+
+def _write_records(records, path: str | Path, cls) -> None:
+    """Write the `cls` fields of each validated record, one JSON per line."""
+    _check_unique_ids(records, path)
+    for rec in records:
+        rec.validate()
+    names = [f.name for f in fields(cls)]
+    with atomic_write(path) as fh:
+        for rec in records:
+            fh.write(json.dumps({name: getattr(rec, name) for name in names},
+                                ensure_ascii=False) + "\n")
+
+
+def read_manifest(path: str | Path) -> list[UtteranceRecord]:
+    """Read and validate a corpus manifest (JSONL, one utterance per line)."""
+    return _read_records(path, UtteranceRecord)
 
 
 def write_manifest(records: list[UtteranceRecord], path: str | Path) -> None:
     """Write a manifest in input order, one JSON object per line."""
-    _check_unique_ids(records, path)
-    with atomic_write(path) as fh:
-        for rec in records:
-            rec.validate()
-            fh.write(json.dumps({
-                "id": rec.id,
-                "text": rec.text,
-                "emotion": rec.emotion,
-                "audio_path": rec.audio_path,
-                "split": rec.split,
-            }, ensure_ascii=False) + "\n")
+    _write_records(records, path, UtteranceRecord)
 
 
 def read_annotations(path: str | Path) -> list[AnnotatedRecord]:
     """Read an annotated manifest (manifest fields plus strength)."""
-    records = []
-    for lineno, obj in _read_jsonl(path):
-        rec = AnnotatedRecord(
-            id=str(_require(obj, "id", path, lineno)),
-            text=str(_require(obj, "text", path, lineno)),
-            emotion=str(_require(obj, "emotion", path, lineno)),
-            audio_path=str(_require(obj, "audio_path", path, lineno)),
-            split=str(_require(obj, "split", path, lineno)),
-            strength=float(_require(obj, "strength", path, lineno)),
-        )
-        try:
-            rec.validate()
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-        records.append(rec)
-    _check_unique_ids(records, path)
-    return records
+    return _read_records(path, AnnotatedRecord)
 
 
 def write_annotations(records: list[AnnotatedRecord], path: str | Path) -> None:
     """Write an annotated manifest; refuses records violating invariants."""
-    _check_unique_ids(records, path)
-    for rec in records:
-        rec.validate()
-    with atomic_write(path) as fh:
-        for rec in records:
-            fh.write(json.dumps({
-                "id": rec.id,
-                "text": rec.text,
-                "emotion": rec.emotion,
-                "audio_path": rec.audio_path,
-                "split": rec.split,
-                "strength": rec.strength,
-            }, ensure_ascii=False) + "\n")
+    _write_records(records, path, AnnotatedRecord)
 
 
 def read_features(path: str | Path) -> dict[str, np.ndarray]:

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpusio import AnnotatedRecord, EMOTIONS, ModelArtifact
+from .corpusio import (AnnotatedRecord, EMOTIONS, ModelArtifact, _read_jsonl,
+                       _require)
 
 EMBED_DIM = 768
 HIDDEN_DIM = 256
@@ -82,10 +84,6 @@ class EmotionPrediction:
     label: str
     strength_raw: float
     strength: float
-
-    @property
-    def class_index(self) -> int:
-        return EMOTIONS.index(self.label)
 
 
 @dataclass
@@ -404,18 +402,10 @@ def predict(
 
 def _rankdata(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1, ties replaced by their average rank."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    i = 0
-    sorted_values = values[order]
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(np.asarray(values, dtype=np.float64),
+                                   return_inverse=True, return_counts=True)
+    # a group of c tied values ending at sorted position k has ranks k-c+1..k
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def _spearman(a: np.ndarray, b: np.ndarray) -> float:
@@ -494,24 +484,20 @@ def predictions_to_jsonl(ids: Sequence[str],
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def predictions_from_jsonl(text: str) -> list[tuple[str, EmotionPrediction]]:
-    """Parse the predictions JSONL format back into objects."""
+def predictions_from_jsonl(
+        path: str | Path) -> list[tuple[str, EmotionPrediction]]:
+    """Read a predictions JSONL file back into (id, prediction) pairs."""
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: invalid JSON: {exc}") from exc
-        probs = np.asarray(obj["probs"], dtype=np.float64)
-        label = str(obj["class"])
+    for lineno, obj in _read_jsonl(path):
+        uid, probs, label, strength = (
+            _require(obj, key, path, lineno)
+            for key in ("id", "probs", "class", "strength"))
+        label, strength = str(label), float(strength)
         if label not in EMOTIONS:
-            raise ValueError(f"line {lineno}: unknown class {label!r}")
-        strength = float(obj["strength"])
-        out.append((str(obj["id"]), EmotionPrediction(
-            probs=probs, label=label, strength_raw=strength,
-            strength=strength,
+            raise ValueError(f"{path}: line {lineno}: unknown class {label!r}")
+        out.append((str(uid), EmotionPrediction(
+            probs=np.asarray(probs, dtype=np.float64), label=label,
+            strength_raw=strength, strength=strength,
         )))
     return out
 

@@ -10,10 +10,10 @@ size, so every tone stays inside the 60-500 Hz F0 search range.
 
 from __future__ import annotations
 
+import wave
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .corpusio import UtteranceRecord, write_manifest
 
@@ -86,8 +86,9 @@ def generate_micro_corpus(root: str | Path, seed: int = 0,
             duration = durations[k]
             samples = _tone(emotion, intensity, duration, rng)
             wav_path = audio_dir / f"{uid}.wav"
-            wavfile.write(wav_path, SAMPLE_RATE,
-                          (samples * 32767).astype(np.int16))
+            with wave.open(str(wav_path), "wb") as wav:
+                wav.setparams((1, 2, SAMPLE_RATE, 0, "NONE", ""))
+                wav.writeframes((samples * 32767).astype("<i2").tobytes())
             records.append(UtteranceRecord(
                 id=uid, text=text, emotion=emotion,
                 audio_path=str(wav_path), split="train",

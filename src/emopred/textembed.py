@@ -13,6 +13,7 @@ equals hashing every n-gram occurrence one by one.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,6 @@ class ProviderConfig:
     endpoint: str = ""
     timeout: float = 10.0
     seed: int = 0
-    expected_dim: int = EMBED_DIM
 
     def validate(self) -> None:
         if self.mode not in ("remote", "local"):
@@ -125,21 +125,26 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
         raise ValueError("embed_remote requires a remote-mode config")
     if not texts:
         raise ValueError("texts must be nonempty")
-    import requests
+    import http.client
+    import urllib.error
+    import urllib.request
 
-    url = config.endpoint.rstrip("/") + "/embed"
     try:
-        response = requests.post(url, json={"texts": list(texts)},
-                                 timeout=config.timeout)
-    except requests.RequestException as exc:
+        request = urllib.request.Request(
+            config.endpoint.rstrip("/") + "/embed", method="POST",
+            data=json.dumps({"texts": list(texts)}).encode("utf-8"),
+            headers={"Content-Type": "application/json"})
+        with urllib.request.urlopen(request, timeout=config.timeout) as response:
+            status, payload = response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        status, payload = exc.code, b""
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise ProviderError(f"embedding request failed: {exc}") from exc
-    if response.status_code != 200:
-        raise ProviderError(
-            f"embedding service returned status {response.status_code}"
-        )
+    if status != 200:
+        raise ProviderError(f"embedding service returned status {status}")
     try:
-        body = response.json()
-        embeddings = body["embeddings"]
+        embeddings = json.loads(payload)["embeddings"]
     except Exception as exc:
         raise ProviderError(f"malformed embedding response: {exc}") from exc
     if not isinstance(embeddings, list) or len(embeddings) != len(texts):
@@ -151,11 +156,11 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
         arr = np.asarray(embeddings, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise ProviderError(f"non-numeric embedding payload: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[1] != config.expected_dim:
+    if arr.ndim != 2 or arr.shape[1] != EMBED_DIM:
         raise ProviderError(
             f"embedding dimension mismatch: got "
             f"{arr.shape[1] if arr.ndim == 2 else 'ragged'}, "
-            f"expected {config.expected_dim}"
+            f"expected {EMBED_DIM}"
         )
     if not np.all(np.isfinite(arr)):
         raise ProviderError("non-finite values in embedding response")
@@ -165,12 +170,11 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
 class LocalProvider:
     """Offline provider backed by embed_local; thread-safe."""
 
-    def __init__(self, seed: int = 0, dim: int = EMBED_DIM):
+    def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self.dim = int(dim)
 
     def embed(self, texts: list[str]) -> np.ndarray:
-        return embed_local(texts, seed=self.seed, dim=self.dim)
+        return embed_local(texts, seed=self.seed)
 
 
 class RemoteProvider:
@@ -189,4 +193,4 @@ def make_provider(config: ProviderConfig):
     config.validate()
     if config.mode == "remote":
         return RemoteProvider(config)
-    return LocalProvider(seed=config.seed, dim=config.expected_dim)
+    return LocalProvider(seed=config.seed)

@@ -1,7 +1,14 @@
 """Acoustic feature extraction tests against straight-line DSP oracles."""
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.io import wavfile
 
 from emopred import afeat
@@ -54,6 +61,97 @@ class TestLoadAudio:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             afeat.load_audio(tmp_path / "absent.wav")
+
+
+def _riff(*chunks: tuple[bytes, bytes]) -> bytes:
+    """RIFF WAVE file bytes from (id, body) chunks; odd bodies padded."""
+    body = b"WAVE" + b"".join(
+        cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)
+        for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def _fmt(tag: int, bits: int, rate: int = 16000) -> bytes:
+    align = bits // 8
+    return struct.pack("<HHIIHH", tag, 1, rate, rate * align, align, bits)
+
+
+def _scipy_samples(path) -> tuple[int, np.ndarray]:
+    """scipy.io.wavfile's samples, scaled to float64 as load_audio does."""
+    rate, data = wavfile.read(path)
+    scale = 32768.0 if data.dtype == np.int16 else 1.0
+    return rate, data.astype(np.float64) / scale
+
+
+_WAV_ARRAYS = st.one_of(
+    arrays("<i2", st.integers(1, 300)),
+    arrays("<f4", st.integers(1, 300),
+           elements=st.floats(-1, 1, width=32)),
+    arrays("<f8", st.integers(1, 300), elements=st.floats(-1, 1)),
+)
+
+
+class TestWavReader:
+    """The RIFF chunk walker against scipy.io.wavfile as the oracle."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=_WAV_ARRAYS,
+           rate=st.sampled_from([16000, 22050, 24000, 44100, 48000, 96000]))
+    def test_matches_scipy_wavfile(self, data, rate):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.wav"
+            wavfile.write(path, rate, data)
+            clip = afeat.load_audio(path)
+            expected_rate, expected = _scipy_samples(path)
+        assert clip.sample_rate == expected_rate == rate
+        assert clip.samples.dtype == np.float64
+        np.testing.assert_array_equal(clip.samples, expected)
+
+    def test_float64_file(self, tmp_path):
+        path = tmp_path / "tone64.wav"
+        samples = np.sin(np.arange(16000) / 7.0) * (1 - 2 ** -40)
+        wavfile.write(path, 16000, samples)
+        np.testing.assert_array_equal(afeat.load_audio(path).samples, samples)
+
+    def test_extensible_with_odd_chunk_before_data(self, tmp_path):
+        samples = np.linspace(-0.5, 0.5, 101).astype("<f4")
+        guid = struct.pack("<H", 3) + (
+            b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71")
+        fmt = _fmt(0xFFFE, 32, 44100) + struct.pack("<HHI", 22, 32, 4) + guid
+        path = tmp_path / "ext.wav"
+        path.write_bytes(_riff((b"fmt ", fmt), (b"LIST", b"odd"),
+                               (b"data", samples.tobytes())))
+        clip = afeat.load_audio(path)
+        assert clip.sample_rate == 44100
+        np.testing.assert_array_equal(clip.samples, samples)
+        np.testing.assert_array_equal(clip.samples, _scipy_samples(path)[1])
+
+    @pytest.mark.parametrize("data, name", [
+        (np.full(100, 128, dtype=np.uint8), "8-bit PCM"),
+        (np.zeros(100, dtype=np.int32), "32-bit PCM"),
+    ])
+    def test_other_pcm_widths_rejected(self, tmp_path, data, name):
+        path = tmp_path / "pcm.wav"
+        wavfile.write(path, 16000, data)
+        with pytest.raises(ValueError,
+                           match=f"unsupported sample encoding {name}"):
+            afeat.load_audio(path)
+
+    def test_24_bit_rejected(self, tmp_path):
+        path = tmp_path / "pcm24.wav"
+        path.write_bytes(_riff((b"fmt ", _fmt(1, 24)),
+                               (b"data", bytes(300))))
+        with pytest.raises(ValueError,
+                           match="unsupported sample encoding 24-bit PCM"):
+            afeat.load_audio(path)
+
+    def test_truncated_data_chunk_rejected(self, tmp_path):
+        path = tmp_path / "cut.wav"
+        wavfile.write(path, 16000, np.zeros(1000, dtype=np.int16))
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(ValueError,
+                           match="unreadable WAV file: data chunk runs past the end"):
+            afeat.load_audio(path)
 
 
 class TestFrameSignal:

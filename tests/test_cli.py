@@ -57,6 +57,68 @@ def test_cli_import_loads_neither_scipy_nor_requests():
     assert proc.stdout.strip() == "[]"
 
 
+def test_features_and_remote_provider_load_neither_scipy_nor_requests(
+        tmp_path):
+    manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=1)
+    code = """
+import sys
+from emopred import cli, textembed
+assert cli.main(["features", "--manifest", sys.argv[1],
+                 "--out", sys.argv[2]]) == 0
+config = textembed.ProviderConfig(mode="remote", timeout=5.0,
+                                  endpoint="http://127.0.0.1:1")
+try:
+    textembed.embed_remote(["a"], config)
+    sys.exit("embed_remote did not fail")
+except textembed.ProviderError:
+    pass
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] in ("scipy", "requests")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    features = tmp_path / "features.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(manifest), str(features)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert len(corpusio.read_features(features)) == 4
+
+
+class TestBadPredictionsFile:
+    """encode and eval report a bad predictions file as an error naming
+    the file, line and problem, with exit code 1 and no traceback."""
+
+    GOOD = ('{"id": "a", "probs": [1, 0, 0, 0], "class": "neutral", '
+            '"strength": 0.0}\n')
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        references = tmp_path / "references.jsonl"
+        corpusio.write_annotations([corpusio.AnnotatedRecord(
+            id=uid, text="t", emotion="neutral", audio_path="", split="test")
+            for uid in ("a", "b")], references)
+        return {
+            "encode": lambda path: ["encode", "--predictions", path],
+            "eval": lambda path: ["eval", "--predictions", path,
+                                  "--references", str(references)],
+        }
+
+    @pytest.mark.parametrize("command", ["encode", "eval"])
+    @pytest.mark.parametrize("content, message", [
+        (GOOD + '{"id": "b", "class": "neutral", "strength": 0.0}\n',
+         "line 2: missing field 'probs'"),
+        ("[1, 2]\n", "line 1: expected a JSON object"),
+        (GOOD + "{not json\n", "line 2: invalid JSON"),
+    ], ids=["missing-field", "not-an-object", "invalid-json"])
+    def test_exit_1_with_file_line_and_problem(self, tmp_path, capsys, argv,
+                                               command, content, message):
+        path = tmp_path / "preds.jsonl"
+        path.write_text(content, encoding="utf-8")
+        assert cli.main(argv[command](str(path))) == 1
+        assert f"preds.jsonl: {message}" in capsys.readouterr().err
+
+
 class TestReadTexts:
     def test_missing_field_names_file_line_and_field(self, tmp_path):
         path = tmp_path / "texts.jsonl"
@@ -140,8 +202,7 @@ def test_pipeline_end_to_end(tmp_path):
     assert sorted(p.name for p in (tmp_path / "rank").iterdir()) == [
         "rank_anger.json", "rank_happiness.json", "rank_sadness.json"]
     for path in (single, paragraph):
-        items = predictor.predictions_from_jsonl(
-            path.read_text(encoding="utf-8"))
+        items = predictor.predictions_from_jsonl(path)
         assert [uid for uid, _ in items] == [r.id for r in records]
     lines = encoded.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 16

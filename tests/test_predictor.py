@@ -504,14 +504,16 @@ class TestInvariants:
 
 
 class TestSerialization:
-    def test_predictions_jsonl_round_trip(self):
+    def test_predictions_jsonl_round_trip(self, tmp_path):
         params = predictor.init_params(1, 1.0)
         rng = np.random.default_rng(2)
         preds = [predictor.forward(params, rng.normal(size=768))
                  for _ in range(3)]
         ids = ["a", "b", "c"]
-        payload = predictor.predictions_to_jsonl(ids, preds)
-        parsed = predictor.predictions_from_jsonl(payload)
+        path = tmp_path / "predictions.jsonl"
+        path.write_text(predictor.predictions_to_jsonl(ids, preds),
+                        encoding="utf-8")
+        parsed = predictor.predictions_from_jsonl(path)
         assert [uid for uid, _ in parsed] == ids
         for (_, back), orig in zip(parsed, preds):
             np.testing.assert_array_equal(back.probs, orig.probs)

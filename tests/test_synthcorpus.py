@@ -1,7 +1,12 @@
 """Synthetic corpus generator tests: tone recipes stay in range at any
 corpus size."""
 
+import io
+from pathlib import Path
+
+import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from emopred import afeat, corpusio, synthcorpus
 
@@ -42,3 +47,22 @@ def test_default_size_intensities_unchanged(tmp_path, tone_calls):
     anger = [(i, d) for e, i, d in tone_calls if e == "anger"]
     assert anger == [(0.4 + 0.3 * k, 0.5 + 0.1 * k) for k in range(3)]
     assert all(i == 1.0 for e, i, _ in tone_calls if e == "neutral")
+
+
+def test_wav_bytes_match_scipy_writer(tmp_path, monkeypatch):
+    tones = []
+    tone = synthcorpus._tone
+
+    def recording_tone(*args):
+        tones.append(tone(*args))
+        return tones[-1]
+
+    monkeypatch.setattr(synthcorpus, "_tone", recording_tone)
+    manifest = synthcorpus.generate_micro_corpus(tmp_path, per_emotion=2)
+    records = corpusio.read_manifest(manifest)
+    assert len(records) == len(tones) == 8
+    for record, samples in zip(records, tones):
+        expected = io.BytesIO()
+        wavfile.write(expected, synthcorpus.SAMPLE_RATE,
+                      (samples * 32767).astype(np.int16))
+        assert Path(record.audio_path).read_bytes() == expected.getvalue()
