@@ -97,8 +97,8 @@ def _read_texts(path: str) -> tuple[list[str], list[str]]:
     .jsonl (any case), otherwise one plain sentence per line (ids are
     then the 1-based line numbers)."""
     if path.lower().endswith(".jsonl"):
-        rows = [(str(corpusio._require(obj, "id", path, lineno)),
-                 str(corpusio._require(obj, "text", path, lineno)))
+        rows = [(corpusio._require(obj, "id", path, lineno, str),
+                 corpusio._require(obj, "text", path, lineno, str))
                 for lineno, obj in corpusio._read_jsonl(path)]
     else:
         with open(path, encoding="utf-8") as fh:
@@ -201,17 +201,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    if args.encoder:
-        params = encoder.encoder_from_artifact(corpusio.load_model(args.encoder))
-    else:
-        params = encoder.init_encoder(args.init_seed)
-    if args.save_encoder:
-        corpusio.save_model(
-            encoder.encoder_to_artifact(params,
-                                        {"seed": str(args.init_seed)}),
-            args.save_encoder)
-
+    params = encoder.init_encoder(args.init_seed)
     if args.grid:
+        if args.grid_points < 1:
+            raise ValueError(
+                f"--grid-points must be at least 1, got {args.grid_points}")
         strengths = np.linspace(0.0, 1.0, args.grid_points).tolist()
         csv_text = encoder.export_grid(params, strengths)
         _emit(csv_text, args.out)
@@ -313,11 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("encode", cmd_encode,
               "encode predictions into conditioning embeddings")
-    sub.add_argument("--encoder", type=str, default="",
-                     help="encoder artifact; omitted = seeded initialization")
-    sub.add_argument("--init-seed", type=int, default=0)
-    sub.add_argument("--save-encoder", type=str, default="",
-                     help="persist the encoder artifact used")
+    sub.add_argument("--init-seed", type=int, default=0,
+                     help="seed of the fixed encoder map (default: 0)")
     sub.add_argument("--predictions", type=str, default="")
     sub.add_argument("--grid", action="store_true",
                      help="export the class x strength geometry grid as CSV")

@@ -19,8 +19,9 @@ import numpy as np
 
 EMOTIONS = ("neutral", "happiness", "sadness", "anger")
 SPLITS = ("train", "valid", "test")
-ARTIFACT_KINDS = ("rank", "predictor", "encoder")
+ARTIFACT_KINDS = ("rank", "predictor")
 ARTIFACT_VERSION = 1
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass
@@ -98,10 +99,22 @@ def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     return rows
 
 
-def _require(obj: dict, key: str, path, lineno: int):
+def _require(obj: dict, key: str, path, lineno: int, kind: type | None = None):
+    """Field `key` of the object on line `lineno` of `path`. kind=str
+    requires a string; kind=float a finite number, not a bool (the range
+    test refuses NaN, infinities and integers beyond float range)."""
     if key not in obj:
         raise ValueError(f"{path}: line {lineno}: missing field {key!r}")
-    return obj[key]
+    value = obj[key]
+    if kind is str and type(value) is not str:
+        expected = "a string"
+    elif kind is float and (type(value) not in (int, float)
+                            or not -_FLOAT_MAX <= value <= _FLOAT_MAX):
+        expected = "a finite number"
+    else:
+        return float(value) if kind is float else value
+    raise ValueError(f"{path}: line {lineno}: field {key!r} must be "
+                     f"{expected}, got {value!r}")
 
 
 def _check_unique_ids(records, path) -> None:
@@ -114,12 +127,12 @@ def _check_unique_ids(records, path) -> None:
 
 def _read_records(path: str | Path, cls) -> list:
     """Read and validate records of dataclass `cls`, one JSON per line;
-    every field is required and cast to the type its annotation names."""
-    casts = {f.name: {"str": str, "float": float}[f.type] for f in fields(cls)}
+    every field is required and of the JSON type its annotation names."""
+    kinds = {f.name: {"str": str, "float": float}[f.type] for f in fields(cls)}
     records = []
     for lineno, obj in _read_jsonl(path):
-        rec = cls(**{name: cast(_require(obj, name, path, lineno))
-                     for name, cast in casts.items()})
+        rec = cls(**{name: _require(obj, name, path, lineno, kind)
+                     for name, kind in kinds.items()})
         try:
             rec.validate()
         except ValueError as exc:
@@ -165,7 +178,7 @@ def read_features(path: str | Path) -> dict[str, np.ndarray]:
     """Read a feature file: JSONL records {"id": ..., "features": [...]}."""
     feats: dict[str, np.ndarray] = {}
     for lineno, obj in _read_jsonl(path):
-        uid = str(_require(obj, "id", path, lineno))
+        uid = _require(obj, "id", path, lineno, str)
         vec = np.asarray(_require(obj, "features", path, lineno), dtype=np.float64)
         if uid in feats:
             raise ValueError(f"{path}: duplicate id {uid!r}")

@@ -490,12 +490,12 @@ def predictions_from_jsonl(
     out = []
     for lineno, obj in _read_jsonl(path):
         uid, probs, label, strength = (
-            _require(obj, key, path, lineno)
-            for key in ("id", "probs", "class", "strength"))
-        label, strength = str(label), float(strength)
+            _require(obj, key, path, lineno, kind)
+            for key, kind in (("id", str), ("probs", None), ("class", str),
+                              ("strength", float)))
         if label not in EMOTIONS:
             raise ValueError(f"{path}: line {lineno}: unknown class {label!r}")
-        out.append((str(uid), EmotionPrediction(
+        out.append((uid, EmotionPrediction(
             probs=np.asarray(probs, dtype=np.float64), label=label,
             strength_raw=strength, strength=strength,
         )))

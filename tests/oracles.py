@@ -228,30 +228,5 @@ def oracle_train(records, provider, config=None):
     return best_params, trace
 
 
-def oracle_fit_loss_and_gradients(params, targets):
-    """encoder.fit_loss_and_gradients one target at a time."""
-    from emopred.corpusio import EMOTIONS
-    from emopred.encoder import EMB_DIM, softplus
-
-    g_lut = np.zeros_like(params.lut)
-    g_w = np.zeros_like(params.w_emb)
-    g_ws = 0.0
-    total = 0.0
-    for emotion, strength, target in targets:
-        idx = EMOTIONS.index(emotion)
-        u = params.lut[idx]
-        scale = 1.0 + params.w_str * strength
-        base = params.w_emb @ u
-        z = base * scale
-        diff = softplus(z) - target
-        total += float(np.mean(diff ** 2))
-        d_z = (2.0 / EMB_DIM) * diff / (1.0 + np.exp(-z))
-        g_w += scale * np.outer(d_z, u)
-        g_lut[idx] += scale * (params.w_emb.T @ d_z)
-        g_ws += strength * float(d_z @ base)
-    m = len(targets)
-    return total / m, g_lut / m, g_w / m, g_ws / m
-
-
 def relative_error(actual: float, expected: float, floor: float = 1e-6) -> float:
     return abs(actual - expected) / max(abs(actual), abs(expected), floor)

@@ -110,13 +110,66 @@ class TestBadPredictionsFile:
          "line 2: missing field 'probs'"),
         ("[1, 2]\n", "line 1: expected a JSON object"),
         (GOOD + "{not json\n", "line 2: invalid JSON"),
-    ], ids=["missing-field", "not-an-object", "invalid-json"])
+        (GOOD + '{"id": "b", "probs": [1, 0, 0, 0], "class": "neutral", '
+         '"strength": null}\n',
+         "line 2: field 'strength' must be a finite number, got None"),
+        (GOOD + '{"id": "b", "probs": [1, 0, 0, 0], "class": "neutral", '
+         '"strength": true}\n',
+         "line 2: field 'strength' must be a finite number, got True"),
+        (GOOD + '{"id": "b", "probs": [1, 0, 0, 0], "class": "neutral", '
+         '"strength": NaN}\n',
+         "line 2: field 'strength' must be a finite number, got nan"),
+        (GOOD + '{"id": null, "probs": [1, 0, 0, 0], "class": "neutral", '
+         '"strength": 0.0}\n',
+         "line 2: field 'id' must be a string, got None"),
+        (GOOD + '{"id": "b", "probs": [1, 0, 0, 0], "class": 0, '
+         '"strength": 0.0}\n',
+         "line 2: field 'class' must be a string, got 0"),
+    ], ids=["missing-field", "not-an-object", "invalid-json", "null-strength",
+            "bool-strength", "nan-strength", "null-id", "number-class"])
     def test_exit_1_with_file_line_and_problem(self, tmp_path, capsys, argv,
                                                command, content, message):
         path = tmp_path / "preds.jsonl"
         path.write_text(content, encoding="utf-8")
         assert cli.main(argv[command](str(path))) == 1
         assert f"preds.jsonl: {message}" in capsys.readouterr().err
+
+    def test_eval_reports_null_reference_strength(self, tmp_path, capsys):
+        predictions = tmp_path / "preds.jsonl"
+        predictions.write_text(self.GOOD, encoding="utf-8")
+        references = tmp_path / "refs.jsonl"
+        references.write_text(
+            '{"id": "a", "text": "t", "emotion": "neutral", "audio_path": "", '
+            '"split": "test", "strength": null}\n', encoding="utf-8")
+        assert cli.main(["eval", "--predictions", str(predictions),
+                         "--references", str(references)]) == 1
+        assert ("refs.jsonl: line 1: field 'strength' must be a finite "
+                "number, got None") in capsys.readouterr().err
+
+
+class TestEncodeOptions:
+    """encode runs the fixed seeded map: there is no encoder artifact to
+    read or write, and the grid needs at least one strength point."""
+
+    @pytest.mark.parametrize("flag", ["--encoder", "--save-encoder"])
+    def test_removed_artifact_flags_exit_2(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["encode", "--grid", flag, str(tmp_path / "enc.json")])
+        assert exc.value.code == 2
+
+    def test_encoder_config_key_is_unknown(self, tmp_path, capsys):
+        config = tmp_path / "encode.cfg"
+        config.write_text("encoder = enc.json\n", encoding="utf-8")
+        assert cli.main(["encode", "--config", str(config), "--grid"]) == 1
+        assert "unknown config keys: ['encoder']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_grid_points_below_one_exit_1(self, tmp_path, capsys, points):
+        out = tmp_path / "grid.csv"
+        assert cli.main(["encode", "--grid", "--grid-points", points,
+                         "--out", str(out)]) == 1
+        assert "--grid-points" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReadTexts:
@@ -126,6 +179,13 @@ class TestReadTexts:
                         encoding="utf-8")
         with pytest.raises(ValueError,
                            match=r"texts\.jsonl: line 2: missing field 'text'"):
+            cli._read_texts(str(path))
+
+    def test_non_string_id_names_file_line_and_field(self, tmp_path):
+        path = tmp_path / "texts.jsonl"
+        path.write_text('{"id": 1, "text": "fine"}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"texts\.jsonl: line 1: "
+                           r"field 'id' must be a string, got 1"):
             cli._read_texts(str(path))
 
     def test_invalid_json_names_file_and_line(self, tmp_path):

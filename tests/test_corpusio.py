@@ -129,6 +129,13 @@ class TestFeaturesFile:
         first = json.loads(path.read_text().splitlines()[0])
         assert first["id"] == "b"
 
+    def test_null_id_names_file_line_and_field(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"id": null, "features": [0.5]}\n')
+        with pytest.raises(ValueError, match=r"f\.jsonl: line 1: field 'id' "
+                           r"must be a string, got None"):
+            corpusio.read_features(path)
+
 
 class TestAtomicWrite:
     def test_replaces_whole_file(self, tmp_path):
@@ -212,7 +219,7 @@ class TestModelArtifacts:
 
     def test_save_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(5)
-        artifact = ModelArtifact(kind="encoder",
+        artifact = ModelArtifact(kind="rank",
                                  tensors={"lut": rng.normal(size=(4, 32)),
                                           "w_emb": rng.normal(size=(32, 32)),
                                           "w_str": np.array([1.0])},

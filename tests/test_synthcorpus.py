@@ -2,6 +2,9 @@
 corpus size."""
 
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -66,3 +69,14 @@ def test_wav_bytes_match_scipy_writer(tmp_path, monkeypatch):
         wavfile.write(expected, synthcorpus.SAMPLE_RATE,
                       (samples * 32767).astype(np.int16))
         assert Path(record.audio_path).read_bytes() == expected.getvalue()
+
+
+def test_make_micro_corpus_script(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "make_micro_corpus.py"),
+         str(tmp_path / "corpus"), "--per-emotion", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(corpusio.read_manifest(proc.stdout.strip())) == 4
