@@ -9,6 +9,12 @@ filters spanning 0..sr/2, log floor 1e-10, DCT-II with coefficient 0
 dropped). Functional order per contour: mean, stddev, skewness, kurtosis,
 min, max, range, relative position of min, relative position of max, linear
 regression offset, slope, and residual MSE.
+
+Each clip goes through a fixed number of whole-array passes: the frames
+are one strided view, the F0 peak search runs over all frames at once,
+the mel bank is one broadcast, and `functionals` reduces all 32 contours
+together. Each pass gives bit for bit what the per-frame, per-filter and
+per-contour formulas give.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 FRAME_MS = 25.0
 HOP_MS = 10.0
@@ -131,7 +138,9 @@ def frame_signal(clip: AudioClip, frame_ms: float = FRAME_MS,
     """Slice a clip into overlapping frames, shape (frames, frame_len).
 
     Frame and hop lengths are ms converted to samples (rounded down). A
-    signal shorter than one frame yields a single zero-padded frame.
+    signal shorter than one frame is zero-padded to a single frame. The
+    result is a read-only strided view of one copy of the samples, in
+    which consecutive frames share memory; copy it before writing.
     """
     if hop_ms <= 0 or frame_ms <= 0:
         raise ValueError("frame_ms and hop_ms must be positive")
@@ -142,14 +151,8 @@ def frame_signal(clip: AudioClip, frame_ms: float = FRAME_MS,
     hop = int(clip.sample_rate * hop_ms / 1000.0)
     if frame_len < 1 or hop < 1:
         raise ValueError("frame or hop shorter than one sample")
-    n = len(x)
-    if n < frame_len:
-        padded = np.zeros(frame_len)
-        padded[:n] = x
-        return padded[None, :]
-    count = (n - frame_len) // hop + 1
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(count)[:, None]
-    return x[idx]
+    x = np.pad(x, (0, max(0, frame_len - len(x))))
+    return sliding_window_view(x, frame_len)[::hop]
 
 
 def _mel(freq_hz):
@@ -166,13 +169,11 @@ def _mel_filterbank(sample_rate: int, n_fft: int) -> np.ndarray:
     edges_hz = _mel_inv(np.linspace(_mel(0.0), _mel(fmax), NUM_MEL_FILTERS + 2))
     n_bins = n_fft // 2 + 1
     bin_hz = np.arange(n_bins) * (sample_rate / n_fft)
-    bank = np.zeros((NUM_MEL_FILTERS, n_bins))
-    for m in range(NUM_MEL_FILTERS):
-        lo, center, hi = edges_hz[m], edges_hz[m + 1], edges_hz[m + 2]
-        rising = (bin_hz - lo) / (center - lo)
-        falling = (hi - bin_hz) / (hi - center)
-        bank[m] = np.maximum(0.0, np.minimum(rising, falling))
-    return bank
+    # filter m (a row) rises over edges m..m+1 and falls over m+1..m+2
+    lo, center, hi = edges_hz[:-2, None], edges_hz[1:-1, None], edges_hz[2:, None]
+    rising = (bin_hz - lo) / (center - lo)
+    falling = (hi - bin_hz) / (hi - center)
+    return np.maximum(0.0, np.minimum(rising, falling))
 
 
 def _dct_matrix(n_input: int) -> np.ndarray:
@@ -194,7 +195,7 @@ def extract_lld(clip: AudioClip) -> np.ndarray:
     """
     clip.validate()
     frames = frame_signal(clip)
-    n_frames, frame_len = frames.shape
+    frame_len = frames.shape[1]
     sr = clip.sample_rate
 
     zcr = np.sum(frames[:, :-1] * frames[:, 1:] < 0, axis=1) / frame_len
@@ -208,46 +209,35 @@ def extract_lld(clip: AudioClip) -> np.ndarray:
     spectrum = np.fft.rfft(centered, n=n_fft)
     acf = np.fft.irfft(spectrum * np.conj(spectrum), n=n_fft)[:, :frame_len]
 
+    # Peak of the normalized ACF over the lag window, all frames at once.
+    # Rows that fail a voicing test still compute (possibly inf or NaN)
+    # values; the mask below discards them.
     lag_min = int(np.floor(sr / F0_MAX_HZ))
     lag_max = min(int(np.ceil(sr / F0_MIN_HZ)), frame_len - 1)
-    f0 = np.zeros(n_frames)
-    hnr = np.zeros(n_frames)
-    acf0 = acf[:, 0]
-    for i in range(n_frames):
-        if acf0[i] <= 0.0 or rms[i] < VOICING_RMS_FLOOR:
-            continue
-        window = acf[i, lag_min:lag_max + 1] / acf0[i]
-        k = int(np.argmax(window))
-        r = window[k]
-        if r < VOICING_PEAK_THRESHOLD:
-            continue
-        lag = float(lag_min + k)
-        if 0 < k < len(window) - 1:
-            y_prev, y_peak, y_next = window[k - 1], window[k], window[k + 1]
-            denom = y_prev - 2.0 * y_peak + y_next
-            if denom != 0.0:
-                lag += 0.5 * (y_prev - y_next) / denom
-        f0[i] = sr / lag
-        if r >= 1.0:
-            hnr[i] = HNR_CLAMP_DB
-        else:
-            hnr[i] = float(np.clip(10.0 * np.log10(r / (1.0 - r)),
-                                   -HNR_CLAMP_DB, HNR_CLAMP_DB))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        window = acf[:, lag_min:lag_max + 1] / acf[:, :1]
+        last = window.shape[1] - 1
+        k = np.argmax(window, axis=1)
+        neighbours = np.clip(k[:, None] + (-1, 0, 1), 0, last)
+        y_prev, r, y_next = np.take_along_axis(window, neighbours, axis=1).T
+        denom = y_prev - 2.0 * r + y_next
+        refine = (k > 0) & (k < last) & (denom != 0.0)
+        lag = (lag_min + k).astype(np.float64)
+        lag[refine] += 0.5 * (y_prev - y_next)[refine] / denom[refine]
+        hnr = np.where(r >= 1.0, HNR_CLAMP_DB,
+                       np.clip(10.0 * np.log10(r / (1.0 - r)),
+                               -HNR_CLAMP_DB, HNR_CLAMP_DB))
+        voiced = ((acf[:, 0] > 0.0) & (rms >= VOICING_RMS_FLOOR)
+                  & (r >= VOICING_PEAK_THRESHOLD))
+        f0 = np.where(voiced, sr / lag, 0.0)
+        hnr = np.where(voiced, hnr, 0.0)
 
-    window = np.hanning(frame_len)
-    power = np.abs(np.fft.rfft(frames * window, n=frame_len)) ** 2
+    power = np.abs(np.fft.rfft(frames * np.hanning(frame_len), n=frame_len)) ** 2
     bank = _mel_filterbank(sr, frame_len)
     mel_energy = power @ bank.T
     log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))
     mfcc = log_mel @ _dct_matrix(NUM_MEL_FILTERS).T
-
-    out = np.empty((n_frames, NUM_LLD))
-    out[:, 0] = zcr
-    out[:, 1] = rms
-    out[:, 2] = f0
-    out[:, 3] = hnr
-    out[:, 4:] = mfcc
-    return out
+    return np.column_stack([zcr, rms, f0, hnr, mfcc])
 
 
 def delta(matrix: np.ndarray) -> np.ndarray:
@@ -267,43 +257,53 @@ def delta(matrix: np.ndarray) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def functionals(contour: np.ndarray) -> np.ndarray:
-    """The 12 statistical functionals of one contour.
+def functionals(contours: np.ndarray) -> np.ndarray:
+    """The 12 statistical functionals of each contour.
 
-    Uses population moments; skewness is m3/m2^1.5 and kurtosis is excess
-    (m4/m2^2 - 3). Relative positions use the first occurrence divided by
-    len-1 (0 for length-1 contours). Constant contours (including length
-    1) take the exact degenerate values [c, 0, 0, 0, c, c, 0, 0, 0, c, 0, 0].
+    Takes one contour (1-D) and returns its 12 values, or a (frames,
+    contours) matrix and returns one row of 12 per column, shape
+    (contours, 12). Each column gives bit for bit what the 1-D call on
+    it gives. Uses population moments; skewness is m3/m2^1.5 and
+    kurtosis is excess (m4/m2^2 - 3). Relative positions use the first
+    occurrence divided by len-1 (0 for length-1 contours). Constant
+    contours (including length 1) take the exact degenerate values
+    [c, 0, 0, 0, c, c, 0, 0, 0, c, 0, 0].
     """
-    x = np.asarray(contour, dtype=np.float64)
-    if x.ndim != 1 or len(x) < 1:
-        raise ValueError("contour must be a nonempty 1-D array")
-    n = len(x)
-    if np.all(x == x[0]):
-        c = float(x[0])
-        return np.array([c, 0.0, 0.0, 0.0, c, c, 0.0, 0.0, 0.0, c, 0.0, 0.0])
-
-    mean = float(np.mean(x))
-    d = x - mean
-    m2 = float(np.mean(d ** 2))
-    sd = float(np.sqrt(m2))
-    skew = float(np.mean(d ** 3)) / (m2 * sd) if m2 > 0 else 0.0
-    kurt = float(np.mean(d ** 4)) / (m2 * m2) - 3.0 if m2 > 0 else 0.0
-    vmin = float(np.min(x))
-    vmax = float(np.max(x))
-    pos_min = float(np.argmin(x)) / (n - 1)
-    pos_max = float(np.argmax(x)) / (n - 1)
+    m = np.asarray(contours, dtype=np.float64)
+    if m.ndim not in (1, 2) or len(m) < 1:
+        raise ValueError("contours must be a nonempty 1-D array or a "
+                         "(frames, contours) matrix")
+    n = len(m)
+    # One contiguous row per contour: numpy then reduces each row with the
+    # same pairwise summation as a 1-D array, which keeps the bits of the
+    # per-contour formulas (reducing over axis 0 would not).
+    x = np.ascontiguousarray(np.atleast_2d(m.T))
+    constant = np.all(x == x[:, :1], axis=1)
 
     t = np.arange(n, dtype=np.float64)
     t_mean = (n - 1) / 2.0
-    denom = float(np.sum((t - t_mean) ** 2))
-    slope = float(np.sum((t - t_mean) * d)) / denom
-    offset = mean - slope * t_mean
-    residual = x - (offset + slope * t)
-    mse = float(np.mean(residual ** 2))
+    # Constant rows and length 1 divide 0 by 0 here; the mask below
+    # replaces their values.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean = np.mean(x, axis=1)
+        d = x - mean[:, None]
+        m2 = np.mean(d ** 2, axis=1)
+        sd = np.sqrt(m2)
+        skew = np.where(m2 > 0, np.mean(d ** 3, axis=1) / (m2 * sd), 0.0)
+        kurt = np.where(m2 > 0, np.mean(d ** 4, axis=1) / (m2 * m2) - 3.0, 0.0)
+        vmin, vmax = np.min(x, axis=1), np.max(x, axis=1)
+        pos_min = np.argmin(x, axis=1) / (n - 1)
+        pos_max = np.argmax(x, axis=1) / (n - 1)
+        slope = np.sum((t - t_mean) * d, axis=1) / np.sum((t - t_mean) ** 2)
+        offset = mean - slope * t_mean
+        residual = x - (offset[:, None] + slope[:, None] * t)
+        mse = np.mean(residual ** 2, axis=1)
 
-    return np.array([mean, sd, skew, kurt, vmin, vmax, vmax - vmin,
-                     pos_min, pos_max, offset, slope, mse])
+    out = np.stack([mean, sd, skew, kurt, vmin, vmax, vmax - vmin,
+                    pos_min, pos_max, offset, slope, mse], axis=1)
+    level = np.array([1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0], dtype=bool)
+    out[constant] = np.where(level, x[constant, :1], 0.0)
+    return out[0] if m.ndim == 1 else out
 
 
 def extract_features(clip: AudioClip) -> np.ndarray:
@@ -313,11 +313,7 @@ def extract_features(clip: AudioClip) -> np.ndarray:
     their 16 deltas), the 12 functionals in declared order.
     """
     lld = extract_lld(clip)
-    contours = np.hstack([lld, delta(lld)])
-    out = np.empty(FEATURE_DIM)
-    for c in range(contours.shape[1]):
-        out[c * NUM_FUNCTIONALS:(c + 1) * NUM_FUNCTIONALS] = functionals(
-            contours[:, c])
+    out = functionals(np.hstack([lld, delta(lld)])).ravel()
     if not np.all(np.isfinite(out)):
         raise ValueError("non-finite value in extracted features")
     return out

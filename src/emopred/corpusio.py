@@ -10,6 +10,7 @@ from __future__ import annotations
 import base64
 import json
 import os
+import reprlib
 import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -99,22 +100,33 @@ def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     return rows
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number, not a bool, within float64 range (the range test
+    refuses NaN, infinities and integers too large for a float)."""
+    return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
 def _require(obj: dict, key: str, path, lineno: int, kind: type | None = None):
     """Field `key` of the object on line `lineno` of `path`. kind=str
-    requires a string; kind=float a finite number, not a bool (the range
-    test refuses NaN, infinities and integers beyond float range)."""
+    requires a string; kind=float a finite number, not a bool;
+    kind=np.ndarray a flat list of such numbers, returned as a float64
+    array."""
     if key not in obj:
         raise ValueError(f"{path}: line {lineno}: missing field {key!r}")
     value = obj[key]
     if kind is str and type(value) is not str:
         expected = "a string"
-    elif kind is float and (type(value) not in (int, float)
-                            or not -_FLOAT_MAX <= value <= _FLOAT_MAX):
+    elif kind is float and not _is_finite_number(value):
         expected = "a finite number"
+    elif kind is np.ndarray and (type(value) is not list
+                                 or not all(map(_is_finite_number, value))):
+        expected = "a flat list of finite numbers"
+    elif kind is np.ndarray:
+        return np.array(value, dtype=np.float64)
     else:
         return float(value) if kind is float else value
     raise ValueError(f"{path}: line {lineno}: field {key!r} must be "
-                     f"{expected}, got {value!r}")
+                     f"{expected}, got {reprlib.repr(value)}")
 
 
 def _check_unique_ids(records, path) -> None:
@@ -179,11 +191,9 @@ def read_features(path: str | Path) -> dict[str, np.ndarray]:
     feats: dict[str, np.ndarray] = {}
     for lineno, obj in _read_jsonl(path):
         uid = _require(obj, "id", path, lineno, str)
-        vec = np.asarray(_require(obj, "features", path, lineno), dtype=np.float64)
+        vec = _require(obj, "features", path, lineno, np.ndarray)
         if uid in feats:
             raise ValueError(f"{path}: duplicate id {uid!r}")
-        if vec.ndim != 1:
-            raise ValueError(f"{path}: line {lineno}: features must be a flat list")
         feats[uid] = vec
     return feats
 

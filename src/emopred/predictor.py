@@ -180,24 +180,26 @@ def _flat_views(buf: np.ndarray, shapes) -> list[np.ndarray]:
     return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
-def forward(params: PredictorParams, x: np.ndarray) -> EmotionPrediction:
-    """Run both heads on one embedding.
+def forward(params: PredictorParams,
+            x: np.ndarray) -> EmotionPrediction | list[EmotionPrediction]:
+    """Run both heads on one (768,) embedding, returning one
+    EmotionPrediction, or on each row of an (m, 768) batch in one pass,
+    returning a list of m.
 
     Softmax is computed with max subtraction; argmax ties break to the
     lowest class index; strength is the raw value clamped to [0, 1].
+    Batched rows agree with one-row calls up to matmul rounding.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (EMBED_DIM,):
-        raise ValueError(f"embedding shape {x.shape}, expected ({EMBED_DIM},)")
-    _, probs, raw = _forward_batch(params, x[None, :])
-    probs = probs[0]
-    raw_value = float(raw[0])
-    return EmotionPrediction(
-        probs=probs,
-        label=EMOTIONS[int(np.argmax(probs))],
-        strength_raw=raw_value,
-        strength=float(np.clip(raw_value, 0.0, 1.0)),
-    )
+    if x.ndim not in (1, 2) or x.shape[-1] != EMBED_DIM:
+        raise ValueError(f"embedding shape {x.shape}, expected ({EMBED_DIM},)"
+                         f" or (m, {EMBED_DIM})")
+    _, probs, raw = _forward_batch(params, np.atleast_2d(x))
+    preds = [EmotionPrediction(probs=p, label=EMOTIONS[int(np.argmax(p))],
+                               strength_raw=float(r),
+                               strength=float(np.clip(r, 0.0, 1.0)))
+             for p, r in zip(probs, raw)]
+    return preds[0] if x.ndim == 1 else preds
 
 
 def loss(pred: EmotionPrediction, target_class: np.ndarray,
@@ -393,7 +395,7 @@ def predict(
     X = np.asarray(provider.embed(inputs), dtype=np.float64)
     if X.shape != (len(inputs), EMBED_DIM):
         raise ValueError(f"provider returned shape {X.shape}")
-    return [forward(params, X[i]) for i in range(len(inputs))]
+    return forward(params, X)
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +493,15 @@ def predictions_from_jsonl(
     for lineno, obj in _read_jsonl(path):
         uid, probs, label, strength = (
             _require(obj, key, path, lineno, kind)
-            for key, kind in (("id", str), ("probs", None), ("class", str),
-                              ("strength", float)))
+            for key, kind in (("id", str), ("probs", np.ndarray),
+                              ("class", str), ("strength", float)))
+        if probs.shape != (NUM_CLASSES,):
+            raise ValueError(f"{path}: line {lineno}: field 'probs' must have "
+                             f"{NUM_CLASSES} entries, got {len(probs)}")
         if label not in EMOTIONS:
             raise ValueError(f"{path}: line {lineno}: unknown class {label!r}")
         out.append((uid, EmotionPrediction(
-            probs=np.asarray(probs, dtype=np.float64), label=label,
-            strength_raw=strength, strength=strength,
+            probs=probs, label=label, strength_raw=strength, strength=strength,
         )))
     return out
 

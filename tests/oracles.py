@@ -60,6 +60,42 @@ def oracle_mfcc_frame(frame: np.ndarray, sample_rate: int,
     return out
 
 
+def oracle_f0_hnr(acf: np.ndarray, rms: np.ndarray, sr: int, frame_len: int,
+                  f0_min: float = 60.0, f0_max: float = 500.0,
+                  peak_threshold: float = 0.3, rms_floor: float = 1e-4,
+                  hnr_clamp: float = 100.0) -> tuple[np.ndarray, np.ndarray]:
+    """F0 and HNR frame by frame from the lag-domain autocorrelation rows
+    (frames, frame_len) and the frame RMS: normalized peak search over
+    [f0_min, f0_max] Hz, parabolic refinement, voicing tests."""
+    n_frames = len(acf)
+    lag_min = int(np.floor(sr / f0_max))
+    lag_max = min(int(np.ceil(sr / f0_min)), frame_len - 1)
+    f0 = np.zeros(n_frames)
+    hnr = np.zeros(n_frames)
+    acf0 = acf[:, 0]
+    for i in range(n_frames):
+        if acf0[i] <= 0.0 or rms[i] < rms_floor:
+            continue
+        window = acf[i, lag_min:lag_max + 1] / acf0[i]
+        k = int(np.argmax(window))
+        r = window[k]
+        if r < peak_threshold:
+            continue
+        lag = float(lag_min + k)
+        if 0 < k < len(window) - 1:
+            y_prev, y_peak, y_next = window[k - 1], window[k], window[k + 1]
+            denom = y_prev - 2.0 * y_peak + y_next
+            if denom != 0.0:
+                lag += 0.5 * (y_prev - y_next) / denom
+        f0[i] = sr / lag
+        if r >= 1.0:
+            hnr[i] = hnr_clamp
+        else:
+            hnr[i] = float(np.clip(10.0 * np.log10(r / (1.0 - r)),
+                                   -hnr_clamp, hnr_clamp))
+    return f0, hnr
+
+
 def oracle_functionals(contour: np.ndarray) -> np.ndarray:
     """Two-pass moments plus closed-form least squares, element by element."""
     x = [float(v) for v in contour]

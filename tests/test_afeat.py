@@ -17,6 +17,7 @@ from emopred.afeat import AudioClip
 from conftest import make_tone
 from oracles import (
     oracle_delta_column,
+    oracle_f0_hnr,
     oracle_functionals,
     oracle_mfcc_frame,
 )
@@ -167,6 +168,13 @@ class TestFrameSignal:
         assert np.all(frames[0, :100] == 1.0)
         assert np.all(frames[0, 100:] == 0.0)
 
+    def test_frames_are_a_read_only_view(self):
+        samples = np.arange(1000, dtype=np.float64)
+        frames = afeat.frame_signal(AudioClip(samples, 16000), 25.0, 10.0)
+        assert not frames.flags.writeable
+        assert np.shares_memory(frames[0], frames[1])
+        np.testing.assert_array_equal(frames[2], samples[320:720])
+
     def test_invalid_hop(self):
         clip = AudioClip(np.zeros(1000), 16000)
         with pytest.raises(ValueError):
@@ -211,6 +219,79 @@ class TestExtractLld:
         assert np.all(lld[2:-2, 3] > 0.0)
 
 
+RATES = [16000, 22050, 44100, 48000]
+
+
+def _lag_window(sample_rate: int) -> tuple[int, int]:
+    """First and last lag of the F0 search at the default 25 ms frame."""
+    frame_len = int(sample_rate * afeat.FRAME_MS / 1000.0)
+    return (int(np.floor(sample_rate / afeat.F0_MAX_HZ)),
+            min(int(np.ceil(sample_rate / afeat.F0_MIN_HZ)), frame_len - 1))
+
+
+def _f0_test_signal(kind: str, sample_rate: int) -> AudioClip:
+    """Half a second of one kind of signal. "first_lag" is a sine whose
+    period is one sample shorter than the lag window, so voiced frames
+    peak at its first lag; "last_lag" is a train of 1 ms Hann pulses one
+    sample further apart than its last lag, so frames holding two
+    pulses peak at the last lag."""
+    n = sample_rate // 2
+    rng = np.random.default_rng(sample_rate)
+    lag_min, lag_max = _lag_window(sample_rate)
+    if kind == "tone":
+        return make_tone(187.0, sample_rate, 0.5, amplitude=0.6)
+    if kind == "noise":
+        x = rng.uniform(-0.5, 0.5, n)
+    elif kind == "impulses":
+        x = np.zeros(n)
+        x[rng.choice(n, 6, replace=False)] = rng.uniform(-1, 1, 6)
+    elif kind == "silence":
+        x = np.zeros(n)
+    elif kind == "first_lag":
+        x = 0.5 * np.sin(2 * np.pi * np.arange(n) / (lag_min - 1))
+    else:
+        pulse = np.hanning(sample_rate // 1000)
+        period = np.concatenate([pulse, np.zeros(lag_max + 1 - len(pulse))])
+        x = np.tile(period, n // len(period) + 1)[:n]
+    return AudioClip(x, sample_rate)
+
+
+class TestF0Oracle:
+    """The all-frames peak search against the per-frame loop."""
+
+    @staticmethod
+    def _oracle(clip: AudioClip) -> np.ndarray:
+        # the autocorrelation and RMS that extract_lld feeds its search
+        frames = afeat.frame_signal(clip)
+        frame_len = frames.shape[1]
+        centered = frames - frames.mean(axis=1, keepdims=True)
+        n_fft = 1 << (2 * frame_len - 1).bit_length()
+        spectrum = np.fft.rfft(centered, n=n_fft)
+        acf = np.fft.irfft(spectrum * np.conj(spectrum), n=n_fft)[:, :frame_len]
+        rms = np.sqrt(np.mean(frames ** 2, axis=1))
+        return np.column_stack(oracle_f0_hnr(acf, rms, clip.sample_rate,
+                                             frame_len))
+
+    @pytest.mark.parametrize("sample_rate", RATES)
+    @pytest.mark.parametrize("kind", ["tone", "noise", "impulses", "silence",
+                                      "first_lag", "last_lag"])
+    def test_bitwise_equal_to_per_frame_loop(self, kind, sample_rate):
+        clip = _f0_test_signal(kind, sample_rate)
+        lld = afeat.extract_lld(clip)
+        assert np.array_equal(lld[:, 2:4], self._oracle(clip))
+
+    @pytest.mark.parametrize("sample_rate", RATES)
+    @pytest.mark.parametrize("kind, end", [("first_lag", 0), ("last_lag", 1)])
+    def test_peaks_at_the_ends_of_the_lag_window(self, kind, end,
+                                                 sample_rate):
+        # A refined lag stays within half a sample of a maximum's lag and
+        # is never refined at the window ends, so F0 equals sr / lag
+        # exactly only when the peak sits at that end.
+        lag = _lag_window(sample_rate)[end]
+        f0 = afeat.extract_lld(_f0_test_signal(kind, sample_rate))[:, 2]
+        assert np.count_nonzero(f0 == sample_rate / lag) >= 10
+
+
 class TestDelta:
     def test_constant_column_is_zero(self):
         matrix = np.full((7, 3), 2.5)
@@ -226,6 +307,13 @@ class TestDelta:
         column = rng.normal(size=10)
         np.testing.assert_allclose(afeat.delta(column),
                                    oracle_delta_column(column), atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(value=st.floats(-1e6, 1e6), frames=st.integers(1, 30),
+           columns=st.integers(1, 4))
+    def test_constant_contour_has_zero_delta(self, value, frames, columns):
+        assert np.all(afeat.delta(np.full(frames, value)) == 0.0)
+        assert np.all(afeat.delta(np.full((frames, columns), value)) == 0.0)
 
     def test_matrix_applies_per_column(self):
         rng = np.random.default_rng(12)
@@ -271,6 +359,52 @@ class TestFunctionals:
         expected = oracle_functionals(contour)
         for got, want in zip(result, expected):
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@st.composite
+def _contour_matrices(draw):
+    """(frames, contours) matrices on a grid of quarter steps, so values
+    tie often; some columns are made constant, and a single frame (every
+    column constant, length 1) is among the shapes."""
+    frames = draw(st.integers(1, 40))
+    columns = draw(st.integers(1, 6))
+    m = draw(arrays(np.float64, (frames, columns),
+                    elements=st.integers(-32, 32).map(lambda k: k / 4.0)))
+    constant = draw(arrays(np.bool_, columns))
+    m[:, constant] = m[0, constant]
+    return m
+
+
+class TestFunctionalsMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(m=_contour_matrices())
+    def test_columns_match_1d_calls_and_oracle(self, m):
+        result = afeat.functionals(m)
+        assert result.shape == (m.shape[1], afeat.NUM_FUNCTIONALS)
+        for c in range(m.shape[1]):
+            # bit for bit, including the sign of zeros
+            assert result[c].tobytes() == afeat.functionals(m[:, c]).tobytes()
+            want = oracle_functionals(m[:, c])
+            assert np.all(np.abs(result[c] - want)
+                          <= 1e-9 * np.maximum(1.0, np.abs(want)))
+            if np.all(m[:, c] == m[0, c]):
+                assert result[c].tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(offset=st.floats(-100, 100), slope=st.floats(-10, 10),
+           n=st.integers(2, 300))
+    def test_affine_contour_has_zero_residual(self, offset, slope, n):
+        contour = offset + slope * np.arange(n)
+        f = afeat.functionals(contour)
+        scale = max(1.0, abs(offset) + abs(slope) * n)
+        assert f[11] <= (1e-12 * scale) ** 2
+        assert abs(f[10] - slope) <= 1e-12 * scale
+        assert abs(f[9] - offset) <= 1e-12 * scale
+
+    def test_rejects_empty_and_3d(self):
+        for bad in (np.zeros(0), np.zeros((0, 3)), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="nonempty"):
+                afeat.functionals(bad)
 
 
 class TestExtractFeatures:

@@ -125,8 +125,20 @@ class TestBadPredictionsFile:
         (GOOD + '{"id": "b", "probs": [1, 0, 0, 0], "class": 0, '
          '"strength": 0.0}\n',
          "line 2: field 'class' must be a string, got 0"),
+        (GOOD + '{"id": "b", "probs": null, "class": "neutral", '
+         '"strength": 0.0}\n',
+         "line 2: field 'probs' must be a flat list of finite numbers, "
+         "got None"),
+        (GOOD + '{"id": "b", "probs": [0.1], "class": "neutral", '
+         '"strength": 0.0}\n',
+         "line 2: field 'probs' must have 4 entries, got 1"),
+        (GOOD + '{"id": "b", "probs": {"x": 1}, "class": "neutral", '
+         '"strength": 0.0}\n',
+         "line 2: field 'probs' must be a flat list of finite numbers, "
+         "got {'x': 1}"),
     ], ids=["missing-field", "not-an-object", "invalid-json", "null-strength",
-            "bool-strength", "nan-strength", "null-id", "number-class"])
+            "bool-strength", "nan-strength", "null-id", "number-class",
+            "null-probs", "short-probs", "object-probs"])
     def test_exit_1_with_file_line_and_problem(self, tmp_path, capsys, argv,
                                                command, content, message):
         path = tmp_path / "preds.jsonl"

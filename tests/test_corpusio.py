@@ -136,6 +136,24 @@ class TestFeaturesFile:
                            r"must be a string, got None"):
             corpusio.read_features(path)
 
+    @pytest.mark.parametrize("features, shown", [
+        ("[null, 1.0]", "[None, 1.0]"),
+        ("[true, 1.0]", "[True, 1.0]"),
+        ("[[1.0, 2.0]]", "[[1.0, 2.0]]"),
+        ("[1e999]", "[inf]"),
+        ('"1.0"', "'1.0'"),
+    ], ids=["null-entry", "bool-entry", "nested", "overflow", "string"])
+    def test_non_number_entry_names_file_line_and_field(self, tmp_path,
+                                                        features, shown):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"id": "a", "features": [0.5]}\n'
+                        f'{{"id": "b", "features": {features}}}\n')
+        with pytest.raises(ValueError) as exc:
+            corpusio.read_features(path)
+        assert str(exc.value) == (
+            f"{path}: line 2: field 'features' must be a flat list of "
+            f"finite numbers, got {shown}")
+
 
 class TestAtomicWrite:
     def test_replaces_whole_file(self, tmp_path):

@@ -119,6 +119,25 @@ class TestForward:
         with pytest.raises(ValueError, match="shape"):
             predictor.forward(params, np.zeros(10))
 
+    def test_batch_matches_row_calls(self):
+        rng = np.random.default_rng(4)
+        params = predictor.init_params(4, 1.0)
+        X = rng.normal(size=(9, 768))
+        batch = predictor.forward(params, X)
+        assert isinstance(batch, list) and len(batch) == 9
+        for x, got in zip(X, batch):
+            want = predictor.forward(params, x)
+            assert np.abs(got.probs - want.probs).max() <= 1e-12
+            assert abs(got.strength_raw - want.strength_raw) <= 1e-12
+            assert got.label == want.label
+            assert got.strength == np.clip(got.strength_raw, 0.0, 1.0)
+
+    def test_batch_dimension_mismatch(self):
+        params = predictor.init_params(0, 0.0)
+        for bad in (np.zeros((3, 10)), np.zeros((2, 3, 768))):
+            with pytest.raises(ValueError, match="shape"):
+                predictor.forward(params, bad)
+
     def test_strength_clamped(self):
         params = predictor.init_params(0, 0.0)
         params.b2s = np.array([3.5])
@@ -410,6 +429,21 @@ class TestPredict:
         params = predictor.init_params(0, 0.0)
         with pytest.raises(ValueError, match="nonempty"):
             predictor.predict([], params, FixedProvider())
+
+    def test_one_forward_pass_per_call(self, monkeypatch):
+        params = predictor.init_params(2, 1.0)
+        shapes = []
+        batch_forward = predictor.forward
+
+        def counting_forward(p, x):
+            shapes.append(np.shape(x))
+            return batch_forward(p, x)
+
+        monkeypatch.setattr(predictor, "forward", counting_forward)
+        preds = predictor.predict(["A", "B", "C"], params, FixedProvider(),
+                                  mode="paragraph")
+        assert shapes == [(3, 768)]
+        assert len(preds) == 3
 
 
 class TestEvaluate:
