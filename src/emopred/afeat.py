@@ -291,6 +291,15 @@ def functionals(contours: np.ndarray) -> np.ndarray:
         sd = np.sqrt(m2)
         skew = np.where(m2 > 0, np.mean(d ** 3, axis=1) / (m2 * sd), 0.0)
         kurt = np.where(m2 > 0, np.mean(d ** 4, axis=1) / (m2 * m2) - 3.0, 0.0)
+        # Below sd ~ 1e-77, m2*m2 = sd**4 (and soon m2*sd and the odd and
+        # fourth moments) leave the normal range, so the quotients above
+        # lose their digits or become 0/0; such rows take the moments of
+        # the contour scaled by sd, which are the same numbers.
+        tiny = (m2 > 0) & (m2 * m2 < np.finfo(np.float64).tiny)
+        if tiny.any():
+            z = d[tiny] / sd[tiny, None]
+            skew[tiny] = np.mean(z ** 3, axis=1)
+            kurt[tiny] = np.mean(z ** 4, axis=1) - 3.0
         vmin, vmax = np.min(x, axis=1), np.max(x, axis=1)
         pos_min = np.argmin(x, axis=1) / (n - 1)
         pos_max = np.argmax(x, axis=1) / (n - 1)

@@ -1,14 +1,27 @@
 """Corpus manifests, feature files, dataset splits, and model persistence.
 
-Manifests are line-delimited JSON (one utterance per line). Model artifacts
-are single JSON documents carrying base64-encoded little-endian float64
-tensors, so save/load round trips are bit exact.
+Manifests are line-delimited JSON (one utterance per line).
+
+Model artifacts are written in format version 2, a binary layout:
+
+- the 8-byte magic ``MODEL_MAGIC``;
+- the header length n as an 8-byte little-endian unsigned integer;
+- n bytes of UTF-8 JSON (sorted keys) holding ``format_version`` (2),
+  ``kind``, ``metadata`` (string to string) and ``shapes`` (tensor name
+  to a list of non-negative ints);
+- the raw little-endian float64 bytes of each tensor in C order, tensors
+  in sorted-name order, with nothing after the last one.
+
+So the file size is fixed by the header, and save/load round trips are
+bit exact. Version 1 files, a single JSON document with base64-encoded
+tensors, still load; the reader tells the two apart by the magic bytes,
+not by the file name.
 """
 
 from __future__ import annotations
 
-import base64
 import json
+import math
 import os
 import reprlib
 import secrets
@@ -21,7 +34,8 @@ import numpy as np
 EMOTIONS = ("neutral", "happiness", "sadness", "anger")
 SPLITS = ("train", "valid", "test")
 ARTIFACT_KINDS = ("rank", "predictor")
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
+MODEL_MAGIC = b"\x93EMOPRED"
 _FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
@@ -62,8 +76,10 @@ class AnnotatedRecord(UtteranceRecord):
 
 
 @contextmanager
-def atomic_write(path: str | Path):
-    """Open a text file whose content replaces `path` only on success.
+def atomic_write(path: str | Path, binary: bool = False):
+    """Open a file whose content replaces `path` only on success.
+
+    The file is UTF-8 text, or raw bytes with binary=True.
 
     Writes go to a new temporary file in the target directory, which is
     flushed to disk and renamed over `path` (os.replace) when the block
@@ -73,7 +89,8 @@ def atomic_write(path: str | Path):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with (open(tmp, "xb") if binary
+              else open(tmp, "x", encoding="utf-8")) as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
@@ -187,13 +204,20 @@ def write_annotations(records: list[AnnotatedRecord], path: str | Path) -> None:
 
 
 def read_features(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a feature file: JSONL records {"id": ..., "features": [...]}."""
+    """Read a feature file: JSONL records {"id": ..., "features": [...]},
+    every vector as long as the first one."""
     feats: dict[str, np.ndarray] = {}
+    dim = first_line = None
     for lineno, obj in _read_jsonl(path):
         uid = _require(obj, "id", path, lineno, str)
         vec = _require(obj, "features", path, lineno, np.ndarray)
         if uid in feats:
             raise ValueError(f"{path}: duplicate id {uid!r}")
+        if dim is None:
+            dim, first_line = len(vec), lineno
+        elif len(vec) != dim:
+            raise ValueError(f"{path}: line {lineno}: id {uid!r} has {len(vec)} "
+                             f"features, line {first_line} has {dim}")
         feats[uid] = vec
     return feats
 
@@ -214,16 +238,13 @@ def write_features(features: dict[str, np.ndarray], path: str | Path,
 
 @dataclass
 class ModelArtifact:
-    """Versioned container for named float64 tensors plus string metadata."""
+    """Container for named float64 tensors plus string metadata."""
 
     kind: str
     tensors: dict[str, np.ndarray]
     metadata: dict[str, str] = field(default_factory=dict)
-    format_version: int = ARTIFACT_VERSION
 
     def validate(self) -> None:
-        if self.format_version != ARTIFACT_VERSION:
-            raise ValueError(f"unsupported version {self.format_version}")
         if self.kind not in ARTIFACT_KINDS:
             raise ValueError(f"unknown artifact kind {self.kind!r}")
         for name, arr in self.tensors.items():
@@ -232,55 +253,118 @@ class ModelArtifact:
 
 
 def save_model(artifact: ModelArtifact, path: str | Path) -> None:
-    """Serialize an artifact to JSON with base64 little-endian float64 data."""
+    """Write a validated artifact in format version 2 (module docstring).
+
+    Each tensor goes to the file as a view of its C-contiguous float64
+    data, with no intermediate bytes copy; the file replaces `path` only
+    once it is complete (atomic_write).
+    """
     artifact.validate()
-    doc = {
-        "format_version": artifact.format_version,
+    arrays = {name: np.asarray(artifact.tensors[name], dtype="<f8", order="C")
+              for name in sorted(artifact.tensors)}
+    header = json.dumps({
+        "format_version": ARTIFACT_VERSION,
         "kind": artifact.kind,
-        "shapes": {},
-        "tensors": {},
         "metadata": dict(artifact.metadata),
-    }
-    for name in sorted(artifact.tensors):
-        arr = np.ascontiguousarray(artifact.tensors[name], dtype="<f8")
-        doc["shapes"][name] = list(arr.shape)
-        doc["tensors"][name] = base64.b64encode(arr.tobytes()).decode("ascii")
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        "shapes": {name: list(arr.shape) for name, arr in arrays.items()},
+    }, sort_keys=True).encode("utf-8")
+    with atomic_write(path, binary=True) as fh:
+        fh.write(MODEL_MAGIC)
+        fh.write(len(header).to_bytes(8, "little"))
+        fh.write(header)
+        for arr in arrays.values():
+            fh.write(memoryview(arr))
 
 
 def load_model(path: str | Path) -> ModelArtifact:
-    """Load an artifact, checking version, shapes, and payload sizes."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version")
-    if version != ARTIFACT_VERSION:
-        raise ValueError(f"{path}: unsupported version {version!r}")
+    """Load a version 2 artifact, or a version 1 JSON artifact.
+
+    The format is told by the leading magic bytes. Refuses, naming
+    `path`: an unsupported version, an unknown kind, a shape that is not
+    a list of non-negative ints, and a file whose size is not what the
+    header's shapes require (truncated tensors or trailing bytes). The
+    tensors are read straight into new arrays, which are writable.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
+            fh.seek(0)
+            return _load_model_v1(fh, path)
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(8)
+        header_len = int.from_bytes(prefix, "little")
+        header_end = fh.tell() + header_len
+        if len(prefix) != 8 or header_end > size:
+            raise ValueError(f"{path}: truncated artifact header")
+        try:
+            doc = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: artifact header is not JSON: {exc}") from exc
+        kind, shapes, metadata = _artifact_header(doc, path, ARTIFACT_VERSION)
+        expected = header_end + 8 * sum(map(math.prod, shapes.values()))
+        if size != expected:
+            raise ValueError(f"{path}: file has {size} bytes, the header's "
+                             f"shapes need {expected}")
+        tensors: dict[str, np.ndarray] = {}
+        for name, shape in shapes.items():
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise ValueError(f"{path}: tensor {name!r}: truncated payload")
+            tensors[name] = arr
+    return ModelArtifact(kind=kind, tensors=tensors, metadata=metadata)
+
+
+def _artifact_header(doc, path, version: int):
+    """(kind, shapes in sorted-name order, metadata) from an artifact's
+    JSON document, refusing any other `format_version` than `version`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: artifact header is not a JSON object")
+    found = doc.get("format_version")
+    if type(found) is not int or found != version:
+        raise ValueError(f"{path}: unsupported version {found!r}")
     kind = doc.get("kind")
     if kind not in ARTIFACT_KINDS:
         raise ValueError(f"{path}: unknown artifact kind {kind!r}")
     shapes = doc.get("shapes", {})
+    metadata = doc.get("metadata", {})
+    if not isinstance(shapes, dict) or not isinstance(metadata, dict):
+        raise ValueError(f"{path}: shapes and metadata must be JSON objects")
+    for name, shape in shapes.items():
+        if type(shape) is not list or not all(type(d) is int and d >= 0
+                                              for d in shape):
+            raise ValueError(f"{path}: tensor {name!r}: shape must be a list "
+                             f"of non-negative ints, got {reprlib.repr(shape)}")
+    return (kind, {name: tuple(shapes[name]) for name in sorted(shapes)},
+            {str(k): str(v) for k, v in metadata.items()})
+
+
+def _load_model_v1(fh, path) -> ModelArtifact:
+    """Read a version 1 artifact: one JSON document whose "tensors" map
+    each name to the base64 of its little-endian float64 bytes."""
+    import base64  # version 1 is the only format that carries base64
+
+    try:
+        doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: not a model artifact (no binary magic, "
+                         f"not JSON): {exc}") from exc
+    kind, shapes, metadata = _artifact_header(doc, path, 1)
     payloads = doc.get("tensors", {})
-    if set(shapes) != set(payloads):
+    if not isinstance(payloads, dict) or set(shapes) != set(payloads):
         raise ValueError(f"{path}: shapes and tensors name sets differ")
     tensors: dict[str, np.ndarray] = {}
     for name, shape in shapes.items():
-        shape = tuple(int(d) for d in shape)
         try:
             raw = base64.b64decode(payloads[name], validate=True)
-        except Exception as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: tensor {name!r}: corrupt base64") from exc
-        expected = 8 * int(np.prod(shape, dtype=np.int64)) if shape else 8
+        expected = 8 * math.prod(shape)
         if len(raw) != expected:
             raise ValueError(
                 f"{path}: tensor {name!r}: byte length mismatch "
                 f"(got {len(raw)}, expected {expected})"
             )
         tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    metadata = {str(k): str(v) for k, v in doc.get("metadata", {}).items()}
-    return ModelArtifact(kind=kind, tensors=tensors, metadata=metadata,
-                         format_version=version)
+    return ModelArtifact(kind=kind, tensors=tensors, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ loops over the vectorized pipelines they are checked against."""
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import json
 
 import numpy as np
 
@@ -266,3 +268,24 @@ def oracle_train(records, provider, config=None):
 
 def relative_error(actual: float, expected: float, floor: float = 1e-6) -> float:
     return abs(actual - expected) / max(abs(actual), abs(expected), floor)
+
+
+def oracle_save_model_v1(artifact, path) -> None:
+    """The version 1 artifact writer: one JSON document (indent 1, sorted
+    keys) whose "tensors" map each name to the base64 of its
+    little-endian float64 bytes, next to its shape under "shapes"."""
+    artifact.validate()
+    doc = {
+        "format_version": 1,
+        "kind": artifact.kind,
+        "shapes": {},
+        "tensors": {},
+        "metadata": dict(artifact.metadata),
+    }
+    for name in sorted(artifact.tensors):
+        arr = np.ascontiguousarray(artifact.tensors[name], dtype="<f8")
+        doc["shapes"][name] = list(arr.shape)
+        doc["tensors"][name] = base64.b64encode(arr.tobytes()).decode("ascii")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")

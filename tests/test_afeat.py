@@ -360,6 +360,18 @@ class TestFunctionals:
         for got, want in zip(result, expected):
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
+    def test_tiny_contour_has_finite_moments(self):
+        # sd = 7e-127: m2*sd and m2*m2 underflow to 0
+        f = afeat.functionals(np.array([0.0, 1.4e-126]))
+        assert np.all(np.isfinite(f))
+        assert f[2] == 0.0 and f[3] == -2.0
+
+    def test_skew_and_kurtosis_do_not_depend_on_scale(self):
+        contour = np.random.default_rng(14).normal(size=50)
+        m = np.stack([contour, contour * 2.0 ** -430], axis=1)
+        big, small = afeat.functionals(m)
+        np.testing.assert_allclose(small[2:4], big[2:4], rtol=1e-12)
+
 
 @st.composite
 def _contour_matrices(draw):

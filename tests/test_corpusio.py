@@ -5,13 +5,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
-from emopred import corpusio, predictor
+from emopred import cli, corpusio, predictor
 from emopred.corpusio import (
+    MODEL_MAGIC,
     AnnotatedRecord,
     ModelArtifact,
     UtteranceRecord,
 )
+
+from oracles import oracle_save_model_v1
 
 
 def manifest_line(uid, emotion="neutral", split="train", **extra):
@@ -154,6 +160,17 @@ class TestFeaturesFile:
             f"{path}: line 2: field 'features' must be a flat list of "
             f"finite numbers, got {shown}")
 
+    def test_short_vector_names_file_line_and_id(self, tmp_path):
+        rng = np.random.default_rng(2)
+        feats = {f"u{i}": rng.normal(size=384) for i in range(8)}
+        feats["u5"] = feats["u5"][:10]
+        path = tmp_path / "f.jsonl"
+        corpusio.write_features(feats, path)
+        with pytest.raises(ValueError) as exc:
+            corpusio.read_features(path)
+        assert str(exc.value) == (
+            f"{path}: line 6: id 'u5' has 10 features, line 1 has 384")
+
 
 class TestAtomicWrite:
     def test_replaces_whole_file(self, tmp_path):
@@ -202,7 +219,7 @@ class TestModelArtifacts:
         artifact = ModelArtifact(kind="rank",
                                  tensors={"w": np.arange(4.0)})
         path = tmp_path / "m.json"
-        corpusio.save_model(artifact, path)
+        oracle_save_model_v1(artifact, path)
         doc = json.loads(path.read_text())
         raw = base64.b64decode(doc["tensors"]["w"])
         doc["tensors"]["w"] = base64.b64encode(raw[:-8]).decode()
@@ -213,7 +230,7 @@ class TestModelArtifacts:
     def test_unsupported_version(self, tmp_path):
         artifact = ModelArtifact(kind="rank", tensors={"w": np.zeros(2)})
         path = tmp_path / "m.json"
-        corpusio.save_model(artifact, path)
+        oracle_save_model_v1(artifact, path)
         doc = json.loads(path.read_text())
         doc["format_version"] = 2
         path.write_text(json.dumps(doc))
@@ -223,7 +240,7 @@ class TestModelArtifacts:
     def test_corrupt_base64(self, tmp_path):
         artifact = ModelArtifact(kind="rank", tensors={"w": np.zeros(2)})
         path = tmp_path / "m.json"
-        corpusio.save_model(artifact, path)
+        oracle_save_model_v1(artifact, path)
         doc = json.loads(path.read_text())
         doc["tensors"]["w"] = "!!!not base64!!!"
         path.write_text(json.dumps(doc))
@@ -263,6 +280,141 @@ class TestModelArtifacts:
             assert back.metadata["case"] == str(case)
             for name, arr in tensors.items():
                 np.testing.assert_array_equal(back.tensors[name], arr)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tensors=st.dictionaries(
+        st.text(max_size=4),
+        array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4).flatmap(
+            lambda shape: arrays(np.float64, shape,
+                                 elements=st.floats(allow_nan=False,
+                                                    allow_infinity=False))),
+        max_size=4))
+    def test_round_trip_bit_exact_and_writable(self, tmp_path, tensors):
+        path = tmp_path / "m.bin"
+        corpusio.save_model(ModelArtifact(kind="rank", tensors=tensors), path)
+        back = corpusio.load_model(path)
+        assert list(back.tensors) == sorted(tensors)
+        for name, arr in tensors.items():
+            got = back.tensors[name]
+            assert got.shape == arr.shape and got.dtype == np.float64
+            assert got.tobytes() == arr.tobytes()   # keeps -0.0
+            assert got.flags.writeable and got.flags.owndata
+
+    def test_v1_file_loads_bit_identical(self, tmp_path):
+        params = predictor.init_params(7, 1.0)
+        artifact = predictor.params_to_artifact(params, {"seed": "7"})
+        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+        oracle_save_model_v1(artifact, v1)
+        corpusio.save_model(artifact, v2)
+        assert v1.read_bytes().startswith(b"{")
+        back = corpusio.load_model(v1)
+        assert back.kind == "predictor" and back.metadata == {"seed": "7"}
+        assert list(back.tensors) == sorted(artifact.tensors)
+        for name, arr in artifact.tensors.items():
+            assert back.tensors[name].tobytes() == arr.tobytes()
+            assert back.tensors[name].flags.writeable
+
+        texts = tmp_path / "texts.txt"
+        texts.write_text("I am so happy today\nThis is awful\n",
+                         encoding="utf-8")
+        outputs = []
+        for model in (v1, v2):
+            out = tmp_path / f"pred-{model.stem}.jsonl"
+            assert cli.main(["predict", "--model", str(model), "--texts",
+                             str(texts), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+def _split_artifact(path):
+    """(header dict, tensor bytes) of a version 2 artifact file."""
+    data = path.read_bytes()
+    assert data.startswith(MODEL_MAGIC)
+    start = len(MODEL_MAGIC) + 8
+    end = start + int.from_bytes(data[len(MODEL_MAGIC):start], "little")
+    return json.loads(data[start:end]), data[end:]
+
+
+def _join_artifact(header, payload: bytes) -> bytes:
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return MODEL_MAGIC + len(raw).to_bytes(8, "little") + raw + payload
+
+
+class TestBinaryArtifactErrors:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "served_model.json"
+        corpusio.save_model(ModelArtifact(
+            kind="rank", tensors={"a": np.arange(6.0).reshape(2, 3),
+                                  "w": np.ones(4)}), path)
+        return path
+
+    def _refused(self, path, match):
+        with pytest.raises(ValueError, match=match) as exc:
+            corpusio.load_model(path)
+        assert str(path) in str(exc.value)
+
+    def test_header_and_layout(self, saved):
+        header, payload = _split_artifact(saved)
+        assert header == {"format_version": 2, "kind": "rank", "metadata": {},
+                          "shapes": {"a": [2, 3], "w": [4]}}
+        assert payload == (np.arange(6.0).astype("<f8").tobytes()
+                           + np.ones(4).astype("<f8").tobytes())
+
+    def test_truncated_tensor_payload(self, saved):
+        saved.write_bytes(saved.read_bytes()[:-8])
+        self._refused(saved, "file has .* bytes, the header's shapes need")
+
+    def test_trailing_bytes(self, saved):
+        saved.write_bytes(saved.read_bytes() + b"\0" * 8)
+        self._refused(saved, "file has .* bytes, the header's shapes need")
+
+    def test_header_length_past_end(self, saved):
+        data = saved.read_bytes()
+        saved.write_bytes(data[:len(MODEL_MAGIC)]
+                          + (len(data)).to_bytes(8, "little")
+                          + data[len(MODEL_MAGIC) + 8:])
+        self._refused(saved, "truncated artifact header")
+
+    def test_bad_magic(self, saved):
+        saved.write_bytes(b"\x94" + saved.read_bytes()[1:])
+        self._refused(saved, "not a model artifact")
+
+    def test_header_not_json(self, saved):
+        _, payload = _split_artifact(saved)
+        saved.write_bytes(_join_artifact(b"{not json", payload))
+        self._refused(saved, "artifact header is not JSON")
+
+    @pytest.mark.parametrize("shape", [[-1], [2.0], [True], "4", [[4]]],
+                             ids=["negative", "float", "bool", "string",
+                                  "nested"])
+    def test_bad_shape(self, saved, shape):
+        header, payload = _split_artifact(saved)
+        header["shapes"]["w"] = shape
+        saved.write_bytes(_join_artifact(header, payload))
+        self._refused(saved, "tensor 'w': shape must be a list of "
+                             "non-negative ints")
+
+    @pytest.mark.parametrize("key", ["shapes", "metadata"])
+    def test_shapes_and_metadata_must_be_objects(self, saved, key):
+        header, payload = _split_artifact(saved)
+        header[key] = []
+        saved.write_bytes(_join_artifact(header, payload))
+        self._refused(saved, "shapes and metadata must be JSON objects")
+
+    def test_unknown_kind(self, saved):
+        header, payload = _split_artifact(saved)
+        header["kind"] = "mystery"
+        saved.write_bytes(_join_artifact(header, payload))
+        self._refused(saved, "unknown artifact kind 'mystery'")
+
+    @pytest.mark.parametrize("version", [1, 3, 2.0, None])
+    def test_unsupported_version(self, saved, version):
+        header, payload = _split_artifact(saved)
+        header["format_version"] = version
+        saved.write_bytes(_join_artifact(header, payload))
+        self._refused(saved, "unsupported version")
 
 
 class TestSplit:
