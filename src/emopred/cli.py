@@ -2,23 +2,21 @@
 
 Each subcommand reads and writes the package's file formats so every
 stage's output is an inspectable fixture for the next. A plain
-`key = value` config file can seed any subcommand's options (flags win);
-the fully resolved configuration is echoed to stderr on every run.
+`key = value` config file can supply any of a subcommand's options,
+required ones too (flags win); the fully resolved configuration is
+echoed to stderr on every run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import afeat, corpusio, encoder, predictor, ranker, textembed
-
-ENDPOINT_ENV_VAR = "EMOPRED_ENDPOINT"
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -35,46 +33,65 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                  argv: list[str]) -> argparse.Namespace:
-    """Fill options from the config file, then re-apply flag overrides."""
-    if not getattr(args, "config", None):
-        return args
-    file_values = _parse_config_file(args.config)
-    actions = {a.dest: a for a in parser._actions}
-    known = {d for d in actions if d not in ("help", "config")}
-    unknown = set(file_values) - known
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Make the values of the file named by --config the defaults of the
+    subcommand in argv: flags still win, and the file may supply a
+    required option. A value is converted and checked as its flag's."""
+    subcommands = next(a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    if not argv or argv[0] not in subcommands:
+        return
+    pre = argparse.ArgumentParser(prog=f"emopred {argv[0]}", add_help=False)
+    pre.add_argument("--config", default="")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if not path:
+        return
+    sub = subcommands[argv[0]]
+    actions = {a.dest: a for a in sub._actions
+               if a.dest not in ("help", "config")}
+    file_values = _parse_config_file(path)
+    unknown = set(file_values) - set(actions)
     if unknown:
-        raise ValueError(
-            f"{args.config}: unknown config keys: {sorted(unknown)}"
-        )
-    converted = {}
+        raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+    defaults = {}
     for key, raw in file_values.items():
         action = actions[key]
         if action.nargs == 0:  # store_true: the file gives the value itself
-            if raw.lower() not in ("true", "false"):
-                raise ValueError(
-                    f"{args.config}: {key} = {raw!r}: expected true or false"
-                )
-            converted[key] = raw.lower() == "true"
+            value = {"true": True, "false": False}.get(raw.lower())
+            expected = "true or false"
         else:
-            converted[key] = action.type(raw) if action.type else raw
-    parser.set_defaults(**converted)
+            try:
+                value = action.type(raw)
+            except ValueError:
+                value = None
+            expected = action.type.__name__
+            if action.choices:
+                value = value if value in action.choices else None
+                expected = "one of " + ", ".join(action.choices)
+        if value is None:
+            raise ValueError(f"{path}: {key} = {raw!r}: expected {expected}")
+        defaults[key] = value
+        action.required = False
+    sub.set_defaults(**defaults)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    parser = build_parser()
+    _apply_config(parser, argv)
     return parser.parse_args(argv)
 
 
 def _echo_config(args: argparse.Namespace, command: str) -> None:
     print(f"[{command}] resolved configuration:", file=sys.stderr)
     for key in sorted(vars(args)):
-        if key in ("func", "config", "command", "subparser"):
+        if key in ("func", "config", "command"):
             continue
         print(f"  {key} = {getattr(args, key)}", file=sys.stderr)
 
 
 def _provider_from_args(args: argparse.Namespace):
-    endpoint = os.environ.get(ENDPOINT_ENV_VAR) or args.endpoint
     config = textembed.ProviderConfig(
-        mode=args.provider, endpoint=endpoint or "",
+        mode=args.provider, endpoint=args.endpoint,
         timeout=args.timeout, seed=args.embed_seed,
     )
     return textembed.make_provider(config)
@@ -85,7 +102,7 @@ def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
                      choices=("local", "remote"),
                      help="embedding provider (default: local)")
     sub.add_argument("--endpoint", type=str, default="",
-                     help=f"remote endpoint (env {ENDPOINT_ENV_VAR} overrides)")
+                     help="URL of the remote embedding endpoint")
     sub.add_argument("--timeout", type=float, default=10.0,
                      help="remote request timeout in seconds")
     sub.add_argument("--embed-seed", type=int, default=0,
@@ -173,7 +190,7 @@ def cmd_train(args) -> int:
         "epochs": str(config.epochs),
         "seed": str(config.seed),
         "init_scale": repr(config.init_scale),
-        "final_loss": repr(trace[-1]) if trace else "nan",
+        "final_loss": repr(trace[-1]),
     }
     corpusio.save_model(predictor.params_to_artifact(params, metadata),
                         args.out)
@@ -187,12 +204,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.window < 0:
+        raise ValueError(f"--window must be at least 0 (0 = whole paragraph),"
+                         f" got {args.window}")
     params = predictor.params_from_artifact(corpusio.load_model(args.model))
     provider = _provider_from_args(args)
     ids, texts = _read_texts(args.texts)
-    window = args.window if args.window > 0 else None
-    predictions = predictor.predict(texts, params, provider,
-                                    mode=args.mode, context_window=window)
+    predictions = predictor.predict(texts, params, provider, mode=args.mode,
+                                    context_window=args.window or None)
     payload = predictor.predictions_to_jsonl(ids, predictions)
     _emit(payload, args.out)
     print(f"predicted {len(predictions)} sentences ({args.mode} mode)",
@@ -263,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
         sub.add_argument("--config", type=str, default="",
                          help="key = value config file; flags override it")
-        sub.set_defaults(func=func, subparser=sub)
+        sub.set_defaults(func=func)
         return sub
 
     sub = add("features", cmd_features,
@@ -286,12 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", type=str, required=True)
     sub.add_argument("--trace", type=str, default="",
                      help="write the per-epoch loss trace to this file")
-    sub.add_argument("--lambda-cls", type=float, default=0.01)
-    sub.add_argument("--lr", type=float, default=0.05)
-    sub.add_argument("--batch-size", type=int, default=16)
-    sub.add_argument("--epochs", type=int, default=200)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--init-scale", type=float, default=1.0)
+    defaults = predictor.TrainConfig()
+    sub.add_argument("--lambda-cls", type=float, default=defaults.lambda_cls)
+    sub.add_argument("--lr", type=float, default=defaults.learning_rate)
+    sub.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    sub.add_argument("--epochs", type=int, default=defaults.epochs)
+    sub.add_argument("--seed", type=int, default=defaults.seed)
+    sub.add_argument("--init-scale", type=float, default=defaults.init_scale)
     _add_provider_flags(sub)
 
     sub = add("predict", cmd_predict, "predict emotion class and strength")
@@ -325,12 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
     try:
-        args = _apply_config(args.subparser, args, argv[1:])
-        _echo_config(args, command)
+        args = _parse_args(argv)
+        _echo_config(args, args.command)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 embeddings, one for the 4-way emotion class and one for the scalar
 emotion strength.
 
-Both heads share the 768-dim embedding input and use a single 256-unit
-ReLU hidden layer; the class head ends in a softmax over (neutral,
-happiness, sadness, anger) and the strength head in a linear scalar.
+Both heads read the same 768-dim embedding, so their first layers are
+one 512x768 ReLU layer W1, b1: hidden units 0-255 feed the class head,
+which ends in a softmax over (neutral, happiness, sadness, anger), and
+units 256-511 feed the strength head, which ends in a linear scalar.
 Training minimizes
 
     (strength_raw - target_strength)^2
@@ -13,19 +14,19 @@ Training minimizes
 averaged over a batch, with mini-batch gradient descent and momentum.
 The embedding backbone is consumed through a provider and never updated.
 
-train() fuses the two first layers into one 512x768 layer W1 and runs
-in the row space of the n training embeddings: every gradient of W1 is
-a combination of training rows, so W1 - W1_0 = A @ B stays in the span
-of B (the embeddings when n <= 768, the identity otherwise), and
-momentum SGD on the 512 x n coefficients A is momentum SGD on W1 (the
-representer argument of Schoelkopf, Herbrich & Smola, COLT 2001). The
-iterates equal those of the plain loop up to rounding.
+train() runs the first layer in the row space of the n training
+embeddings: every gradient of W1 is a combination of training rows, so
+W1 - W1_0 = A @ B stays in the span of B (the embeddings when n <= 768,
+the identity otherwise), and momentum SGD on the 512 x n coefficients A
+is momentum SGD on W1 (the representer argument of Schoelkopf, Herbrich
+& Smola, COLT 2001). The iterates equal those of the plain loop up to
+rounding.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -40,24 +41,26 @@ NUM_CLASSES = len(EMOTIONS)
 PROB_FLOOR = 1e-12
 
 PARAM_SHAPES = {
-    "W1c": (HIDDEN_DIM, EMBED_DIM), "b1c": (HIDDEN_DIM,),
+    "W1": (2 * HIDDEN_DIM, EMBED_DIM), "b1": (2 * HIDDEN_DIM,),
     "W2c": (NUM_CLASSES, HIDDEN_DIM), "b2c": (NUM_CLASSES,),
-    "W1s": (HIDDEN_DIM, EMBED_DIM), "b1s": (HIDDEN_DIM,),
     "w2s": (1, HIDDEN_DIM), "b2s": (1,),
 }
 
 
 @dataclass
 class PredictorParams:
-    """Weights of the class head (W1c, b1c, W2c, b2c) and strength head
-    (W1s, b1s, w2s, b2s)."""
+    """Weights of both heads: the shared first layer (W1, b1), whose rows
+    0-255 feed the class output layer (W2c, b2c) and rows 256-511 the
+    strength output layer (w2s, b2s).
 
-    W1c: np.ndarray
-    b1c: np.ndarray
+    Artifacts written before the first layers were fused hold each head's
+    half as its own tensor; params_from_artifact stacks them.
+    """
+
+    W1: np.ndarray
+    b1: np.ndarray
     W2c: np.ndarray
     b2c: np.ndarray
-    W1s: np.ndarray
-    b1s: np.ndarray
     w2s: np.ndarray
     b2s: np.ndarray
 
@@ -109,20 +112,23 @@ class TrainConfig:
 def init_params(seed: int = 0, init_scale: float = 1.0) -> PredictorParams:
     """Uniform [-s/sqrt(fan_in), s/sqrt(fan_in)] weights, zero biases.
 
-    Weight tensors are drawn in a fixed order, so parameters are a pure
-    function of (seed, init_scale).
+    Weight blocks are drawn in a fixed order (class rows of W1, W2c,
+    strength rows of W1, w2s), so parameters are a pure function of
+    (seed, init_scale).
     """
     if init_scale < 0:
         raise ValueError("init_scale must be nonnegative")
     rng = np.random.default_rng(seed)
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in PARAM_SHAPES.items():
-        if name.startswith("b"):
-            arrays[name] = np.zeros(shape)
-        else:
-            limit = init_scale / np.sqrt(shape[1])
-            arrays[name] = rng.uniform(-limit, limit, size=shape)
-    return PredictorParams(**arrays)
+
+    def draw(rows: int, fan_in: int) -> np.ndarray:
+        limit = init_scale / np.sqrt(fan_in)
+        return rng.uniform(-limit, limit, size=(rows, fan_in))
+
+    head_c, W2c = draw(HIDDEN_DIM, EMBED_DIM), draw(NUM_CLASSES, HIDDEN_DIM)
+    head_s, w2s = draw(HIDDEN_DIM, EMBED_DIM), draw(1, HIDDEN_DIM)
+    return PredictorParams(W1=np.vstack([head_c, head_s]),
+                           b1=np.zeros(2 * HIDDEN_DIM), W2c=W2c,
+                           b2c=np.zeros(NUM_CLASSES), w2s=w2s, b2s=np.zeros(1))
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -143,8 +149,7 @@ def _output(h: np.ndarray, W2c, b2c, w2s, b2s):
 def _forward_batch(params: PredictorParams, X: np.ndarray):
     """Returns (pre-ReLU hidden layers [h_cls | h_str], probs, raw
     strengths) for a batch of embeddings."""
-    h = np.hstack([X @ params.W1c.T + params.b1c,
-                   X @ params.W1s.T + params.b1s])
+    h = X @ params.W1.T + params.b1
     return (h, *_output(h, params.W2c, params.b2c, params.w2s, params.b2s))
 
 
@@ -245,12 +250,8 @@ def gradients(
     d_h, gW2c, gb2c, gw2s, gb2s = _backward(h, probs, raw, class_idx,
                                             strengths, params.W2c, params.w2s,
                                             lambda_cls)
-    gW1 = d_h.T @ X
-    gb1 = d_h.sum(axis=0)
-    return PredictorParams(W1c=gW1[:HIDDEN_DIM], b1c=gb1[:HIDDEN_DIM],
-                           W2c=gW2c, b2c=gb2c,
-                           W1s=gW1[HIDDEN_DIM:], b1s=gb1[HIDDEN_DIM:],
-                           w2s=gw2s, b2s=gb2s)
+    return PredictorParams(W1=d_h.T @ X, b1=d_h.sum(axis=0), W2c=gW2c,
+                           b2c=gb2c, w2s=gw2s, b2s=gb2s)
 
 
 def batch_loss(params: PredictorParams, X: np.ndarray, class_idx: np.ndarray,
@@ -287,7 +288,7 @@ def train(
     through B, is the update of W1: the iterates match the plain loop in
     exact arithmetic. The hidden layers of training rows are
     H0 + G @ A.T + b1 with the precomputed H0 = X @ W1_0.T and G = X @ B.T
-    (the Gram matrix when n <= 768). A, b1 and the output layers are
+    (the Gram matrix when n <= 768). A and the other five tensors are
     views into one flat vector, updated in place; W1 is built once, from
     the best epoch's snapshot.
     """
@@ -308,17 +309,15 @@ def train(
         B, Cmat, G = np.eye(EMBED_DIM), X, X
 
     init = init_params(config.seed, config.init_scale)
-    W1_0 = np.vstack([init.W1c, init.W1s])
-    H0 = X @ W1_0.T
-    shapes = [(2 * HIDDEN_DIM, len(B)), (2 * HIDDEN_DIM,),
-              PARAM_SHAPES["W2c"], PARAM_SHAPES["b2c"],
-              PARAM_SHAPES["w2s"], PARAM_SHAPES["b2s"]]
+    H0 = X @ init.W1.T
+    # A, the coefficients of W1 - W1_0, stands first in place of W1
+    shapes = [(2 * HIDDEN_DIM, len(B)), *list(PARAM_SHAPES.values())[1:]]
     size = sum(int(np.prod(shape)) for shape in shapes)
     theta, grad, velocity = np.zeros((3, size))
     A, b1, W2c, b2c, w2s, b2s = _flat_views(theta, shapes)
     gA, gb1, gW2c, gb2c, gw2s, gb2s = _flat_views(grad, shapes)
-    b1[:] = np.concatenate([init.b1c, init.b1s])
-    W2c[:], b2c[:], w2s[:], b2s[:] = init.W2c, init.b2c, init.w2s, init.b2s
+    b1[:], W2c[:], b2c[:], w2s[:], b2s[:] = (
+        init.b1, init.W2c, init.b2c, init.w2s, init.b2s)
 
     def full_loss() -> float:
         h = H0 + G @ A.T + b1
@@ -354,10 +353,8 @@ def train(
         trace.append(best)
 
     theta[:] = best_theta
-    W1 = W1_0 + A @ B
-    best_params = PredictorParams(
-        W1c=W1[:HIDDEN_DIM], b1c=b1[:HIDDEN_DIM], W2c=W2c, b2c=b2c,
-        W1s=W1[HIDDEN_DIM:], b1s=b1[HIDDEN_DIM:], w2s=w2s, b2s=b2s)
+    best_params = PredictorParams(W1=init.W1 + A @ B, b1=b1, W2c=W2c,
+                                  b2c=b2c, w2s=w2s, b2s=b2s)
     best_params.validate()
     # the loss of the built W1 agrees with the loop's to rounding; report
     # the former, the loss of what is returned
@@ -514,11 +511,27 @@ def params_to_artifact(params: PredictorParams,
 
 
 def params_from_artifact(artifact: ModelArtifact) -> PredictorParams:
+    """Predictor parameters from an artifact of either layout: the fused
+    W1, b1, or the per-head halves of artifacts written before, stacked
+    class rows first."""
     if artifact.kind != "predictor":
         raise ValueError(f"expected a predictor artifact, got {artifact.kind!r}")
-    missing = set(PARAM_SHAPES) - set(artifact.tensors)
+    tensors = dict(artifact.tensors)
+    halves = {"W1": ("W1c", "W1s"), "b1": ("b1c", "b1s")}
+    if not any(half in tensors for pair in halves.values() for half in pair):
+        halves = {}
+    required = [part for name in PARAM_SHAPES
+                for part in halves.get(name, (name,))]
+    missing = sorted(set(required) - set(tensors))
     if missing:
-        raise ValueError(f"artifact missing tensors: {sorted(missing)}")
-    params = PredictorParams(**{k: artifact.tensors[k] for k in PARAM_SHAPES})
+        raise ValueError(f"artifact missing tensors: {missing}")
+    for name, pair in halves.items():
+        half_shape = (HIDDEN_DIM, *PARAM_SHAPES[name][1:])
+        for half in pair:
+            if tensors[half].shape != half_shape:
+                raise ValueError(f"{half} has shape {tensors[half].shape}, "
+                                 f"expected {half_shape}")
+        tensors[name] = np.concatenate([tensors.pop(half) for half in pair])
+    params = PredictorParams(**{k: tensors[k] for k in PARAM_SHAPES})
     params.validate()
     return params

@@ -16,7 +16,7 @@ are always assigned strength 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,12 +32,6 @@ DEFAULT_EPOCHS = 200
 STEP_ETA0 = 0.1
 STD_FLOOR = 1e-8
 MAX_BACKTRACKS = 60
-
-
-class StrengthAnnotation(NamedTuple):
-    utterance_id: str
-    emotion: str
-    strength: float
 
 
 @dataclass
@@ -105,7 +99,12 @@ def train_ranksvm(
     with step size eta_t = 0.1/(1 + t/T), T = epochs/2, halving the step
     until the objective does not increase; the best iterate seen is
     returned. The recorded objective trace is therefore non-increasing.
+    Refuses c <= 0 and epochs < 1.
     """
+    if not c > 0:
+        raise ValueError(f"C must be positive, got {c}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
     Xs = np.asarray(strong, dtype=np.float64)
     Xw = np.asarray(weak, dtype=np.float64)
     if len(Xs) == 0 or len(Xw) == 0:
@@ -148,60 +147,12 @@ def train_ranksvm(
     )
 
 
-def rank_score(model: RankModel, x: np.ndarray) -> float:
-    """Rank of one feature vector: w . (x - mean) / std."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.w.shape:
-        raise ValueError(
-            f"feature dimension mismatch: got {x.shape}, expected {model.w.shape}"
-        )
-    return float(model.w @ ((x - model.feat_mean) / model.feat_std))
-
-
 def rank_scores(model: RankModel, features: np.ndarray) -> np.ndarray:
     """Rank scores for a feature matrix, one row per utterance."""
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(model.w):
         raise ValueError("feature matrix dimension mismatch")
     return ((X - model.feat_mean) / model.feat_std) @ model.w
-
-
-def normalize_strengths(
-    ids: Sequence[str],
-    labels: Sequence[str],
-    scores: Sequence[float],
-    emotion: str,
-) -> list[StrengthAnnotation]:
-    """Min-max map one emotion's rank scores to [0, 1] strengths.
-
-    The min and max are taken over the target emotion's utterances; when
-    they coincide every strength is 0.5. Neutral utterances are assigned
-    strength 0 regardless of score.
-    """
-    if len(ids) != len(labels) or len(ids) != len(scores):
-        raise ValueError("ids, labels, and scores must have equal lengths")
-    if len(ids) == 0:
-        raise ValueError("empty score list")
-    emo_scores = [s for s, lab in zip(scores, labels) if lab == emotion]
-    if not emo_scores:
-        raise ValueError(f"no utterances labelled {emotion!r}")
-    lo, hi = min(emo_scores), max(emo_scores)
-    out = []
-    for uid, lab, score in zip(ids, labels, scores):
-        if lab == "neutral":
-            out.append(StrengthAnnotation(uid, lab, 0.0))
-        elif lab == emotion:
-            if hi == lo:
-                strength = 0.5
-            else:
-                strength = (score - lo) / (hi - lo)
-            out.append(StrengthAnnotation(uid, lab, float(strength)))
-        else:
-            raise ValueError(
-                f"utterance {uid!r} has label {lab!r}, expected "
-                f"{emotion!r} or neutral"
-            )
-    return out
 
 
 def annotate_corpus(
@@ -215,8 +166,11 @@ def annotate_corpus(
     Trains one RankSVM per non-neutral emotion present in the corpus, on
     all of that emotion's utterances against all neutral ones; each
     emotional utterance is scored by its own emotion's model and min-max
-    normalized within that emotion. Neutral strengths are 0.
+    normalized within that emotion (0.5 for all when its scores are
+    equal). Neutral strengths are 0.
     """
+    if not records:
+        raise ValueError("empty corpus")
     missing = [r.id for r in records if r.id not in features]
     if missing:
         raise ValueError(f"missing features for ids: {missing[:5]}")
@@ -229,7 +183,7 @@ def annotate_corpus(
     X = np.vstack([features[r.id] for r in records])
     neutral = X[labels == "neutral"]
 
-    strengths: dict[str, float] = {r.id: 0.0 for r in records}
+    strengths = np.zeros(len(records))
     models: dict[str, RankModel] = {}
     for emotion in emotions:
         idx = np.flatnonzero(labels == emotion)
@@ -237,19 +191,15 @@ def annotate_corpus(
                               emotion=emotion)
         models[emotion] = model
         scores = rank_scores(model, X[idx])
-        annotations = normalize_strengths(
-            [records[i].id for i in idx], [emotion] * len(idx),
-            scores.tolist(), emotion,
-        )
-        for ann in annotations:
-            strengths[ann.utterance_id] = ann.strength
+        lo, hi = scores.min(), scores.max()
+        strengths[idx] = 0.5 if hi == lo else (scores - lo) / (hi - lo)
 
     annotated = [
         AnnotatedRecord(
             id=r.id, text=r.text, emotion=r.emotion, audio_path=r.audio_path,
-            split=r.split, strength=strengths[r.id],
+            split=r.split, strength=float(strength),
         )
-        for r in records
+        for r, strength in zip(records, strengths)
     ]
     return annotated, models
 

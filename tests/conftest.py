@@ -51,6 +51,7 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
         texts = body["texts"]
+        server.posts.append(texts)
         if server.status != 200:
             self.send_response(server.status)
             self.end_headers()
@@ -83,9 +84,15 @@ class MockEmbedServer:
         self.httpd.status = status
         self.httpd.raw_body = raw_body
         self.httpd.delay_s = delay_s
+        self.httpd.posts = []
         self.thread = threading.Thread(target=self.httpd.serve_forever,
                                        daemon=True)
         self.thread.start()
+
+    @property
+    def posts(self) -> list[list[str]]:
+        """The texts of each request received, in order."""
+        return self.httpd.posts
 
     @property
     def endpoint(self) -> str:

@@ -154,13 +154,13 @@ def oracle_forward(params, x: np.ndarray):
             out[i] = acc
         return out
 
-    hidden_c = affine(params.W1c, params.b1c, x)
+    hidden_c = affine(params.W1[:256], params.b1[:256], x)
     hidden_c = np.array([max(v, 0.0) for v in hidden_c])
     logits = affine(params.W2c, params.b2c, hidden_c)
     shift = logits - max(logits)
     exp = np.exp(shift)
     probs = exp / exp.sum()
-    hidden_s = affine(params.W1s, params.b1s, x)
+    hidden_s = affine(params.W1[256:], params.b1[256:], x)
     hidden_s = np.array([max(v, 0.0) for v in hidden_s])
     raw = affine(params.w2s, params.b2s, hidden_s)[0]
     return probs, raw
@@ -219,7 +219,7 @@ def oracle_embed_local(texts: list[str], seed: int = 0,
 def oracle_train(records, provider, config=None):
     """predictor.train as a per-tensor loop: the public gradients() and
     batch_loss() on the full 768-dim first layers, and a momentum update
-    that allocates new arrays for each of the eight tensors every step.
+    that allocates new arrays for each of the six tensors every step.
 
     Returns (parameters of the best epoch, best-so-far loss trace).
     """

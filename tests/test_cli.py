@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from emopred import cli, corpusio, predictor
@@ -18,9 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def _encode_args(tmp_path, config_text, *flags):
     config = tmp_path / "encode.cfg"
     config.write_text(config_text, encoding="utf-8")
-    argv = ["encode", "--config", str(config), *flags]
-    args = cli.build_parser().parse_args(argv)
-    return cli._apply_config(args.subparser, args, argv[1:])
+    return cli._parse_args(["encode", "--config", str(config), *flags])
 
 
 class TestConfigBooleans:
@@ -37,6 +36,112 @@ class TestConfigBooleans:
 
     def test_flag_overrides_false_in_file(self, tmp_path):
         assert _encode_args(tmp_path, "grid = false\n", "--grid").grid is True
+
+
+class TestConfigFile:
+    """A config file supplies any option, required ones too; flags win,
+    and a bad value names the file and the key."""
+
+    def _features_argv(self, tmp_path, config_text, *flags):
+        manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=1)
+        config = tmp_path / "features.cfg"
+        config.write_text(config_text.format(manifest=manifest,
+                                             tmp=tmp_path), encoding="utf-8")
+        return ["features", "--config", str(config), *flags]
+
+    def test_file_supplies_required_options(self, tmp_path):
+        argv = self._features_argv(
+            tmp_path, "manifest = {manifest}\nout = {tmp}/from_file.jsonl\n")
+        assert cli.main(argv) == 0
+        assert len(corpusio.read_features(tmp_path / "from_file.jsonl")) == 4
+
+    def test_flag_overrides_required_option_in_file(self, tmp_path):
+        flag_out = tmp_path / "from_flag.jsonl"
+        argv = self._features_argv(
+            tmp_path, "manifest = {manifest}\nout = {tmp}/from_file.jsonl\n",
+            "--out", str(flag_out))
+        assert cli.main(argv) == 0
+        assert flag_out.exists()
+        assert not (tmp_path / "from_file.jsonl").exists()
+
+    def test_required_option_in_neither_exits_2(self, tmp_path):
+        argv = self._features_argv(tmp_path, "manifest = {manifest}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("line, expected", [
+        ("epochs = abc", "epochs = 'abc': expected int"),
+        ("lr = fast", "lr = 'fast': expected float"),
+        ("provider = cloud", "provider = 'cloud': expected one of local, "
+                             "remote"),
+    ])
+    def test_bad_value_names_file_and_key(self, tmp_path, capsys, line,
+                                          expected):
+        config = tmp_path / "train.cfg"
+        config.write_text(line + "\n", encoding="utf-8")
+        code = cli.main(["train", "--config", str(config), "--annotated",
+                         str(tmp_path / "a.jsonl"), "--out",
+                         str(tmp_path / "model.json")])
+        assert code == 1
+        assert f"train.cfg: {expected}" in capsys.readouterr().err
+
+
+class TestOptionRanges:
+    """Out-of-range options exit 1 with an error naming the option and
+    write nothing."""
+
+    def test_negative_window(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        corpusio.save_model(
+            predictor.params_to_artifact(predictor.init_params(0), {}), model)
+        texts = tmp_path / "texts.txt"
+        texts.write_text("one\ntwo\n", encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        assert cli.main(["predict", "--model", str(model), "--texts",
+                         str(texts), "--mode", "paragraph", "--window", "-2",
+                         "--out", str(out)]) == 1
+        assert "--window must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--C", "-1"], "C must be positive, got -1.0"),
+        (["--C", "0"], "C must be positive, got 0.0"),
+        (["--epochs", "-1"], "epochs must be at least 1, got -1"),
+        (["--epochs", "0"], "epochs must be at least 1, got 0"),
+    ])
+    def test_annotate_solver_options(self, tmp_path, capsys, flags, message):
+        manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=2)
+        records = corpusio.read_manifest(manifest)
+        rng = np.random.default_rng(0)
+        features = tmp_path / "features.jsonl"
+        corpusio.write_features({r.id: rng.normal(size=384) for r in records},
+                                features, order=[r.id for r in records])
+        out = tmp_path / "annotated.jsonl"
+        assert cli.main(["annotate", "--manifest", str(manifest),
+                         "--features", str(features), "--out", str(out),
+                         *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_remote_provider_posts_to_the_echoed_endpoint(tmp_path, capsys,
+                                                      embed_server,
+                                                      monkeypatch):
+    # the environment no longer overrides --endpoint
+    used, other = embed_server(), embed_server()
+    monkeypatch.setenv("EMOPRED_ENDPOINT", other.endpoint)
+    model = tmp_path / "model.json"
+    corpusio.save_model(
+        predictor.params_to_artifact(predictor.init_params(0), {}), model)
+    texts = tmp_path / "texts.txt"
+    texts.write_text("one\ntwo\n", encoding="utf-8")
+    assert cli.main(["predict", "--model", str(model), "--texts", str(texts),
+                     "--provider", "remote", "--endpoint", used.endpoint,
+                     "--out", str(tmp_path / "preds.jsonl")]) == 0
+    assert f"  endpoint = {used.endpoint}\n" in capsys.readouterr().err
+    assert used.posts == [["one", "two"]]
+    assert other.posts == []
 
 
 def test_module_help_has_no_runpy_warning():

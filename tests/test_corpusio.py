@@ -327,6 +327,73 @@ class TestModelArtifacts:
         assert outputs[0] == outputs[1]
 
 
+class TestPerHeadPredictorArtifacts:
+    """Predictor artifacts written before the two first layers were fused
+    hold each head's half of W1 and b1 as its own tensor (W1c/b1c for the
+    class head, W1s/b1s for the strength head). They load by stacking."""
+
+    @staticmethod
+    def _per_head(params):
+        tensors = {name: arr.copy() for name, arr in params.as_dict().items()
+                   if name not in ("W1", "b1")}
+        tensors.update(W1c=params.W1[:256].copy(), W1s=params.W1[256:].copy(),
+                       b1c=params.b1[:256].copy(), b1s=params.b1[256:].copy())
+        return ModelArtifact(kind="predictor", tensors=tensors,
+                             metadata={"seed": "7"})
+
+    @staticmethod
+    def _params(seed):
+        params = predictor.init_params(seed, 1.0)
+        params.b1 = np.random.default_rng(seed).normal(size=512)
+        return params
+
+    def test_v1_and_v2_load_stacked_and_predict_identically(self, tmp_path):
+        params = self._params(7)
+        legacy = self._per_head(params)
+        assert len(legacy.tensors) == 8
+        fused, v1, v2 = (tmp_path / f"{name}.json"
+                         for name in ("fused", "v1", "v2"))
+        corpusio.save_model(predictor.params_to_artifact(params), fused)
+        oracle_save_model_v1(legacy, v1)
+        corpusio.save_model(legacy, v2)
+        assert v1.read_bytes().startswith(b"{")
+        assert v2.read_bytes().startswith(MODEL_MAGIC)
+        texts = tmp_path / "texts.txt"
+        texts.write_text("I am so happy today\nThis is awful\n",
+                         encoding="utf-8")
+        outputs = []
+        for model in (fused, v1, v2):
+            loaded = predictor.params_from_artifact(corpusio.load_model(model))
+            np.testing.assert_array_equal(loaded.W1, np.vstack(
+                [legacy.tensors["W1c"], legacy.tensors["W1s"]]))
+            np.testing.assert_array_equal(loaded.b1, np.concatenate(
+                [legacy.tensors["b1c"], legacy.tensors["b1s"]]))
+            for name in ("W2c", "b2c", "w2s", "b2s"):
+                np.testing.assert_array_equal(getattr(loaded, name),
+                                              legacy.tensors[name])
+            out = tmp_path / f"pred-{model.stem}.jsonl"
+            assert cli.main(["predict", "--model", str(model), "--texts",
+                             str(texts), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("half", ["W1c", "W1s", "b1c", "b1s"])
+    def test_missing_half_names_it(self, tmp_path, half):
+        legacy = self._per_head(self._params(3))
+        del legacy.tensors[half]
+        path = tmp_path / "model.json"
+        corpusio.save_model(legacy, path)
+        with pytest.raises(ValueError,
+                           match=rf"missing tensors: \['{half}'\]"):
+            predictor.params_from_artifact(corpusio.load_model(path))
+
+    def test_misshapen_half_names_it(self):
+        legacy = self._per_head(self._params(3))
+        legacy.tensors["W1s"] = legacy.tensors["W1s"][:255]
+        with pytest.raises(ValueError, match=r"W1s has shape \(255, 768\)"):
+            predictor.params_from_artifact(legacy)
+
+
 def _split_artifact(path):
     """(header dict, tensor bytes) of a version 2 artifact file."""
     data = path.read_bytes()

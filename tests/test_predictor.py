@@ -80,11 +80,27 @@ class TestInitParams:
     def test_different_seed_differs(self):
         a = predictor.init_params(5, 1.0)
         b = predictor.init_params(6, 1.0)
-        assert not np.array_equal(a.W1c, b.W1c)
+        assert not np.array_equal(a.W1, b.W1)
+
+    def test_draw_order(self):
+        # class rows of W1, W2c, strength rows of W1, w2s: the order of the
+        # per-head layout, so seeds keep giving the same models
+        params = predictor.init_params(11, 0.5)
+        rng = np.random.default_rng(11)
+        shapes = ((256, 768), (4, 256), (256, 768), (1, 256))
+        blocks = [rng.uniform(-0.5 / math.sqrt(fan_in),
+                              0.5 / math.sqrt(fan_in), size=(rows, fan_in))
+                  for rows, fan_in in shapes]
+        np.testing.assert_array_equal(params.W1, np.vstack([blocks[0],
+                                                            blocks[2]]))
+        np.testing.assert_array_equal(params.W2c, blocks[1])
+        np.testing.assert_array_equal(params.w2s, blocks[3])
+        for name in ("b1", "b2c", "b2s"):
+            assert not getattr(params, name).any()
 
     def test_bounds(self):
         params = predictor.init_params(1, 1.0)
-        assert np.abs(params.W1c).max() <= 1.0 / math.sqrt(768)
+        assert np.abs(params.W1).max() <= 1.0 / math.sqrt(768)
         assert np.abs(params.W2c).max() <= 1.0 / math.sqrt(256)
 
 

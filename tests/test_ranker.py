@@ -112,8 +112,21 @@ class TestTrainRanksvm:
         with pytest.raises(ValueError, match="non-finite"):
             ranker.train_ranksvm(X[:1], X[1:])
 
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
+    def test_nonpositive_c_error(self, c):
+        with pytest.raises(ValueError, match="C must be positive"):
+            ranker.train_ranksvm(np.ones((1, 2)), np.zeros((1, 2)), c=c)
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one_error(self, epochs):
+        with pytest.raises(ValueError, match="epochs must be at least 1"):
+            ranker.train_ranksvm(np.ones((1, 2)), np.zeros((1, 2)),
+                                 epochs=epochs)
+
 
 class TestRankScore:
+    """Scores of one-row feature matrices."""
+
     def _model(self, w, mean=None, std=None):
         dim = len(w)
         return ranker.RankModel(
@@ -125,11 +138,11 @@ class TestRankScore:
 
     def test_score_at_mean_is_zero(self):
         model = self._model([2.0, -1.0], mean=[5.0, 7.0], std=[2.0, 3.0])
-        assert ranker.rank_score(model, np.array([5.0, 7.0])) == 0.0
+        assert ranker.rank_scores(model, np.array([[5.0, 7.0]]))[0] == 0.0
 
     def test_basis_direction(self):
         model = self._model([1.0, 0.0], mean=[0.0, 0.0], std=[2.0, 1.0])
-        assert ranker.rank_score(model, np.array([5.0, 99.0])) == 2.5
+        assert ranker.rank_scores(model, np.array([[5.0, 99.0]]))[0] == 2.5
 
     def test_random_dot_product_oracle(self):
         rng = np.random.default_rng(17)
@@ -139,12 +152,13 @@ class TestRankScore:
         x = rng.normal(size=6)
         model = self._model(w, mean, std)
         expected = sum(w[i] * (x[i] - mean[i]) / std[i] for i in range(6))
-        assert ranker.rank_score(model, x) == pytest.approx(expected, rel=1e-12)
+        assert ranker.rank_scores(model, x[None, :])[0] == pytest.approx(
+            expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         model = self._model([1.0, 2.0])
         with pytest.raises(ValueError, match="mismatch"):
-            ranker.rank_score(model, np.zeros(3))
+            ranker.rank_scores(model, np.zeros((1, 3)))
 
 
 class TestArtifact:
@@ -171,30 +185,42 @@ class TestArtifact:
         model = ranker.rank_model_from_artifact(
             corpusio.load_model(tmp_path / "rank_anger.json"))
         assert model.objective == 0.5
-        assert ranker.rank_score(model, np.array([1.0, 2.0])) == 3.0
+        assert ranker.rank_scores(model, np.array([[1.0, 2.0]]))[0] == 3.0
 
 
 class TestNormalizeStrengths:
-    def test_minmax(self):
-        out = ranker.normalize_strengths(
-            ["a", "b", "c"], ["anger"] * 3, [2.0, 4.0, 6.0], "anger")
-        assert [ann.strength for ann in out] == [0.0, 0.5, 1.0]
+    """annotate_corpus min-max scales each emotion's rank scores; the
+    scores are fixed here by replacing rank_scores."""
 
-    def test_all_equal_maps_to_half(self):
-        out = ranker.normalize_strengths(
-            ["a", "b"], ["anger", "anger"], [3.0, 3.0], "anger")
-        assert [ann.strength for ann in out] == [0.5, 0.5]
+    @staticmethod
+    def _strengths(monkeypatch, labels, scores):
+        monkeypatch.setattr(ranker, "rank_scores",
+                            lambda model, X: np.array(scores, dtype=float))
+        records = make_records(labels)
+        rng = np.random.default_rng(0)
+        features = {rec.id: rng.normal(size=3) for rec in records}
+        annotated, _ = ranker.annotate_corpus(records, features)
+        return [rec.strength for rec in annotated]
 
-    def test_neutral_always_zero(self):
-        out = ranker.normalize_strengths(
-            ["a", "b", "c"], ["anger", "neutral", "anger"],
-            [2.0, 100.0, 6.0], "anger")
-        assert out[1].strength == 0.0
-        assert out[0].strength == 0.0 and out[2].strength == 1.0
+    def test_minmax(self, monkeypatch):
+        out = self._strengths(monkeypatch, ["anger"] * 3 + ["neutral"],
+                              [2.0, 4.0, 6.0])
+        assert out[:3] == [0.0, 0.5, 1.0]
+
+    def test_all_equal_maps_to_half(self, monkeypatch):
+        out = self._strengths(monkeypatch, ["anger", "anger", "neutral"],
+                              [3.0, 3.0])
+        assert out[:2] == [0.5, 0.5]
+
+    def test_neutral_always_zero(self, monkeypatch):
+        out = self._strengths(monkeypatch, ["anger", "neutral", "anger"],
+                              [2.0, 6.0])
+        assert out[1] == 0.0
+        assert out[0] == 0.0 and out[2] == 1.0
 
     def test_empty_error(self):
         with pytest.raises(ValueError, match="empty"):
-            ranker.normalize_strengths([], [], [], "anger")
+            ranker.annotate_corpus([], {})
 
 
 class TestAnnotateCorpus:
@@ -224,6 +250,9 @@ class TestAnnotateCorpus:
         assert all(0.0 <= rec.strength <= 1.0 for rec in annotated)
         emotional = [r for r in annotated if r.emotion != "neutral"]
         assert any(r.strength > 0 for r in emotional)
+        for emotion in models:
+            values = [r.strength for r in annotated if r.emotion == emotion]
+            assert min(values) == 0.0 and max(values) == 1.0, emotion
 
     def test_single_emotional_utterance_degenerate(self):
         rng = np.random.default_rng(6)
