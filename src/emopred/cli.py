@@ -124,6 +124,7 @@ def _read_texts(path: str) -> tuple[list[str], list[str]]:
     if not rows:
         raise ValueError(f"{path}: no texts found")
     ids, texts = (list(column) for column in zip(*rows))
+    corpusio._check_unique_ids(ids, path)
     return ids, texts
 
 
@@ -158,8 +159,7 @@ def cmd_features(args) -> int:
 def cmd_annotate(args) -> int:
     records = corpusio.read_manifest(args.manifest)
     features = corpusio.read_features(args.features)
-    annotated, models = ranker.annotate_corpus(
-        records, features, c=args.C, epochs=args.epochs)
+    annotated, models = ranker.annotate_corpus(records, features, c=args.C)
     corpusio.write_annotations(annotated, args.out)
     if args.models_out:
         out_dir = Path(args.models_out)
@@ -169,7 +169,8 @@ def cmd_annotate(args) -> int:
                                 out_dir / f"rank_{emotion}.json")
     for emotion, model in sorted(models.items()):
         print(f"{emotion}: objective={model.objective:.6f} "
-              f"pair_accuracy={model.pair_accuracy:.3f}", file=sys.stderr)
+              f"pair_accuracy={model.pair_accuracy:.3f} gap={model.gap:.2e}",
+              file=sys.stderr)
     print(f"wrote {len(annotated)} annotations to {args.out}", file=sys.stderr)
     return 0
 
@@ -296,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--features", type=str, required=True)
     sub.add_argument("--out", type=str, required=True)
     sub.add_argument("--C", type=float, default=ranker.DEFAULT_C)
-    sub.add_argument("--epochs", type=int, default=ranker.DEFAULT_EPOCHS)
     sub.add_argument("--models-out", type=str, default="",
                      help="directory for per-emotion rank model artifacts")
 

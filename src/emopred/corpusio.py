@@ -146,12 +146,12 @@ def _require(obj: dict, key: str, path, lineno: int, kind: type | None = None):
                      f"{expected}, got {reprlib.repr(value)}")
 
 
-def _check_unique_ids(records, path) -> None:
+def _check_unique_ids(ids, path) -> None:
     seen: set[str] = set()
-    for rec in records:
-        if rec.id in seen:
-            raise ValueError(f"{path}: duplicate id {rec.id!r}")
-        seen.add(rec.id)
+    for uid in ids:
+        if uid in seen:
+            raise ValueError(f"{path}: duplicate id {uid!r}")
+        seen.add(uid)
 
 
 def _read_records(path: str | Path, cls) -> list:
@@ -167,13 +167,13 @@ def _read_records(path: str | Path, cls) -> list:
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from exc
         records.append(rec)
-    _check_unique_ids(records, path)
+    _check_unique_ids((rec.id for rec in records), path)
     return records
 
 
 def _write_records(records, path: str | Path, cls) -> None:
     """Write the `cls` fields of each validated record, one JSON per line."""
-    _check_unique_ids(records, path)
+    _check_unique_ids((rec.id for rec in records), path)
     for rec in records:
         rec.validate()
     names = [f.name for f in fields(cls)]

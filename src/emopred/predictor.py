@@ -32,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpusio import (AnnotatedRecord, EMOTIONS, ModelArtifact, _read_jsonl,
-                       _require)
+from .corpusio import (AnnotatedRecord, EMOTIONS, ModelArtifact,
+                       _check_unique_ids, _read_jsonl, _require)
 
 EMBED_DIM = 768
 HIDDEN_DIM = 256
@@ -101,10 +101,12 @@ class TrainConfig:
     lr_decay: float = 0.999
 
     def validate(self) -> None:
-        if self.lambda_cls < 0:
-            raise ValueError("lambda_cls must be nonnegative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 <= self.lambda_cls < np.inf:
+            raise ValueError(f"lambda_cls must be nonnegative and finite, "
+                             f"got {self.lambda_cls}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be at least 1")
 
@@ -116,8 +118,9 @@ def init_params(seed: int = 0, init_scale: float = 1.0) -> PredictorParams:
     strength rows of W1, w2s), so parameters are a pure function of
     (seed, init_scale).
     """
-    if init_scale < 0:
-        raise ValueError("init_scale must be nonnegative")
+    if not 0 <= init_scale < np.inf:
+        raise ValueError(
+            f"init_scale must be nonnegative and finite, got {init_scale}")
     rng = np.random.default_rng(seed)
 
     def draw(rows: int, fan_in: int) -> np.ndarray:
@@ -497,9 +500,13 @@ def predictions_from_jsonl(
                              f"{NUM_CLASSES} entries, got {len(probs)}")
         if label not in EMOTIONS:
             raise ValueError(f"{path}: line {lineno}: unknown class {label!r}")
+        if not 0.0 <= strength <= 1.0:
+            raise ValueError(f"{path}: line {lineno}: field 'strength' must "
+                             f"be in [0, 1], got {strength}")
         out.append((uid, EmotionPrediction(
             probs=probs, label=label, strength_raw=strength, strength=strength,
         )))
+    _check_unique_ids((uid for uid, _ in out), path)
     return out
 
 

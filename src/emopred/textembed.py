@@ -41,8 +41,9 @@ class ProviderConfig:
             raise ValueError(f"unknown provider mode {self.mode!r}")
         if self.mode == "remote" and not self.endpoint:
             raise ValueError("remote mode requires an endpoint")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout < np.inf:
+            raise ValueError(
+                f"timeout must be positive and finite, got {self.timeout}")
 
 
 def _ngram_codes(data: np.ndarray) -> np.ndarray:

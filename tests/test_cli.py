@@ -107,8 +107,7 @@ class TestOptionRanges:
     @pytest.mark.parametrize("flags, message", [
         (["--C", "-1"], "C must be positive, got -1.0"),
         (["--C", "0"], "C must be positive, got 0.0"),
-        (["--epochs", "-1"], "epochs must be at least 1, got -1"),
-        (["--epochs", "0"], "epochs must be at least 1, got 0"),
+        (["--C", "inf"], "C must be finite, got inf"),
     ])
     def test_annotate_solver_options(self, tmp_path, capsys, flags, message):
         manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=2)
@@ -121,6 +120,45 @@ class TestOptionRanges:
         assert cli.main(["annotate", "--manifest", str(manifest),
                          "--features", str(features), "--out", str(out),
                          *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_annotate_has_no_epochs_option(self, tmp_path):
+        # the solver stops at a certified optimum, not after a set count
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["annotate", "--manifest", "m.jsonl", "--features",
+                      "f.jsonl", "--out", str(tmp_path / "a.jsonl"),
+                      "--epochs", "5"])
+        assert exc.value.code == 2
+
+
+class TestNonFiniteOptions:
+    """NaN and infinite train options exit 1 naming the option, before
+    the model is written (annotate --C inf is in TestOptionRanges)."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "nan"],
+         "learning_rate must be positive and finite, got nan"),
+        (["--lr", "inf"],
+         "learning_rate must be positive and finite, got inf"),
+        (["--lambda-cls", "inf"],
+         "lambda_cls must be nonnegative and finite, got inf"),
+        (["--lambda-cls", "nan"],
+         "lambda_cls must be nonnegative and finite, got nan"),
+        (["--init-scale", "nan"],
+         "init_scale must be nonnegative and finite, got nan"),
+        (["--init-scale", "inf"],
+         "init_scale must be nonnegative and finite, got inf"),
+        (["--timeout", "nan"], "timeout must be positive and finite, got nan"),
+    ])
+    def test_train(self, tmp_path, capsys, flags, message):
+        annotated = tmp_path / "annotated.jsonl"
+        corpusio.write_annotations([corpusio.AnnotatedRecord(
+            id=f"u{i}", text=f"text {i}", emotion="anger", audio_path="",
+            split="train", strength=0.5) for i in range(3)], annotated)
+        out = tmp_path / "model.json"
+        assert cli.main(["train", "--annotated", str(annotated), "--out",
+                         str(out), "--epochs", "2", *flags]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -241,9 +279,17 @@ class TestBadPredictionsFile:
          '"strength": 0.0}\n',
          "line 2: field 'probs' must be a flat list of finite numbers, "
          "got {'x': 1}"),
+        (GOOD + '{"id": "b", "probs": [1, 0, 0, 0], "class": "neutral", '
+         '"strength": 1.5}\n',
+         "line 2: field 'strength' must be in [0, 1], got 1.5"),
+        (GOOD + '{"id": "b", "probs": [1, 0, 0, 0], "class": "neutral", '
+         '"strength": -0.25}\n',
+         "line 2: field 'strength' must be in [0, 1], got -0.25"),
+        (GOOD * 2, "duplicate id 'a'"),
     ], ids=["missing-field", "not-an-object", "invalid-json", "null-strength",
             "bool-strength", "nan-strength", "null-id", "number-class",
-            "null-probs", "short-probs", "object-probs"])
+            "null-probs", "short-probs", "object-probs", "strength-above-1",
+            "negative-strength", "repeated-id"])
     def test_exit_1_with_file_line_and_problem(self, tmp_path, capsys, argv,
                                                command, content, message):
         path = tmp_path / "preds.jsonl"
@@ -337,6 +383,20 @@ class TestReadTexts:
                          str(texts)])
         assert code == 1
         assert "line 1: missing field 'id'" in capsys.readouterr().err
+
+    def test_predict_refuses_repeated_id(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        corpusio.save_model(
+            predictor.params_to_artifact(predictor.init_params(0), {}), model)
+        texts = tmp_path / "texts.jsonl"
+        texts.write_text('{"id": "a", "text": "one"}\n'
+                         '{"id": "b", "text": "two"}\n'
+                         '{"id": "a", "text": "three"}\n', encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        assert cli.main(["predict", "--model", str(model), "--texts",
+                         str(texts), "--out", str(out)]) == 1
+        assert "texts.jsonl: duplicate id 'a'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_plain_lines_numbered(self, tmp_path):
         path = tmp_path / "texts.txt"

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
-from emopred import corpusio, ranker
+from emopred import afeat, corpusio, ranker
 from emopred.corpusio import UtteranceRecord
+from emopred.synthcorpus import generate_micro_corpus
 from oracles import oracle_pair_hinge, relative_error
 
 
@@ -48,11 +50,9 @@ class TestBuildPairs:
         w = np.array(data.draw(st.lists(ints, min_size=dim, max_size=dim)),
                      float)
         c = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
-        objective, subgradient, accuracy = oracle_pair_hinge(w, Zs, Zw, c)
+        objective, _, accuracy = oracle_pair_hinge(w, Zs, Zw, c)
         assert relative_error(ranker._objective(w, Zs, Zw, c),
                               objective) <= 1e-9
-        np.testing.assert_allclose(ranker._subgradient(w, Zs, Zw, c),
-                                   subgradient, rtol=1e-9, atol=1e-9)
         assert relative_error(ranker._pair_accuracy(w, Zs, Zw),
                               accuracy) <= 1e-9
 
@@ -72,7 +72,7 @@ class TestTrainRanksvm:
         strengths = X @ w_star + rng.normal(0, 0.01, size=n)
         order = np.argsort(strengths)
         model = ranker.train_ranksvm(X[order[n // 2:]], X[order[:n // 2]],
-                                     c=1.0, epochs=400)
+                                     c=1.0)
         w_orig = model.w / model.feat_std
         cos = w_orig @ w_star / np.linalg.norm(w_orig)
         assert cos >= 0.99
@@ -81,7 +81,7 @@ class TestTrainRanksvm:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(3, 2))
         c = 1.0
-        model = ranker.train_ranksvm(X[[0]], X[[1, 2]], c=c, epochs=2000)
+        model = ranker.train_ranksvm(X[[0]], X[[1, 2]], c=c)
 
         # brute-force oracle over the standardized difference vectors
         Z = (X - model.feat_mean) / model.feat_std
@@ -98,7 +98,7 @@ class TestTrainRanksvm:
         X = rng.normal(size=(30, 8))
         model = ranker.train_ranksvm(X[:15], X[15:], emotion="anger")
         trace = model.objective_trace
-        assert len(trace) == model.epochs + 1
+        assert trace[-1] == model.objective
         assert all(trace[i + 1] <= trace[i] + 1e-9 for i in range(len(trace) - 1))
 
     def test_empty_pairs_error(self):
@@ -117,11 +117,63 @@ class TestTrainRanksvm:
         with pytest.raises(ValueError, match="C must be positive"):
             ranker.train_ranksvm(np.ones((1, 2)), np.zeros((1, 2)), c=c)
 
-    @pytest.mark.parametrize("epochs", [0, -1])
-    def test_epochs_below_one_error(self, epochs):
-        with pytest.raises(ValueError, match="epochs must be at least 1"):
+    def test_infinite_c_error(self):
+        with pytest.raises(ValueError, match="C must be finite, got inf"):
             ranker.train_ranksvm(np.ones((1, 2)), np.zeros((1, 2)),
-                                 epochs=epochs)
+                                 c=float("inf"))
+
+
+def _dual_optimum(Zs, Zw, c):
+    """max over 0 <= a <= C of sum(a) - 0.5 * ||D.T a||^2, the rows of D
+    the pair differences z_i - z_j, by scipy's L-BFGS-B."""
+    D = (Zs[:, None, :] - Zw[None, :, :]).reshape(-1, Zs.shape[1])
+
+    def negative_dual(a):
+        w = D.T @ a
+        return 0.5 * w @ w - a.sum(), D @ w - 1.0
+
+    result = minimize(negative_dual, np.zeros(len(D)), jac=True,
+                      method="L-BFGS-B", bounds=[(0.0, c)] * len(D),
+                      options={"ftol": 0.0, "gtol": 1e-13, "maxiter": 10000})
+    return -result.fun
+
+
+class TestCertifiedOptimum:
+    """The solver reaches the optimum of J, certified by its own gap."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tiny_instances_match_box_qp(self, seed):
+        rng = np.random.default_rng(seed)
+        n_s, n_w, dim = rng.integers(1, 5, size=3)
+        c = [0.01, 0.3, 1.0, 20.0][seed % 4]
+        X = rng.normal(size=(n_s + n_w, dim))
+        model = ranker.train_ranksvm(X[:n_s], X[n_s:], c=c)
+        Z = (X - model.feat_mean) / model.feat_std
+        assert model.gap <= 1e-6
+        assert relative_error(model.objective,
+                              _dual_optimum(Z[:n_s], Z[n_s:], c)) <= 1e-6
+
+    def test_lowest_primal_is_kept(self):
+        # at C = 1 the primal at the dual iterates rises and falls
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(30, 8))
+        model = ranker.train_ranksvm(X[:15], X[15:], c=1.0)
+        trace = model.objective_trace
+        assert trace[-1] == model.objective == min(trace)
+        assert all(later <= earlier
+                   for earlier, later in zip(trace, trace[1:]))
+        assert model.gap <= 1e-6
+
+    def test_gap_on_synthetic_corpus(self, tmp_path):
+        manifest = generate_micro_corpus(tmp_path, seed=3, per_emotion=6)
+        records = corpusio.read_manifest(manifest)
+        features = {
+            r.id: afeat.extract_features(afeat.load_audio(r.audio_path))
+            for r in records}
+        _, models = ranker.annotate_corpus(records, features)
+        assert sorted(models) == ["anger", "happiness", "sadness"]
+        for emotion, model in models.items():
+            assert model.gap <= 1e-6, emotion
 
 
 class TestRankScore:
@@ -133,7 +185,7 @@ class TestRankScore:
             emotion="anger", w=np.asarray(w, dtype=float),
             feat_mean=np.zeros(dim) if mean is None else np.asarray(mean),
             feat_std=np.ones(dim) if std is None else np.asarray(std),
-            c=1.0, epochs=0,
+            c=1.0,
         )
 
     def test_score_at_mean_is_zero(self):
@@ -165,7 +217,7 @@ class TestArtifact:
     def test_round_trip(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(8, 3))
-        model = ranker.train_ranksvm(X[:4], X[4:], epochs=5, emotion="anger")
+        model = ranker.train_ranksvm(X[:4], X[4:], emotion="anger")
         back = ranker.rank_model_from_artifact(
             ranker.rank_model_to_artifact(model))
         np.testing.assert_array_equal(back.w, model.w)

@@ -83,6 +83,12 @@ class TestProviderConfig:
         with pytest.raises(ValueError, match="timeout"):
             ProviderConfig(mode="local", timeout=0).validate()
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_nonfinite_timeout(self, timeout):
+        with pytest.raises(ValueError, match="timeout must be positive and "
+                           "finite"):
+            ProviderConfig(mode="local", timeout=timeout).validate()
+
 
 class TestEmbedRemote:
     def test_passthrough_in_order(self, embed_server):
