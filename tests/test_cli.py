@@ -123,13 +123,15 @@ class TestOptionRanges:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_annotate_has_no_epochs_option(self, tmp_path):
+    @pytest.mark.parametrize("epochs", ["5", "-1", "0"])
+    def test_annotate_has_no_epochs_option(self, tmp_path, epochs):
         # the solver stops at a certified optimum, not after a set count
+        out = tmp_path / "a.jsonl"
         with pytest.raises(SystemExit) as exc:
             cli.main(["annotate", "--manifest", "m.jsonl", "--features",
-                      "f.jsonl", "--out", str(tmp_path / "a.jsonl"),
-                      "--epochs", "5"])
+                      "f.jsonl", "--out", str(out), "--epochs", epochs])
         assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestNonFiniteOptions:

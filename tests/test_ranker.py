@@ -122,6 +122,13 @@ class TestTrainRanksvm:
             ranker.train_ranksvm(np.ones((1, 2)), np.zeros((1, 2)),
                                  c=float("inf"))
 
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_is_not_a_parameter(self, epochs):
+        # the values once refused as too few epochs; no count is taken now
+        with pytest.raises(TypeError, match="epochs"):
+            ranker.train_ranksvm(np.ones((1, 2)), np.zeros((1, 2)),
+                                 epochs=epochs)
+
 
 def _dual_optimum(Zs, Zw, c):
     """max over 0 <= a <= C of sum(a) - 0.5 * ||D.T a||^2, the rows of D
