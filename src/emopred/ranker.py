@@ -16,7 +16,7 @@ are always assigned strength 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +28,7 @@ from .corpusio import (
     UtteranceRecord,
 )
 
-# From C = 1e-3 up, on 4 clips per emotion every pair sits on the margin
-# and an emotion's scores tie to ~1e-7, so its strengths are noise.
-DEFAULT_C = 1e-4
+DEFAULT_C = 1.0
 STD_FLOOR = 1e-8
 GAP_TOL = 1e-6
 MAX_ITERATIONS = 20_000
@@ -89,65 +87,77 @@ def train_ranksvm(
         max over 0 <= a_ij <= C of  sum(a) - 0.5 * ||w(a)||^2,
         w(a) = sum_ij a_ij (z_i - z_j) = Z.T @ v,  v = [a @ 1; -a.T @ 1],
 
-    in the span of the rows: w(a) scores u = K @ v, K = Z @ Z.T, and the
-    gradient for pair ij is 1 - (u_i - u_j). FISTA with gradient restart
-    (Beck & Teboulle 2009; O'Donoghue & Candes 2015) steps 1/L, where
-    L = (n_s + n_w) * lambda_max(K) is a proven bound: for the pair map
-    D: a -> v, D @ D.T is the Laplacian of the complete bipartite graph,
-    with largest eigenvalue n_s + n_w. The step is capped at C, which
-    keeps it finite for constant features (K = 0).
+    whose gradient for pair ij is 1 - (u_i - u_j), u = Z @ w(a). FISTA
+    with gradient restart (Beck & Teboulle 2009; O'Donoghue & Candes
+    2015) steps 1/L, where L = (n_s + n_w) * sigma_max(Z)^2 is a proven
+    bound: for the pair map D: a -> v, D @ D.T is the Laplacian of the
+    complete bipartite graph, with largest eigenvalue n_s + n_w. The
+    step is capped at C, which keeps it finite for constant features.
 
     After each step the sort-based primal J at w(a) and the dual at a
     bracket the optimum; the lowest J seen (from w = 0) is kept and
     traced. Training stops when its gap to the dual, relative to it, is
     at most GAP_TOL, or after MAX_ITERATIONS steps; `gap` says which.
-    Memory: a few n_s x n_w arrays (20 KB each at 50 x 50, 8 MB at
-    1000 x 1000) and the (n_s + n_w)^2 Gram matrix. Refuses C that is
-    not positive and finite, an empty side and non-finite features.
+    Memory: three n_s x n_w arrays, reused every step (20 KB each at
+    50 x 50, 8 MB at 1000 x 1000). Refuses C that is not positive and
+    finite, an empty side and non-finite features.
     """
     if not c > 0:
         raise ValueError(f"C must be positive, got {c}")
     if not c < np.inf:
         raise ValueError(f"C must be finite, got {c}")
-    Xs, Xw = (np.asarray(m, dtype=np.float64) for m in (strong, weak))
+    Xs = np.asarray(strong, dtype=np.float64)
+    Xw = np.asarray(weak, dtype=np.float64)
     if len(Xs) == 0 or len(Xw) == 0:
         raise ValueError(
             f"empty pair set: {len(Xs)} strong x {len(Xw)} weak rows")
     X = np.vstack([Xs, Xw])
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite feature values")
-    mean, std = X.mean(axis=0), np.maximum(X.std(axis=0), STD_FLOOR)
+    mean = X.mean(axis=0)
+    std = np.maximum(X.std(axis=0), STD_FLOOR)
     Z = (X - mean) / std
     n_s = len(Xs)
     Zs, Zw = Z[:n_s], Z[n_s:]
-    K = Z @ Z.T
-    step = 1.0 / max(len(Z) * np.linalg.eigvalsh(K)[-1], 1.0 / c)
+    sigma = np.linalg.svd(Z, compute_uv=False)[0]
+    step = 1.0 / max(len(Z) * sigma * sigma, 1.0 / c)
 
     w = np.zeros(X.shape[1])
     best = _objective(w, Zs, Zw, c)
     trace, theta = [best], 1.0
-    a = y = np.zeros((n_s, len(Xw)))
+    # a: iterate, y: extrapolated point, spare: next iterate; v_a and v_y
+    # are [a @ 1; -a.T @ 1] of a and y, which fix w and the gradient
+    a, y, spare = (np.zeros((n_s, len(Xw))) for _ in range(3))
+    v_a = v_y = np.zeros(len(Z))
     for _ in range(MAX_ITERATIONS):
-        u = K @ np.concatenate([y.sum(axis=1), -y.sum(axis=0)])
-        a_next = np.clip(y + step * (1.0 - (u[:n_s, None] - u[None, n_s:])),
-                         0.0, c)
-        if np.vdot(y - a_next, a_next - a) > 0:
+        u = step * (Z @ (Z.T @ v_y))
+        a_next = np.add((step - u[:n_s])[:, None], u[None, n_s:], out=spare)
+        a_next += y
+        np.clip(a_next, 0.0, c, out=a_next)
+        v_next = np.concatenate([a_next.sum(axis=1), -a_next.sum(axis=0)])
+        move = np.subtract(a_next, a, out=a)
+        if np.vdot(np.subtract(y, a_next, out=y), move) > 0:
             theta = 1.0
         theta_next = (1.0 + np.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
-        y = a_next + (theta - 1.0) / theta_next * (a_next - a)
-        a, theta = a_next, theta_next
-        w_a = Zs.T @ a.sum(axis=1) - Zw.T @ a.sum(axis=0)
+        beta = (theta - 1.0) / theta_next
+        np.multiply(move, beta, out=y)
+        y += a_next
+        v_y = v_next + beta * (v_next - v_a)
+        a, spare, v_a, theta = a_next, move, v_next, theta_next
+        w_a = Z.T @ v_a
         objective = _objective(w_a, Zs, Zw, c)
         if objective < best:
             best, w = objective, w_a
         trace.append(best)
-        gap = (best - float(a.sum()) + 0.5 * float(w_a @ w_a)) / best
+        gap = float(best - v_a[:n_s].sum() + 0.5 * (w_a @ w_a)) / best
         if gap <= GAP_TOL:
             break
 
-    return RankModel(emotion=emotion, w=w, feat_mean=mean, feat_std=std,
-                     c=float(c), objective=best, objective_trace=trace,
-                     pair_accuracy=_pair_accuracy(w, Zs, Zw), gap=gap)
+    return RankModel(
+        emotion=emotion, w=w, feat_mean=mean, feat_std=std, c=float(c),
+        objective=best, pair_accuracy=_pair_accuracy(w, Zs, Zw), gap=gap,
+        objective_trace=trace,
+    )
 
 
 def rank_scores(model: RankModel, features: np.ndarray) -> np.ndarray:
@@ -170,6 +180,13 @@ def annotate_corpus(
     emotional utterance is scored by its own emotion's model and min-max
     normalized within that emotion (0.5 for all when its scores are
     equal). Neutral strengths are 0.
+
+    When every pair sits on the margin, as on a few utterances in many
+    dimensions, the optimum gives all of an emotion's utterances one
+    score. If the scores agree to within what the model's gap certifies,
+    they carry no order, and the utterances are scored instead by the
+    difference of the standardized class means: the direction of the
+    same RankSVM for every C small enough that no pair leaves the hinge.
     """
     if not records:
         raise ValueError("empty corpus")
@@ -192,13 +209,25 @@ def annotate_corpus(
         model = train_ranksvm(X[idx], neutral, c=c, emotion=emotion)
         models[emotion] = model
         scores = rank_scores(model, X[idx])
+        Zs = (X[idx] - model.feat_mean) / model.feat_std
+        # J is 1-strongly convex: |w - w*| <= sqrt(2 (J(w) - J*)), and
+        # J(w) - J* <= gap * J(w)
+        accuracy = np.linalg.norm(Zs, axis=1).max() * np.sqrt(
+            2.0 * max(model.gap, 0.0) * model.objective)
+        if np.ptp(scores) <= 2.0 * accuracy:
+            # Z is centred over both classes, so the difference of the
+            # class means points along the emotional class's mean
+            scores = rank_scores(replace(model, w=Zs.mean(axis=0)), X[idx])
         lo, hi = scores.min(), scores.max()
         strengths[idx] = 0.5 if hi == lo else (scores - lo) / (hi - lo)
 
-    annotated = [AnnotatedRecord(id=r.id, text=r.text, emotion=r.emotion,
-                                 audio_path=r.audio_path, split=r.split,
-                                 strength=float(strength))
-                 for r, strength in zip(records, strengths)]
+    annotated = [
+        AnnotatedRecord(
+            id=r.id, text=r.text, emotion=r.emotion, audio_path=r.audio_path,
+            split=r.split, strength=float(strength),
+        )
+        for r, strength in zip(records, strengths)
+    ]
     return annotated, models
 
 
@@ -206,24 +235,34 @@ def rank_model_to_artifact(model: RankModel) -> ModelArtifact:
     """Package a rank model for persistence."""
     return ModelArtifact(
         kind="rank",
-        tensors={"w": model.w, "feat_mean": model.feat_mean,
-                 "feat_std": model.feat_std},
-        metadata={"emotion": model.emotion, **{
-            key: repr(getattr(model, key))
-            for key in ("c", "objective", "pair_accuracy", "gap")}},
+        tensors={
+            "w": model.w,
+            "feat_mean": model.feat_mean,
+            "feat_std": model.feat_std,
+        },
+        metadata={
+            "emotion": model.emotion,
+            "c": repr(model.c),
+            "objective": repr(model.objective),
+            "pair_accuracy": repr(model.pair_accuracy),
+            "gap": repr(model.gap),
+        },
     )
 
 
 def rank_model_from_artifact(artifact: ModelArtifact) -> RankModel:
-    """A rank model from its artifact. Keys of older artifacts such as
-    `epochs` are ignored; a missing reported value reads as NaN."""
+    """A rank model from its artifact; the `epochs` key of older
+    artifacts is ignored and a missing `gap` reads as NaN."""
     if artifact.kind != "rank":
         raise ValueError(f"expected a rank artifact, got {artifact.kind!r}")
-    meta, tensors = artifact.metadata, artifact.tensors
+    meta = artifact.metadata
     return RankModel(
-        emotion=meta.get("emotion", ""), w=tensors["w"],
-        feat_mean=tensors["feat_mean"], feat_std=tensors["feat_std"],
+        emotion=meta.get("emotion", ""),
+        w=artifact.tensors["w"],
+        feat_mean=artifact.tensors["feat_mean"],
+        feat_std=artifact.tensors["feat_std"],
         c=float(meta.get("c", DEFAULT_C)),
-        **{key: float(meta.get(key, "nan"))
-           for key in ("objective", "pair_accuracy", "gap")},
+        objective=float(meta.get("objective", "nan")),
+        pair_accuracy=float(meta.get("pair_accuracy", "nan")),
+        gap=float(meta.get("gap", "nan")),
     )
