@@ -13,12 +13,22 @@ regression offset, slope, and residual MSE.
 Each clip goes through a fixed number of whole-array passes: the frames
 are one strided view, the F0 peak search runs over all frames at once,
 the mel bank is one broadcast, and `functionals` reduces all 32 contours
-together. Each pass gives bit for bit what the per-frame, per-filter and
-per-contour formulas give.
+together.
+
+The autocorrelation is one FFT pair whose length is the smallest
+2^a*3^b*5^c of at least frame_len + lag_max (675 for 400-sample frames
+at 16 kHz). A circular correlation of that length adds lag N - k to lag
+k, and for k <= lag_max that lag is at least frame_len, longer than any
+two samples of a frame lie apart, so lags 0..lag_max are the linear
+ones up to rounding. The Hann window, mel bank and DCT matrix are built
+once per (sample rate, frame length) and shared read-only. `functionals`
+forms each moment from products of the deviations, so it equals the
+textbook formulas up to rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -183,6 +193,43 @@ def _dct_matrix(n_input: int) -> np.ndarray:
     return np.cos(np.pi * k * (n[None, :] + 0.5) / n_input)
 
 
+@functools.lru_cache(maxsize=8)
+def _spectral_tables(sample_rate: int,
+                     frame_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hann window, transposed mel bank and transposed DCT matrix for one
+    (sample rate, frame length), built once and read-only because every
+    clip at that rate shares them."""
+    tables = (np.hanning(frame_len), _mel_filterbank(sample_rate, frame_len).T,
+              _dct_matrix(NUM_MEL_FILTERS).T)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c that is at least n (n >= 1)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two that takes p35 to at least n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _autocorrelation(frames: np.ndarray, lag_max: int) -> np.ndarray:
+    """Linear autocorrelation of each mean-removed frame at lags
+    0..lag_max, shape (frames, lag_max + 1), from one FFT pair of the
+    smallest fast length that cannot wrap (see the module docstring)."""
+    centered = frames - frames.mean(axis=1, keepdims=True)
+    n_fft = _fast_len(frames.shape[1] + lag_max)
+    spectrum = np.fft.rfft(centered, n=n_fft)
+    return np.fft.irfft(spectrum * np.conj(spectrum), n=n_fft)[:, :lag_max + 1]
+
+
 def extract_lld(clip: AudioClip) -> np.ndarray:
     """Per-frame low-level descriptors, shape (frames, 16).
 
@@ -201,19 +248,12 @@ def extract_lld(clip: AudioClip) -> np.ndarray:
     zcr = np.sum(frames[:, :-1] * frames[:, 1:] < 0, axis=1) / frame_len
     rms = np.sqrt(np.mean(frames ** 2, axis=1))
 
-    # Linear (zero-padded) autocorrelation of mean-removed frames via FFT.
-    centered = frames - frames.mean(axis=1, keepdims=True)
-    n_fft = 1
-    while n_fft < 2 * frame_len:
-        n_fft *= 2
-    spectrum = np.fft.rfft(centered, n=n_fft)
-    acf = np.fft.irfft(spectrum * np.conj(spectrum), n=n_fft)[:, :frame_len]
-
     # Peak of the normalized ACF over the lag window, all frames at once.
     # Rows that fail a voicing test still compute (possibly inf or NaN)
     # values; the mask below discards them.
     lag_min = int(np.floor(sr / F0_MAX_HZ))
     lag_max = min(int(np.ceil(sr / F0_MIN_HZ)), frame_len - 1)
+    acf = _autocorrelation(frames, lag_max)
     with np.errstate(divide="ignore", invalid="ignore"):
         window = acf[:, lag_min:lag_max + 1] / acf[:, :1]
         last = window.shape[1] - 1
@@ -232,11 +272,10 @@ def extract_lld(clip: AudioClip) -> np.ndarray:
         f0 = np.where(voiced, sr / lag, 0.0)
         hnr = np.where(voiced, hnr, 0.0)
 
-    power = np.abs(np.fft.rfft(frames * np.hanning(frame_len), n=frame_len)) ** 2
-    bank = _mel_filterbank(sr, frame_len)
-    mel_energy = power @ bank.T
-    log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))
-    mfcc = log_mel @ _dct_matrix(NUM_MEL_FILTERS).T
+    hann, bank_t, dct_t = _spectral_tables(sr, frame_len)
+    power = np.abs(np.fft.rfft(frames * hann, n=frame_len)) ** 2
+    log_mel = np.log(np.maximum(power @ bank_t, LOG_FLOOR))
+    mfcc = log_mel @ dct_t
     return np.column_stack([zcr, rms, f0, hnr, mfcc])
 
 
@@ -287,10 +326,12 @@ def functionals(contours: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = np.mean(x, axis=1)
         d = x - mean[:, None]
-        m2 = np.mean(d ** 2, axis=1)
+        # products, not d ** 3 and d ** 4, which numpy sends to C pow
+        d2 = d * d
+        m2 = np.mean(d2, axis=1)
         sd = np.sqrt(m2)
-        skew = np.where(m2 > 0, np.mean(d ** 3, axis=1) / (m2 * sd), 0.0)
-        kurt = np.where(m2 > 0, np.mean(d ** 4, axis=1) / (m2 * m2) - 3.0, 0.0)
+        skew = np.where(m2 > 0, np.mean(d2 * d, axis=1) / (m2 * sd), 0.0)
+        kurt = np.where(m2 > 0, np.mean(d2 * d2, axis=1) / (m2 * m2) - 3.0, 0.0)
         # Below sd ~ 1e-77, m2*m2 = sd**4 (and soon m2*sd and the odd and
         # fourth moments) leave the normal range, so the quotients above
         # lose their digits or become 0/0; such rows take the moments of
@@ -298,8 +339,9 @@ def functionals(contours: np.ndarray) -> np.ndarray:
         tiny = (m2 > 0) & (m2 * m2 < np.finfo(np.float64).tiny)
         if tiny.any():
             z = d[tiny] / sd[tiny, None]
-            skew[tiny] = np.mean(z ** 3, axis=1)
-            kurt[tiny] = np.mean(z ** 4, axis=1) - 3.0
+            z2 = z * z
+            skew[tiny] = np.mean(z2 * z, axis=1)
+            kurt[tiny] = np.mean(z2 * z2, axis=1) - 3.0
         vmin, vmax = np.min(x, axis=1), np.max(x, axis=1)
         pos_min = np.argmin(x, axis=1) / (n - 1)
         pos_max = np.argmax(x, axis=1) / (n - 1)

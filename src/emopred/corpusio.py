@@ -123,6 +123,25 @@ def _is_finite_number(value) -> bool:
     return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
+def _finite_float_array(value) -> np.ndarray | None:
+    """`value` as a float64 array if it is a list whose every entry passes
+    `_is_finite_number`, else None. One type scan and one conversion
+    replace the per-entry calls."""
+    if type(value) is not list or not set(map(type, value)) <= {int, float}:
+        return None
+    try:
+        array = np.array(value, dtype=np.float64)
+    except OverflowError:  # an int beyond float64 range
+        return None
+    if not np.isfinite(array).all():
+        return None
+    # an int just past the float64 maximum rounds to it without overflow
+    edge = np.flatnonzero(np.abs(array) == _FLOAT_MAX)
+    if not all(_is_finite_number(value[i]) for i in edge):
+        return None
+    return array
+
+
 def _require(obj: dict, key: str, path, lineno: int, kind: type | None = None):
     """Field `key` of the object on line `lineno` of `path`. kind=str
     requires a string; kind=float a finite number, not a bool;
@@ -135,11 +154,11 @@ def _require(obj: dict, key: str, path, lineno: int, kind: type | None = None):
         expected = "a string"
     elif kind is float and not _is_finite_number(value):
         expected = "a finite number"
-    elif kind is np.ndarray and (type(value) is not list
-                                 or not all(map(_is_finite_number, value))):
-        expected = "a flat list of finite numbers"
     elif kind is np.ndarray:
-        return np.array(value, dtype=np.float64)
+        array = _finite_float_array(value)
+        if array is not None:
+            return array
+        expected = "a flat list of finite numbers"
     else:
         return float(value) if kind is float else value
     raise ValueError(f"{path}: line {lineno}: field {key!r} must be "

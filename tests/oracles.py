@@ -62,6 +62,19 @@ def oracle_mfcc_frame(frame: np.ndarray, sample_rate: int,
     return out
 
 
+def oracle_autocorrelation_pow2(frames: np.ndarray) -> np.ndarray:
+    """Linear autocorrelation of each mean-removed frame at lags
+    0..frame_len-1, from an FFT pair of the smallest power of two that is
+    at least 2 * frame_len (1024 for 400-sample frames)."""
+    frame_len = frames.shape[1]
+    centered = frames - frames.mean(axis=1, keepdims=True)
+    n_fft = 1
+    while n_fft < 2 * frame_len:
+        n_fft *= 2
+    spectrum = np.fft.rfft(centered, n=n_fft)
+    return np.fft.irfft(spectrum * np.conj(spectrum), n=n_fft)[:, :frame_len]
+
+
 def oracle_f0_hnr(acf: np.ndarray, rms: np.ndarray, sr: int, frame_len: int,
                   f0_min: float = 60.0, f0_max: float = 500.0,
                   peak_threshold: float = 0.3, rms_floor: float = 1e-4,
@@ -289,3 +302,11 @@ def oracle_save_model_v1(artifact, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def oracle_is_finite_number(value) -> bool:
+    """The per-entry rule for numbers read from JSON: an int or a float,
+    not a bool, within float64 range (which also refuses NaN and the
+    infinities)."""
+    big = float(np.finfo(np.float64).max)
+    return type(value) in (int, float) and -big <= value <= big

@@ -6,16 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.fft import next_fast_len
 from scipy.io import wavfile
 
 from emopred import afeat
 from emopred.afeat import AudioClip
+from emopred.corpusio import read_manifest
+from emopred.synthcorpus import generate_micro_corpus
 
 from conftest import make_tone
 from oracles import (
+    oracle_autocorrelation_pow2,
     oracle_delta_column,
     oracle_f0_hnr,
     oracle_functionals,
@@ -264,10 +268,7 @@ class TestF0Oracle:
         # the autocorrelation and RMS that extract_lld feeds its search
         frames = afeat.frame_signal(clip)
         frame_len = frames.shape[1]
-        centered = frames - frames.mean(axis=1, keepdims=True)
-        n_fft = 1 << (2 * frame_len - 1).bit_length()
-        spectrum = np.fft.rfft(centered, n=n_fft)
-        acf = np.fft.irfft(spectrum * np.conj(spectrum), n=n_fft)[:, :frame_len]
+        acf = afeat._autocorrelation(frames, _lag_window(clip.sample_rate)[1])
         rms = np.sqrt(np.mean(frames ** 2, axis=1))
         return np.column_stack(oracle_f0_hnr(acf, rms, clip.sample_rate,
                                              frame_len))
@@ -290,6 +291,79 @@ class TestF0Oracle:
         lag = _lag_window(sample_rate)[end]
         f0 = afeat.extract_lld(_f0_test_signal(kind, sample_rate))[:, 2]
         assert np.count_nonzero(f0 == sample_rate / lag) >= 10
+
+
+def _within(actual: np.ndarray, expected: np.ndarray, bound: float) -> bool:
+    return bool(np.all(np.abs(actual - expected)
+                       <= bound * (1.0 + np.abs(expected))))
+
+
+class TestAutocorrelation:
+    """The right-sized ACF against a direct sum and the power-of-two path."""
+
+    @pytest.mark.parametrize("sample_rate", RATES)
+    @pytest.mark.parametrize("kind", ["tone", "noise", "impulses", "silence"])
+    def test_every_lag_equals_the_direct_sum(self, kind, sample_rate):
+        # A too-short FFT would add lag N - k to lag k; the tone is
+        # correlated at every lag, so any such fold shows.
+        frames = afeat.frame_signal(_f0_test_signal(kind, sample_rate))
+        lag_max = _lag_window(sample_rate)[1]
+        acf = afeat._autocorrelation(frames, lag_max)
+        c = frames - frames.mean(axis=1, keepdims=True)
+        direct = np.stack([np.einsum("ij,ij->i", c[:, :c.shape[1] - k], c[:, k:])
+                           for k in range(lag_max + 1)], axis=1)
+        assert acf.shape == direct.shape
+        assert np.all(np.abs(acf - direct) <= 1e-12 * (1.0 + direct[:, :1]))
+
+    @given(st.integers(1, 10_000))
+    @example(400 + 267)  # 675, the length at 16 kHz
+    def test_fast_len_matches_scipy(self, n):
+        assert afeat._fast_len(n) == next_fast_len(n, real=True)
+
+    @staticmethod
+    def _assert_near_pow2_path(clip: AudioClip) -> None:
+        # The power-of-two ACF, then the per-contour functionals oracle.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(afeat, "_autocorrelation", lambda frames, lag_max:
+                       oracle_autocorrelation_pow2(frames)[:, :lag_max + 1])
+            expected_lld = afeat.extract_lld(clip)
+        contours = np.hstack([expected_lld, afeat.delta(expected_lld)])
+        expected = np.stack([oracle_functionals(c) for c in contours.T])
+        lld = afeat.extract_lld(clip)
+        got = afeat.extract_features(clip).reshape(expected.shape)
+        assert np.array_equal(lld[:, 2] == 0.0, expected_lld[:, 2] == 0.0)
+        assert _within(lld, expected_lld, 1e-11)
+        smooth = [not name.startswith("relpos") for name in afeat.FUNCTIONAL_NAMES]
+        assert _within(got[:, smooth], expected[:, smooth], 1e-11)
+        # A relative position names a frame, which can move among frames
+        # whose values tie up to rounding; it must name an extreme of the
+        # expected contour to within the bound.
+        picked = np.rint(got[:, 7:9] * (len(contours) - 1)).astype(int)
+        columns = np.arange(contours.shape[1])
+        assert _within(contours[picked[:, 0], columns], contours.min(axis=0), 1e-11)
+        assert _within(contours[picked[:, 1], columns], contours.max(axis=0), 1e-11)
+
+    @pytest.mark.parametrize("sample_rate", RATES)
+    @pytest.mark.parametrize("kind", ["tone", "noise", "impulses", "silence",
+                                      "first_lag", "last_lag"])
+    def test_f0_signals_match_pow2_path(self, kind, sample_rate):
+        self._assert_near_pow2_path(_f0_test_signal(kind, sample_rate))
+
+    def test_synthetic_corpus_matches_pow2_path(self, tmp_path):
+        manifest = generate_micro_corpus(tmp_path, seed=4, per_emotion=2)
+        for rec in read_manifest(manifest):
+            self._assert_near_pow2_path(afeat.load_audio(rec.audio_path))
+
+
+class TestSpectralTables:
+    @pytest.mark.parametrize("sample_rate", RATES)
+    def test_built_once_and_read_only(self, sample_rate):
+        frame_len = int(sample_rate * afeat.FRAME_MS / 1000.0)
+        tables = afeat._spectral_tables(sample_rate, frame_len)
+        assert afeat._spectral_tables(sample_rate, frame_len) is tables
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = 1.0
 
 
 class TestDelta:

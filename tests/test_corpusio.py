@@ -17,7 +17,7 @@ from emopred.corpusio import (
     UtteranceRecord,
 )
 
-from oracles import oracle_save_model_v1
+from oracles import oracle_is_finite_number, oracle_save_model_v1
 
 
 def manifest_line(uid, emotion="neutral", split="train", **extra):
@@ -159,6 +159,29 @@ class TestFeaturesFile:
         assert str(exc.value) == (
             f"{path}: line 2: field 'features' must be a flat list of "
             f"finite numbers, got {shown}")
+
+    # ints just inside and just outside float64 range, and those past its
+    # maximum that round to it instead of overflowing
+    _EDGE_INTS = [sign * (base + step) for sign in (1, -1)
+                  for base in (int(np.finfo(np.float64).max), 2 ** 1024 - 2 ** 970)
+                  for step in (-1, 0, 1)]
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(st.one_of(
+        st.floats(), st.integers(), st.sampled_from(_EDGE_INTS),
+        st.booleans(), st.none(), st.text(max_size=2),
+        st.lists(st.floats(), max_size=2)), max_size=6))
+    def test_accepts_exactly_the_per_entry_rule(self, tmp_path, values):
+        path = tmp_path / "f.jsonl"
+        path.write_text(json.dumps({"id": "a", "features": values}) + "\n")
+        if all(map(oracle_is_finite_number, values)):
+            back = corpusio.read_features(path)["a"]
+            assert np.array_equal(back, np.array(values, dtype=np.float64))
+        else:
+            with pytest.raises(ValueError, match="must be a flat list of "
+                               "finite numbers"):
+                corpusio.read_features(path)
 
     def test_short_vector_names_file_line_and_id(self, tmp_path):
         rng = np.random.default_rng(2)
