@@ -168,8 +168,11 @@ def cmd_annotate(args) -> int:
             corpusio.save_model(ranker.rank_model_to_artifact(model),
                                 out_dir / f"rank_{emotion}.json")
     for emotion, model in sorted(models.items()):
+        capped = (f" (stopped at the {ranker.MAX_ITERATIONS}-step cap)"
+                  if model.gap > ranker.GAP_TOL else "")
         print(f"{emotion}: objective={model.objective:.6f} "
-              f"pair_accuracy={model.pair_accuracy:.3f} gap={model.gap:.2e}",
+              f"pair_accuracy={model.pair_accuracy:.3f} gap={model.gap:.2e} "
+              f"steps={len(model.objective_trace) - 1}{capped}",
               file=sys.stderr)
     print(f"wrote {len(annotated)} annotations to {args.out}", file=sys.stderr)
     return 0

@@ -224,7 +224,7 @@ def write_annotations(records: list[AnnotatedRecord], path: str | Path) -> None:
 
 def read_features(path: str | Path) -> dict[str, np.ndarray]:
     """Read a feature file: JSONL records {"id": ..., "features": [...]},
-    every vector as long as the first one."""
+    every vector non-empty and as long as the first one."""
     feats: dict[str, np.ndarray] = {}
     dim = first_line = None
     for lineno, obj in _read_jsonl(path):
@@ -232,6 +232,9 @@ def read_features(path: str | Path) -> dict[str, np.ndarray]:
         vec = _require(obj, "features", path, lineno, np.ndarray)
         if uid in feats:
             raise ValueError(f"{path}: duplicate id {uid!r}")
+        if len(vec) == 0:
+            raise ValueError(f"{path}: line {lineno}: field 'features' "
+                             "is empty")
         if dim is None:
             dim, first_line = len(vec), lineno
         elif len(vec) != dim:

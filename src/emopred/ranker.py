@@ -1,22 +1,21 @@
 """Emotion-strength annotation with per-emotion linear ranking SVMs.
 
 For each non-neutral emotion a linear ranking function is trained on
-every (emotional, neutral) utterance pair with the objective
+every (emotional, neutral) utterance pair with the squared-hinge
+objective of relative-attribute rankers (Parikh & Grauman 2011)
 
-    J(w) = 0.5 * ||w||^2 + C * sum_ij max(0, 1 - w.(z_i - z_j))
+    J(w) = 0.5 * ||w||^2 + C * sum_ij max(0, 1 - w.(z_i - z_j))^2
 
-over per-dimension standardized features z, i strong and j weak. The
-pairs are bipartite, so the hinge sum over all n_s * n_w pairs follows
-from one sort of the scores plus prefix sums, without forming the pairs.
-J is minimized through its dual, solved until the primal-dual gap
-certifies the optimum (see train_ranksvm). Rank scores are min-max
-normalized within each emotion to [0, 1] strengths; neutral utterances
-are always assigned strength 0.
+over per-dimension standardized features z, i strong and j weak. Sums
+over the active pairs (margin > 0) come from one sort of the scores and
+prefix sums, and Newton's method minimizes J in the primal until its
+dual gap certifies the optimum (train_ranksvm). Rank scores are min-max
+normalized per emotion to [0, 1] strengths; neutral ones get 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from .corpusio import (
 DEFAULT_C = 1.0
 STD_FLOOR = 1e-8
 GAP_TOL = 1e-6
-MAX_ITERATIONS = 20_000
+MAX_ITERATIONS = 200
 
 
 @dataclass
@@ -49,27 +48,57 @@ class RankModel:
     objective_trace: list[float] = field(default_factory=list, repr=False)
 
 
-def _hinge(s: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
-    """Sum over all pairs (i, j) of max(0, 1 - (s_i - t_j)), and the count
-    k_i of active pairs (t_j > s_i - 1) of each strong score s_i."""
-    t_sorted = np.sort(t)
-    tail = np.append(np.cumsum(t_sorted[::-1])[::-1], 0.0)
-    first = np.searchsorted(t_sorted, s - 1.0, side="right")
-    k = len(t) - first
-    return float(k @ (1.0 - s) + tail[first].sum()), k
+def _active_sums(x: np.ndarray, y: np.ndarray):
+    """For the pairs (i, j) with y_j > x_i: the count k_i of each x_i's
+    pairs, and a function summing a vector aligned with y over them."""
+    order = np.argsort(y)
+    first = np.searchsorted(y[order], x, side="right")
+
+    def sums(values: np.ndarray) -> np.ndarray:
+        return np.append(np.cumsum(values[order][::-1])[::-1], 0.0)[first]
+
+    return len(y) - first, sums
 
 
-def _objective(w: np.ndarray, Zs: np.ndarray, Zw: np.ndarray,
-               c: float) -> float:
-    hinge, _ = _hinge(Zs @ w, Zw @ w)
-    return 0.5 * float(w @ w) + c * hinge
+def _terms(w: np.ndarray, Z: np.ndarray, n_s: int, c: float):
+    """J(w), its gradient, relative dual gap and Hessian-vector product,
+    strong rows Z[:n_s]. With a_i, b_j the sums of margins m_ij = 1 - s_i
+    + t_j over the active pairs of rows i and j, the gradient is w - 2C
+    (Zs.T a - Zw.T b), the Hessian I + 2C sum_active (z_i-z_j)(z_i-z_j)^T."""
+    s, t = np.split(Z @ w, [n_s])
+    k_s, over_weak = _active_sums(s - 1.0, t)
+    # pair ij is active for weak row j exactly when -s_i > -t_j - 1
+    k_w, over_strong = _active_sums(-t - 1.0, -s)
+    a = k_s * (1.0 - s) + over_weak(t)
+    b = k_w * (1.0 + t) - over_strong(s)
+    loss = float(a @ (1.0 - s) + b @ t)
+    objective = 0.5 * float(w @ w) + c * loss
+    w_dual = 2.0 * c * (Z.T @ np.concatenate([a, -b]))
+    dual = 2.0 * c * float(a.sum()) - 0.5 * float(w_dual @ w_dual) - c * loss
+
+    def hessian_product(p: np.ndarray) -> np.ndarray:
+        u_s, u_w = np.split(Z @ p, [n_s])
+        v = np.concatenate([k_s * u_s - over_weak(u_w),
+                            k_w * u_w - over_strong(u_s)])
+        return p + 2.0 * c * (Z.T @ v)
+
+    return objective, w - w_dual, 1.0 - dual / objective, hessian_product
 
 
-def _pair_accuracy(w: np.ndarray, Zs: np.ndarray, Zw: np.ndarray) -> float:
-    """Share of pairs ranked correctly, s_i > t_j."""
-    s, t = Zs @ w, Zw @ w
-    below = np.searchsorted(np.sort(t), s, side="left")
-    return float(below.sum()) / (len(s) * len(t))
+def _conjugate_gradient(hessian_product, b: np.ndarray) -> np.ndarray:
+    """Solve H x = b from x = 0 to a residual of GAP_TOL * ||b||, or for
+    len(b) steps; each iterate is a descent direction for b = -gradient."""
+    x, r, d = np.zeros_like(b), b.copy(), b.copy()
+    rr = float(r @ r)
+    for _ in range(len(b)):
+        if rr <= GAP_TOL * GAP_TOL * float(b @ b):
+            break
+        Hd = hessian_product(d)
+        step = rr / float(d @ Hd)
+        x, r = x + step * d, r - step * Hd
+        rr, rr_last = float(r @ r), rr
+        d = r + (rr / rr_last) * d
+    return x
 
 
 def train_ranksvm(
@@ -82,25 +111,16 @@ def train_ranksvm(
 
     Every row of `strong` should rank above every row of `weak`. Features
     are standardized per dimension over both sides (std floored at 1e-8)
-    into the rows z of Z, and J is minimized through its dual
-
-        max over 0 <= a_ij <= C of  sum(a) - 0.5 * ||w(a)||^2,
-        w(a) = sum_ij a_ij (z_i - z_j) = Z.T @ v,  v = [a @ 1; -a.T @ 1],
-
-    whose gradient for pair ij is 1 - (u_i - u_j), u = Z @ w(a). FISTA
-    with gradient restart (Beck & Teboulle 2009; O'Donoghue & Candes
-    2015) steps 1/L, where L = (n_s + n_w) * sigma_max(Z)^2 is a proven
-    bound: for the pair map D: a -> v, D @ D.T is the Laplacian of the
-    complete bipartite graph, with largest eigenvalue n_s + n_w. The
-    step is capped at C, which keeps it finite for constant features.
-
-    After each step the sort-based primal J at w(a) and the dual at a
-    bracket the optimum; the lowest J seen (from w = 0) is kept and
-    traced. Training stops when its gap to the dual, relative to it, is
-    at most GAP_TOL, or after MAX_ITERATIONS steps; `gap` says which.
-    Memory: three n_s x n_w arrays, reused every step (20 KB each at
-    50 x 50, 8 MB at 1000 x 1000). Refuses C that is not positive and
-    finite, an empty side and non-finite features.
+    into the rows z of Z. From w = 0, each truncated Newton step (Lee &
+    Lin 2014) takes its direction from conjugate gradients and its length
+    from a 1-D Newton search, so J falls up to rounding; it is traced.
+    The dual of J, max over alpha >= 0 of sum(alpha) - ||alpha||^2 / (4C)
+    - 0.5 * ||sum_ij alpha_ij (z_i - z_j)||^2, taken at alpha = 2C * max(0,
+    margin), bounds the optimum from below. Training stops when J's gap
+    to that bound is at most GAP_TOL of J, or after MAX_ITERATIONS steps;
+    `gap` says which. Memory is O((n_s + n_w) * d): no pair-sized or
+    d x d array is formed. Refuses C that is not positive and finite, an
+    empty side and non-finite features.
     """
     if not c > 0:
         raise ValueError(f"C must be positive, got {c}")
@@ -118,45 +138,36 @@ def train_ranksvm(
     std = np.maximum(X.std(axis=0), STD_FLOOR)
     Z = (X - mean) / std
     n_s = len(Xs)
-    Zs, Zw = Z[:n_s], Z[n_s:]
-    sigma = np.linalg.svd(Z, compute_uv=False)[0]
-    step = 1.0 / max(len(Z) * sigma * sigma, 1.0 / c)
 
     w = np.zeros(X.shape[1])
-    best = _objective(w, Zs, Zw, c)
-    trace, theta = [best], 1.0
-    # a: iterate, y: extrapolated point, spare: next iterate; v_a and v_y
-    # are [a @ 1; -a.T @ 1] of a and y, which fix w and the gradient
-    a, y, spare = (np.zeros((n_s, len(Xw))) for _ in range(3))
-    v_a = v_y = np.zeros(len(Z))
-    for _ in range(MAX_ITERATIONS):
-        u = step * (Z @ (Z.T @ v_y))
-        a_next = np.add((step - u[:n_s])[:, None], u[None, n_s:], out=spare)
-        a_next += y
-        np.clip(a_next, 0.0, c, out=a_next)
-        v_next = np.concatenate([a_next.sum(axis=1), -a_next.sum(axis=0)])
-        move = np.subtract(a_next, a, out=a)
-        if np.vdot(np.subtract(y, a_next, out=y), move) > 0:
-            theta = 1.0
-        theta_next = (1.0 + np.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
-        beta = (theta - 1.0) / theta_next
-        np.multiply(move, beta, out=y)
-        y += a_next
-        v_y = v_next + beta * (v_next - v_a)
-        a, spare, v_a, theta = a_next, move, v_next, theta_next
-        w_a = Z.T @ v_a
-        objective = _objective(w_a, Zs, Zw, c)
-        if objective < best:
-            best, w = objective, w_a
-        trace.append(best)
-        gap = float(best - v_a[:n_s].sum() + 0.5 * (w_a @ w_a)) / best
-        if gap <= GAP_TOL:
-            break
+    objective, grad, gap, hess = _terms(w, Z, n_s, c)
+    trace = [objective]
+    while gap > GAP_TOL and len(trace) <= MAX_ITERATIONS:
+        p = _conjugate_gradient(hess, -grad)
+        # Newton on phi'(eta) = grad J(w + eta p).p, piecewise linear and
+        # increasing; bisect the root's bracket [lo, hi] where a Newton
+        # step would leave it, and stop if the bracket collapses
+        slope_0, lo, hi, eta = float(grad @ p), 0.0, np.inf, 1.0
+        while True:
+            objective, grad, gap, hess = _terms(w + eta * p, Z, n_s, c)
+            slope = float(grad @ p)
+            if abs(slope) <= -GAP_TOL * slope_0:
+                break
+            lo, hi = (eta, hi) if slope < 0.0 else (lo, eta)
+            newton = eta - slope / float(p @ hess(p))
+            eta_next = newton if lo < newton < hi else 0.5 * (lo + hi)
+            if eta_next in (lo, hi):
+                break
+            eta = eta_next
+        w = w + eta * p
+        trace.append(objective)
 
+    s, t = np.split(Z @ w, [n_s])
+    # pair accuracy: the share of pairs with s_i > t_j, i.e. -t_j > -s_i
     return RankModel(
         emotion=emotion, w=w, feat_mean=mean, feat_std=std, c=float(c),
-        objective=best, pair_accuracy=_pair_accuracy(w, Zs, Zw), gap=gap,
-        objective_trace=trace,
+        objective=objective, gap=gap, objective_trace=trace,
+        pair_accuracy=float(_active_sums(-s, -t)[0].sum()) / (n_s * len(t)),
     )
 
 
@@ -179,14 +190,8 @@ def annotate_corpus(
     all of that emotion's utterances against all neutral ones; each
     emotional utterance is scored by its own emotion's model and min-max
     normalized within that emotion (0.5 for all when its scores are
-    equal). Neutral strengths are 0.
-
-    When every pair sits on the margin, as on a few utterances in many
-    dimensions, the optimum gives all of an emotion's utterances one
-    score. If the scores agree to within what the model's gap certifies,
-    they carry no order, and the utterances are scored instead by the
-    difference of the standardized class means: the direction of the
-    same RankSVM for every C small enough that no pair leaves the hinge.
+    equal). Neutral strengths are 0. Each model minimizes the squared
+    hinge J until its relative dual gap is GAP_TOL (train_ranksvm).
     """
     if not records:
         raise ValueError("empty corpus")
@@ -209,15 +214,6 @@ def annotate_corpus(
         model = train_ranksvm(X[idx], neutral, c=c, emotion=emotion)
         models[emotion] = model
         scores = rank_scores(model, X[idx])
-        Zs = (X[idx] - model.feat_mean) / model.feat_std
-        # J is 1-strongly convex: |w - w*| <= sqrt(2 (J(w) - J*)), and
-        # J(w) - J* <= gap * J(w)
-        accuracy = np.linalg.norm(Zs, axis=1).max() * np.sqrt(
-            2.0 * max(model.gap, 0.0) * model.objective)
-        if np.ptp(scores) <= 2.0 * accuracy:
-            # Z is centred over both classes, so the difference of the
-            # class means points along the emotional class's mean
-            scores = rank_scores(replace(model, w=Zs.mean(axis=0)), X[idx])
         lo, hi = scores.min(), scores.max()
         strengths[idx] = 0.5 if hi == lo else (scores - lo) / (hi - lo)
 
@@ -242,10 +238,10 @@ def rank_model_to_artifact(model: RankModel) -> ModelArtifact:
         },
         metadata={
             "emotion": model.emotion,
-            "c": repr(model.c),
-            "objective": repr(model.objective),
-            "pair_accuracy": repr(model.pair_accuracy),
-            "gap": repr(model.gap),
+            "c": repr(float(model.c)),
+            "objective": repr(float(model.objective)),
+            "pair_accuracy": repr(float(model.pair_accuracy)),
+            "gap": repr(float(model.gap)),
         },
     )
 

@@ -181,14 +181,16 @@ def oracle_forward(params, x: np.ndarray):
 
 def oracle_pair_hinge(w: np.ndarray, Zs: np.ndarray, Zw: np.ndarray,
                       c: float):
-    """RankSVM objective over every (strong, weak) pair, pair by pair.
+    """Squared-hinge RankSVM objective over every (strong, weak) pair, pair
+    by pair.
 
-    Returns (objective, subgradient, pair_accuracy); a pair with margin
-    exactly 0 is inactive and a pair with score difference exactly 0 is
-    not counted as correct.
+    Returns (objective, gradient, Hessian, pair_accuracy); a pair with
+    margin exactly 0 is inactive and a pair with score difference exactly
+    0 is not counted as correct.
     """
-    hinge = 0.0
-    active = np.zeros(len(w))
+    loss = 0.0
+    gradient = np.array(w, dtype=float)
+    hessian = np.eye(len(w))
     correct = 0
     for i in range(len(Zs)):
         for j in range(len(Zw)):
@@ -196,12 +198,13 @@ def oracle_pair_hinge(w: np.ndarray, Zs: np.ndarray, Zw: np.ndarray,
             score = sum(w[k] * diff[k] for k in range(len(w)))
             margin = 1.0 - score
             if margin > 0.0:
-                hinge += margin
-                active += diff
+                loss += margin * margin
+                gradient -= 2.0 * c * margin * diff
+                hessian += 2.0 * c * np.outer(diff, diff)
             if score > 0.0:
                 correct += 1
-    objective = 0.5 * sum(v * v for v in w) + c * hinge
-    return objective, w - c * active, correct / (len(Zs) * len(Zw))
+    objective = 0.5 * sum(v * v for v in w) + c * loss
+    return objective, gradient, hessian, correct / (len(Zs) * len(Zw))
 
 
 def oracle_embed_local(texts: list[str], seed: int = 0,

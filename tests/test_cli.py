@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emopred import cli, corpusio, predictor
+from emopred import cli, corpusio, predictor, ranker
 from emopred.synthcorpus import generate_micro_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -122,6 +122,41 @@ class TestOptionRanges:
                          *flags]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_annotate_refuses_empty_feature_vectors(self, tmp_path, capsys):
+        manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=1)
+        features = tmp_path / "features.jsonl"
+        features.write_text("".join(
+            json.dumps({"id": r.id, "features": []}) + "\n"
+            for r in corpusio.read_manifest(manifest)), encoding="utf-8")
+        out = tmp_path / "annotated.jsonl"
+        assert cli.main(["annotate", "--manifest", str(manifest),
+                         "--features", str(features), "--out", str(out)]) == 1
+        assert ("features.jsonl: line 1: field 'features' is empty"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cap, marked", [(200, False), (1, True)])
+    def test_annotate_reports_steps_and_step_cap(self, tmp_path, capsys,
+                                                 monkeypatch, cap, marked):
+        monkeypatch.setattr(ranker, "MAX_ITERATIONS", cap)
+        manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=6)
+        records = corpusio.read_manifest(manifest)
+        rng = np.random.default_rng(0)
+        features = tmp_path / "features.jsonl"
+        corpusio.write_features({r.id: rng.normal(size=384) for r in records},
+                                features, order=[r.id for r in records])
+        assert cli.main(["annotate", "--manifest", str(manifest),
+                         "--features", str(features), "--out",
+                         str(tmp_path / "annotated.jsonl")]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if " steps=" in line]
+        assert [line.split(":")[0] for line in lines] == [
+            "anger", "happiness", "sadness"]
+        for line in lines:
+            steps = int(line.split(" steps=")[1].split()[0])
+            assert 1 <= steps <= cap
+            assert ("(stopped at the 1-step cap)" in line) is marked
 
     @pytest.mark.parametrize("epochs", ["5", "-1", "0"])
     def test_annotate_has_no_epochs_option(self, tmp_path, epochs):

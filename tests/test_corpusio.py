@@ -175,7 +175,11 @@ class TestFeaturesFile:
     def test_accepts_exactly_the_per_entry_rule(self, tmp_path, values):
         path = tmp_path / "f.jsonl"
         path.write_text(json.dumps({"id": "a", "features": values}) + "\n")
-        if all(map(oracle_is_finite_number, values)):
+        if not values:
+            with pytest.raises(ValueError, match="line 1: field 'features' "
+                               "is empty"):
+                corpusio.read_features(path)
+        elif all(map(oracle_is_finite_number, values)):
             back = corpusio.read_features(path)["a"]
             assert np.array_equal(back, np.array(values, dtype=np.float64))
         else:

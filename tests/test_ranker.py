@@ -1,5 +1,7 @@
 """RankSVM training, scoring, and strength annotation tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,13 +49,22 @@ class TestBuildPairs:
         Zw = np.array(data.draw(st.lists(st.lists(ints, min_size=dim,
                                                   max_size=dim),
                                          min_size=1, max_size=6)), float)
-        w = np.array(data.draw(st.lists(ints, min_size=dim, max_size=dim)),
-                     float)
+        w, p = (np.array(data.draw(st.lists(ints, min_size=dim,
+                                            max_size=dim)), float)
+                for _ in range(2))
         c = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
-        objective, _, accuracy = oracle_pair_hinge(w, Zs, Zw, c)
-        assert relative_error(ranker._objective(w, Zs, Zw, c),
-                              objective) <= 1e-9
-        assert relative_error(ranker._pair_accuracy(w, Zs, Zw),
+        objective, gradient, hessian, accuracy = oracle_pair_hinge(
+            w, Zs, Zw, c)
+        got_objective, got_gradient, _, hessian_product = ranker._terms(
+            w, np.vstack([Zs, Zw]), len(Zs), c)
+        assert relative_error(got_objective, objective) <= 1e-9
+        np.testing.assert_allclose(got_gradient, gradient, rtol=1e-9,
+                                   atol=1e-9)
+        np.testing.assert_allclose(hessian_product(p), hessian @ p,
+                                   rtol=1e-9, atol=1e-9)
+        # the count train_ranksvm reports as pair accuracy
+        correct, _ = ranker._active_sums(-(Zs @ w), -(Zw @ w))
+        assert relative_error(correct.sum() / (len(Zs) * len(Zw)),
                               accuracy) <= 1e-9
 
 
@@ -88,7 +99,7 @@ class TestTrainRanksvm:
         diffs = np.array([Z[0] - Z[1], Z[0] - Z[2]])
         grid = np.arange(-3.0, 3.0 + 1e-12, 0.01)
         W = np.stack(np.meshgrid(grid, grid, indexing="ij"), -1).reshape(-1, 2)
-        hinge = np.maximum(0.0, 1.0 - W @ diffs.T).sum(axis=1)
+        hinge = (np.maximum(0.0, 1.0 - W @ diffs.T) ** 2).sum(axis=1)
         objectives = 0.5 * (W ** 2).sum(axis=1) + c * hinge
         best = objectives.min()
         assert abs(model.objective - best) <= 0.01 * best
@@ -101,6 +112,20 @@ class TestTrainRanksvm:
         assert trace[-1] == model.objective == min(trace)
         assert all(trace[i + 1] <= trace[i] + 1e-9 for i in range(len(trace) - 1))
         assert model.gap <= 1e-6
+
+    def test_memory_linear_in_rows(self):
+        # one 3000 x 3000 float64 array of pairs alone would be 69 MiB
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(6000, 8))
+        X[:3000] += 0.3
+        tracemalloc.start()
+        try:
+            model = ranker.train_ranksvm(X[:3000], X[3000:])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.gap <= 1e-6
+        assert peak < 16 * 2 ** 20
 
     def test_empty_pairs_error(self):
         with pytest.raises(ValueError, match="empty"):
@@ -131,19 +156,18 @@ class TestTrainRanksvm:
                                  epochs=epochs)
 
 
-def _dual_optimum(Zs, Zw, c):
-    """max over 0 <= a <= C of sum(a) - 0.5 * ||D.T a||^2, the rows of D
-    the pair differences z_i - z_j, by scipy's L-BFGS-B."""
+def _primal_minimum(Zs, Zw, c, w0):
+    """min of 0.5 * ||w||^2 + C * ||max(0, 1 - D w)||^2, the rows of D the
+    pair differences z_i - z_j, by scipy's L-BFGS-B started from w0."""
     D = (Zs[:, None, :] - Zw[None, :, :]).reshape(-1, Zs.shape[1])
 
-    def negative_dual(a):
-        w = D.T @ a
-        return 0.5 * w @ w - a.sum(), D @ w - 1.0
+    def primal(w):
+        m = np.maximum(0.0, 1.0 - D @ w)
+        return 0.5 * w @ w + c * m @ m, w - 2.0 * c * (D.T @ m)
 
-    result = minimize(negative_dual, np.zeros(len(D)), jac=True,
-                      method="L-BFGS-B", bounds=[(0.0, c)] * len(D),
+    result = minimize(primal, w0, jac=True, method="L-BFGS-B",
                       options={"ftol": 0.0, "gtol": 1e-13, "maxiter": 10000})
-    return -result.fun
+    return result.fun
 
 
 class TestCertifiedOptimum:
@@ -151,15 +175,21 @@ class TestCertifiedOptimum:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_tiny_instances_match_box_qp(self, seed):
+        # L-BFGS-B from zero can stop short of the optimum (0.26% above it
+        # at seed 11), so it bounds J from above, and a restart from the
+        # returned w checks that L-BFGS-B finds nothing lower
         rng = np.random.default_rng(seed)
         n_s, n_w, dim = rng.integers(1, 5, size=3)
         c = [0.01, 0.3, 1.0, 20.0][seed % 4]
         X = rng.normal(size=(n_s + n_w, dim))
         model = ranker.train_ranksvm(X[:n_s], X[n_s:], c=c)
         Z = (X - model.feat_mean) / model.feat_std
+        Zs, Zw = Z[:n_s], Z[n_s:]
         assert model.gap <= 1e-6
-        assert relative_error(model.objective,
-                              _dual_optimum(Z[:n_s], Z[n_s:], c)) <= 1e-6
+        assert model.objective <= _primal_minimum(
+            Zs, Zw, c, np.zeros(dim)) * (1.0 + 1e-6)
+        assert _primal_minimum(Zs, Zw, c, model.w) >= (
+            model.objective * (1.0 - 1e-6))
 
     def test_gap_on_synthetic_corpus(self, tmp_path):
         manifest = generate_micro_corpus(tmp_path, seed=3, per_emotion=6)
@@ -220,6 +250,17 @@ class TestArtifact:
         np.testing.assert_array_equal(back.w, model.w)
         assert (back.emotion, back.objective, back.pair_accuracy) == (
             "anger", model.objective, model.pair_accuracy)
+
+    def test_round_trip_numpy_scalars(self):
+        model = ranker.RankModel(
+            emotion="anger", w=np.ones(2), feat_mean=np.zeros(2),
+            feat_std=np.ones(2), c=np.float64(1.0),
+            objective=np.float64(0.5), pair_accuracy=np.float64(0.75),
+            gap=np.float64(1e-7))
+        back = ranker.rank_model_from_artifact(
+            ranker.rank_model_to_artifact(model))
+        assert (back.c, back.objective, back.pair_accuracy, back.gap) == (
+            1.0, 0.5, 0.75, 1e-7)
 
     def test_artifact_with_seed_metadata_loads(self, tmp_path):
         artifact = corpusio.ModelArtifact(
@@ -311,21 +352,24 @@ class TestAnnotateCorpus:
         assert len(anger) == 1
         assert anger[0].strength == 0.5
 
-    def test_margin_tie_scored_by_class_means(self):
-        # 3 against 3 utterances in 20 dimensions: at the optimum every pair
-        # sits on the margin, so the rank scores tie to within the gap
+    def test_few_rows_in_many_dimensions_keep_distinct_scores(self):
+        # 3 against 3 utterances in 20 dimensions: every pair sits on the
+        # margin of the linear hinge's optimum, whose scores all tie; the
+        # squared hinge's optimum keeps them apart
         rng = np.random.default_rng(11)
         X = rng.normal(size=(6, 20))
         records = make_records(["anger"] * 3 + ["neutral"] * 3)
         features = {rec.id: X[i] for i, rec in enumerate(records)}
         annotated, models = ranker.annotate_corpus(records, features, c=1.0)
         model = models["anger"]
-        assert np.ptp(ranker.rank_scores(model, X[:3])) < 1e-6
-        Z = (X - model.feat_mean) / model.feat_std
-        by_means = Z[:3] @ (Z[:3].mean(axis=0) - Z[3:].mean(axis=0))
+        assert model.gap <= 1e-6
+        scores = ranker.rank_scores(model, X[:3])
+        spread = np.ptp(scores)
+        assert all(abs(scores[i] - scores[j]) > 1e-3 * spread
+                   for i in range(3) for j in range(i))
         np.testing.assert_allclose(
             [r.strength for r in annotated[:3]],
-            (by_means - by_means.min()) / np.ptp(by_means), rtol=0, atol=1e-12)
+            (scores - scores.min()) / spread, rtol=0, atol=1e-12)
 
     def test_rerun_identical(self):
         rng = np.random.default_rng(8)
