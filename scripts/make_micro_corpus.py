@@ -12,8 +12,11 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--per-emotion", type=int, default=3)
     args = parser.parse_args()
-    manifest = generate_micro_corpus(args.out_dir, seed=args.seed,
-                                     per_emotion=args.per_emotion)
+    try:
+        manifest = generate_micro_corpus(args.out_dir, seed=args.seed,
+                                         per_emotion=args.per_emotion)
+    except ValueError as exc:
+        parser.error(str(exc))
     print(manifest)
 
 

@@ -13,9 +13,7 @@ Model artifacts are written in format version 2, a binary layout:
   in sorted-name order, with nothing after the last one.
 
 So the file size is fixed by the header, and save/load round trips are
-bit exact. Version 1 files, a single JSON document with base64-encoded
-tensors, still load; the reader tells the two apart by the magic bytes,
-not by the file name.
+bit exact.
 """
 
 from __future__ import annotations
@@ -299,18 +297,17 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ModelArtifact:
-    """Load a version 2 artifact, or a version 1 JSON artifact.
+    """Load a version 2 artifact (module docstring).
 
-    The format is told by the leading magic bytes. Refuses, naming
-    `path`: an unsupported version, an unknown kind, a shape that is not
-    a list of non-negative ints, and a file whose size is not what the
-    header's shapes require (truncated tensors or trailing bytes). The
-    tensors are read straight into new arrays, which are writable.
+    Refuses, naming `path`: a file that does not start with MODEL_MAGIC,
+    an unsupported version, an unknown kind, a shape that is not a list
+    of non-negative ints, and a file whose size is not what the header's
+    shapes require (truncated tensors or trailing bytes). The tensors are
+    read straight into new arrays, which are writable.
     """
     with open(path, "rb") as fh:
         if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
-            fh.seek(0)
-            return _load_model_v1(fh, path)
+            raise ValueError(f"{path}: not a model artifact (bad magic)")
         size = os.fstat(fh.fileno()).st_size
         prefix = fh.read(8)
         header_len = int.from_bytes(prefix, "little")
@@ -321,7 +318,7 @@ def load_model(path: str | Path) -> ModelArtifact:
             doc = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"{path}: artifact header is not JSON: {exc}") from exc
-        kind, shapes, metadata = _artifact_header(doc, path, ARTIFACT_VERSION)
+        kind, shapes, metadata = _artifact_header(doc, path)
         expected = header_end + 8 * sum(map(math.prod, shapes.values()))
         if size != expected:
             raise ValueError(f"{path}: file has {size} bytes, the header's "
@@ -335,13 +332,14 @@ def load_model(path: str | Path) -> ModelArtifact:
     return ModelArtifact(kind=kind, tensors=tensors, metadata=metadata)
 
 
-def _artifact_header(doc, path, version: int):
+def _artifact_header(doc, path):
     """(kind, shapes in sorted-name order, metadata) from an artifact's
-    JSON document, refusing any other `format_version` than `version`."""
+    JSON header, refusing any other `format_version` than
+    ARTIFACT_VERSION."""
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: artifact header is not a JSON object")
     found = doc.get("format_version")
-    if type(found) is not int or found != version:
+    if type(found) is not int or found != ARTIFACT_VERSION:
         raise ValueError(f"{path}: unsupported version {found!r}")
     kind = doc.get("kind")
     if kind not in ARTIFACT_KINDS:
@@ -357,36 +355,6 @@ def _artifact_header(doc, path, version: int):
                              f"of non-negative ints, got {reprlib.repr(shape)}")
     return (kind, {name: tuple(shapes[name]) for name in sorted(shapes)},
             {str(k): str(v) for k, v in metadata.items()})
-
-
-def _load_model_v1(fh, path) -> ModelArtifact:
-    """Read a version 1 artifact: one JSON document whose "tensors" map
-    each name to the base64 of its little-endian float64 bytes."""
-    import base64  # version 1 is the only format that carries base64
-
-    try:
-        doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"{path}: not a model artifact (no binary magic, "
-                         f"not JSON): {exc}") from exc
-    kind, shapes, metadata = _artifact_header(doc, path, 1)
-    payloads = doc.get("tensors", {})
-    if not isinstance(payloads, dict) or set(shapes) != set(payloads):
-        raise ValueError(f"{path}: shapes and tensors name sets differ")
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in shapes.items():
-        try:
-            raw = base64.b64decode(payloads[name], validate=True)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: tensor {name!r}: corrupt base64") from exc
-        expected = 8 * math.prod(shape)
-        if len(raw) != expected:
-            raise ValueError(
-                f"{path}: tensor {name!r}: byte length mismatch "
-                f"(got {len(raw)}, expected {expected})"
-            )
-        tensors[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return ModelArtifact(kind=kind, tensors=tensors, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,8 @@ class EncoderParams:
 def init_encoder(seed: int = 0) -> EncoderParams:
     """LUT uniform in [-0.5, 0.5], projection = identity plus uniform
     [-0.05, 0.05] noise, strength scale 1.0."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     lut = rng.uniform(-0.5, 0.5, size=(NUM_CLASSES, EMB_DIM))
     w_emb = np.eye(EMB_DIM) + rng.uniform(-0.05, 0.05, size=(EMB_DIM, EMB_DIM))

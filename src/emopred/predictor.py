@@ -8,7 +8,7 @@ which ends in a softmax over (neutral, happiness, sadness, anger), and
 units 256-511 feed the strength head, which ends in a linear scalar.
 Training minimizes
 
-    (strength_raw - target_strength)^2
+    (raw strength - target_strength)^2
         + lambda_cls * cross_entropy(probs, target_class)
 
 averaged over a batch, with mini-batch gradient descent and momentum.
@@ -51,11 +51,7 @@ PARAM_SHAPES = {
 class PredictorParams:
     """Weights of both heads: the shared first layer (W1, b1), whose rows
     0-255 feed the class output layer (W2c, b2c) and rows 256-511 the
-    strength output layer (w2s, b2s).
-
-    Artifacts written before the first layers were fused hold each head's
-    half as its own tensor; params_from_artifact stacks them.
-    """
+    strength output layer (w2s, b2s)."""
 
     W1: np.ndarray
     b1: np.ndarray
@@ -85,7 +81,6 @@ class EmotionPrediction:
 
     probs: np.ndarray
     label: str
-    strength_raw: float
     strength: float
 
 
@@ -109,6 +104,8 @@ class TrainConfig:
                              f"got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def init_params(seed: int = 0, init_scale: float = 1.0) -> PredictorParams:
@@ -204,62 +201,15 @@ def forward(params: PredictorParams,
                          f" or (m, {EMBED_DIM})")
     _, probs, raw = _forward_batch(params, np.atleast_2d(x))
     preds = [EmotionPrediction(probs=p, label=EMOTIONS[int(np.argmax(p))],
-                               strength_raw=float(r),
                                strength=float(np.clip(r, 0.0, 1.0)))
              for p, r in zip(probs, raw)]
     return preds[0] if x.ndim == 1 else preds
 
 
-def loss(pred: EmotionPrediction, target_class: np.ndarray,
-         target_strength: float, lambda_cls: float = 0.01) -> float:
-    """Strength L2 plus lambda-weighted cross entropy for one example.
-
-    The squared error uses the unclamped raw strength; the log is
-    floored at probability 1e-12.
-    """
-    target_class = np.asarray(target_class, dtype=np.float64)
-    if target_class.shape != (NUM_CLASSES,):
-        raise ValueError("target_class must be a one-hot vector of length 4")
-    ones = np.flatnonzero(target_class == 1.0)
-    if len(ones) != 1 or target_class.sum() != 1.0:
-        raise ValueError("target_class must be one-hot")
-    if not (0.0 <= target_strength <= 1.0):
-        raise ValueError("target_strength must lie in [0, 1]")
-    ce = -np.log(max(float(pred.probs[ones[0]]), PROB_FLOOR))
-    return float((pred.strength_raw - target_strength) ** 2 + lambda_cls * ce)
-
-
-def gradients(
-    params: PredictorParams,
-    X: np.ndarray,
-    class_idx: np.ndarray,
-    strengths: np.ndarray,
-    lambda_cls: float = 0.01,
-) -> PredictorParams:
-    """Mean gradient of the joint loss over a batch.
-
-    The ReLU subgradient at exactly 0 is taken as 0.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    class_idx = np.asarray(class_idx, dtype=np.int64).ravel()
-    strengths = np.asarray(strengths, dtype=np.float64).ravel()
-    m = X.shape[0]
-    if m == 0:
-        raise ValueError("empty batch")
-    if len(class_idx) != m or len(strengths) != m:
-        raise ValueError("batch components must have equal lengths")
-
-    h, probs, raw = _forward_batch(params, X)
-    d_h, gW2c, gb2c, gw2s, gb2s = _backward(h, probs, raw, class_idx,
-                                            strengths, params.W2c, params.w2s,
-                                            lambda_cls)
-    return PredictorParams(W1=d_h.T @ X, b1=d_h.sum(axis=0), W2c=gW2c,
-                           b2c=gb2c, w2s=gw2s, b2s=gb2s)
-
-
 def batch_loss(params: PredictorParams, X: np.ndarray, class_idx: np.ndarray,
                strengths: np.ndarray, lambda_cls: float = 0.01) -> float:
-    """Mean joint loss over a batch (same floor rules as loss())."""
+    """Mean joint loss over a batch, the loss train() minimizes; the log
+    is floored at probability PROB_FLOOR."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     class_idx = np.asarray(class_idx, dtype=np.int64).ravel()
     strengths = np.asarray(strengths, dtype=np.float64).ravel()
@@ -503,9 +453,8 @@ def predictions_from_jsonl(
         if not 0.0 <= strength <= 1.0:
             raise ValueError(f"{path}: line {lineno}: field 'strength' must "
                              f"be in [0, 1], got {strength}")
-        out.append((uid, EmotionPrediction(
-            probs=probs, label=label, strength_raw=strength, strength=strength,
-        )))
+        out.append((uid, EmotionPrediction(probs=probs, label=label,
+                                           strength=strength)))
     _check_unique_ids((uid for uid, _ in out), path)
     return out
 
@@ -518,27 +467,13 @@ def params_to_artifact(params: PredictorParams,
 
 
 def params_from_artifact(artifact: ModelArtifact) -> PredictorParams:
-    """Predictor parameters from an artifact of either layout: the fused
-    W1, b1, or the per-head halves of artifacts written before, stacked
-    class rows first."""
+    """Predictor parameters from a predictor artifact, refusing missing
+    tensors by name."""
     if artifact.kind != "predictor":
         raise ValueError(f"expected a predictor artifact, got {artifact.kind!r}")
-    tensors = dict(artifact.tensors)
-    halves = {"W1": ("W1c", "W1s"), "b1": ("b1c", "b1s")}
-    if not any(half in tensors for pair in halves.values() for half in pair):
-        halves = {}
-    required = [part for name in PARAM_SHAPES
-                for part in halves.get(name, (name,))]
-    missing = sorted(set(required) - set(tensors))
+    missing = sorted(set(PARAM_SHAPES) - set(artifact.tensors))
     if missing:
         raise ValueError(f"artifact missing tensors: {missing}")
-    for name, pair in halves.items():
-        half_shape = (HIDDEN_DIM, *PARAM_SHAPES[name][1:])
-        for half in pair:
-            if tensors[half].shape != half_shape:
-                raise ValueError(f"{half} has shape {tensors[half].shape}, "
-                                 f"expected {half_shape}")
-        tensors[name] = np.concatenate([tensors.pop(half) for half in pair])
-    params = PredictorParams(**{k: tensors[k] for k in PARAM_SHAPES})
+    params = PredictorParams(**{k: artifact.tensors[k] for k in PARAM_SHAPES})
     params.validate()
     return params

@@ -247,16 +247,23 @@ def rank_model_to_artifact(model: RankModel) -> ModelArtifact:
 
 
 def rank_model_from_artifact(artifact: ModelArtifact) -> RankModel:
-    """A rank model from its artifact; the `epochs` key of older
-    artifacts is ignored and a missing `gap` reads as NaN."""
+    """A rank model from its artifact, refusing missing tensors by name
+    and tensors that are not vectors of one length; the `epochs` key of
+    older artifacts is ignored and a missing `gap` reads as NaN."""
     if artifact.kind != "rank":
         raise ValueError(f"expected a rank artifact, got {artifact.kind!r}")
+    names = ("w", "feat_mean", "feat_std")
+    missing = sorted(set(names) - set(artifact.tensors))
+    if missing:
+        raise ValueError(f"artifact missing tensors: {missing}")
+    shapes = {name: artifact.tensors[name].shape for name in names}
+    if len(set(shapes.values())) != 1 or len(shapes["w"]) != 1:
+        raise ValueError(f"w, feat_mean and feat_std must be vectors of one "
+                         f"length, got shapes {shapes}")
     meta = artifact.metadata
     return RankModel(
         emotion=meta.get("emotion", ""),
-        w=artifact.tensors["w"],
-        feat_mean=artifact.tensors["feat_mean"],
-        feat_std=artifact.tensors["feat_std"],
+        **{name: artifact.tensors[name] for name in names},
         c=float(meta.get("c", DEFAULT_C)),
         objective=float(meta.get("objective", "nan")),
         pair_accuracy=float(meta.get("pair_accuracy", "nan")),

@@ -71,6 +71,8 @@ def _tone(emotion: str, intensity: float, duration: float,
 def generate_micro_corpus(root: str | Path, seed: int = 0,
                           per_emotion: int = 3) -> Path:
     """Write WAVs and a manifest under root; returns the manifest path."""
+    if per_emotion < 1:
+        raise ValueError(f"per_emotion must be at least 1, got {per_emotion}")
     root = Path(root)
     audio_dir = root / "audio"
     audio_dir.mkdir(parents=True, exist_ok=True)

@@ -44,6 +44,9 @@ class ProviderConfig:
         if not 0 < self.timeout < np.inf:
             raise ValueError(
                 f"timeout must be positive and finite, got {self.timeout}")
+        if not -2 ** 63 <= self.seed < 2 ** 63:
+            raise ValueError(f"embedding seed must be a signed 64-bit "
+                             f"integer, got {self.seed}")
 
 
 def _ngram_codes(data: np.ndarray) -> np.ndarray:

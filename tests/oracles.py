@@ -156,7 +156,7 @@ def oracle_delta_column(column: np.ndarray) -> np.ndarray:
 def oracle_forward(params, x: np.ndarray):
     """Per-unit loop evaluation of both predictor heads.
 
-    Returns (probs, strength_raw).
+    Returns (probs, raw strength).
     """
     def affine(W, b, v):
         out = np.zeros(W.shape[0])
@@ -232,8 +232,33 @@ def oracle_embed_local(texts: list[str], seed: int = 0,
     return out
 
 
+def oracle_gradients(params, X, class_idx, strengths, lambda_cls=0.01):
+    """Mean gradient of the joint loss over a batch, as PredictorParams,
+    from the production forward and backward passes.
+
+    The ReLU subgradient at exactly 0 is taken as 0.
+    """
+    from emopred.predictor import PredictorParams, _backward, _forward_batch
+
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    class_idx = np.asarray(class_idx, dtype=np.int64).ravel()
+    strengths = np.asarray(strengths, dtype=np.float64).ravel()
+    m = X.shape[0]
+    if m == 0:
+        raise ValueError("empty batch")
+    if len(class_idx) != m or len(strengths) != m:
+        raise ValueError("batch components must have equal lengths")
+
+    h, probs, raw = _forward_batch(params, X)
+    d_h, gW2c, gb2c, gw2s, gb2s = _backward(h, probs, raw, class_idx,
+                                            strengths, params.W2c, params.w2s,
+                                            lambda_cls)
+    return PredictorParams(W1=d_h.T @ X, b1=d_h.sum(axis=0), W2c=gW2c,
+                           b2c=gb2c, w2s=gw2s, b2s=gb2s)
+
+
 def oracle_train(records, provider, config=None):
-    """predictor.train as a per-tensor loop: the public gradients() and
+    """predictor.train as a per-tensor loop: oracle_gradients() and
     batch_loss() on the full 768-dim first layers, and a momentum update
     that allocates new arrays for each of the six tensors every step.
 
@@ -241,7 +266,7 @@ def oracle_train(records, provider, config=None):
     """
     from emopred.corpusio import EMOTIONS
     from emopred.predictor import (EMBED_DIM, TrainConfig, batch_loss,
-                                   gradients, init_params)
+                                   init_params)
 
     config = config or TrainConfig()
     config.validate()
@@ -266,8 +291,8 @@ def oracle_train(records, provider, config=None):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
-            grads = gradients(params, X[idx], class_idx[idx], strengths[idx],
-                              config.lambda_cls)
+            grads = oracle_gradients(params, X[idx], class_idx[idx],
+                                     strengths[idx], config.lambda_cls)
             for name, g in grads.as_dict().items():
                 velocity[name] = config.momentum * velocity[name] - lr * g
                 setattr(params, name, getattr(params, name) + velocity[name])

@@ -170,8 +170,9 @@ class TestOptionRanges:
 
 
 class TestNonFiniteOptions:
-    """NaN and infinite train options exit 1 naming the option, before
-    the model is written (annotate --C inf is in TestOptionRanges)."""
+    """NaN and infinite train options, and seeds out of range, exit 1
+    naming the option, before the model is written (annotate --C inf is
+    in TestOptionRanges)."""
 
     @pytest.mark.parametrize("flags, message", [
         (["--lr", "nan"],
@@ -187,6 +188,12 @@ class TestNonFiniteOptions:
         (["--init-scale", "inf"],
          "init_scale must be nonnegative and finite, got inf"),
         (["--timeout", "nan"], "timeout must be positive and finite, got nan"),
+        (["--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["--embed-seed", str(2 ** 63)],
+         f"embedding seed must be a signed 64-bit integer, got {2 ** 63}"),
+        (["--embed-seed", str(-2 ** 63 - 1)],
+         f"embedding seed must be a signed 64-bit integer, "
+         f"got {-2 ** 63 - 1}"),
     ])
     def test_train(self, tmp_path, capsys, flags, message):
         annotated = tmp_path / "annotated.jsonl"
@@ -198,6 +205,20 @@ class TestNonFiniteOptions:
                          str(out), "--epochs", "2", *flags]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_predict_refuses_out_of_range_embed_seed(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    corpusio.save_model(
+        predictor.params_to_artifact(predictor.init_params(0)), model)
+    texts = tmp_path / "texts.txt"
+    texts.write_text("one\n", encoding="utf-8")
+    out = tmp_path / "preds.jsonl"
+    assert cli.main(["predict", "--model", str(model), "--texts", str(texts),
+                     "--embed-seed", str(2 ** 63), "--out", str(out)]) == 1
+    assert (f"embedding seed must be a signed 64-bit integer, got {2 ** 63}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_remote_provider_posts_to_the_echoed_endpoint(tmp_path, capsys,
@@ -362,6 +383,13 @@ class TestEncodeOptions:
         config.write_text("encoder = enc.json\n", encoding="utf-8")
         assert cli.main(["encode", "--config", str(config), "--grid"]) == 1
         assert "unknown config keys: ['encoder']" in capsys.readouterr().err
+
+    def test_negative_init_seed_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        assert cli.main(["encode", "--grid", "--init-seed", "-1",
+                         "--out", str(out)]) == 1
+        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_grid_points_below_one_exit_1(self, tmp_path, capsys, points):

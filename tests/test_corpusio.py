@@ -1,6 +1,5 @@
 """Manifest, feature file, artifact, and split tests."""
 
-import base64
 import json
 
 import numpy as np
@@ -240,39 +239,9 @@ class TestModelArtifacts:
         before = predictor.forward(params, x)
         after = predictor.forward(loaded, x)
         np.testing.assert_array_equal(before.probs, after.probs)
-        assert before.strength_raw == after.strength_raw
-
-    def test_truncated_payload(self, tmp_path):
-        artifact = ModelArtifact(kind="rank",
-                                 tensors={"w": np.arange(4.0)})
-        path = tmp_path / "m.json"
-        oracle_save_model_v1(artifact, path)
-        doc = json.loads(path.read_text())
-        raw = base64.b64decode(doc["tensors"]["w"])
-        doc["tensors"]["w"] = base64.b64encode(raw[:-8]).decode()
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="byte length mismatch"):
-            corpusio.load_model(path)
-
-    def test_unsupported_version(self, tmp_path):
-        artifact = ModelArtifact(kind="rank", tensors={"w": np.zeros(2)})
-        path = tmp_path / "m.json"
-        oracle_save_model_v1(artifact, path)
-        doc = json.loads(path.read_text())
-        doc["format_version"] = 2
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="unsupported version"):
-            corpusio.load_model(path)
-
-    def test_corrupt_base64(self, tmp_path):
-        artifact = ModelArtifact(kind="rank", tensors={"w": np.zeros(2)})
-        path = tmp_path / "m.json"
-        oracle_save_model_v1(artifact, path)
-        doc = json.loads(path.read_text())
-        doc["tensors"]["w"] = "!!!not base64!!!"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="corrupt base64"):
-            corpusio.load_model(path)
+        np.testing.assert_array_equal(
+            predictor._forward_batch(params, x[None])[2],
+            predictor._forward_batch(loaded, x[None])[2])
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="kind"):
@@ -328,97 +297,31 @@ class TestModelArtifacts:
             assert got.tobytes() == arr.tobytes()   # keeps -0.0
             assert got.flags.writeable and got.flags.owndata
 
-    def test_v1_file_loads_bit_identical(self, tmp_path):
+    def test_v1_file_refused(self, tmp_path, capsys):
         params = predictor.init_params(7, 1.0)
-        artifact = predictor.params_to_artifact(params, {"seed": "7"})
-        v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
-        oracle_save_model_v1(artifact, v1)
-        corpusio.save_model(artifact, v2)
-        assert v1.read_bytes().startswith(b"{")
-        back = corpusio.load_model(v1)
-        assert back.kind == "predictor" and back.metadata == {"seed": "7"}
-        assert list(back.tensors) == sorted(artifact.tensors)
-        for name, arr in artifact.tensors.items():
-            assert back.tensors[name].tobytes() == arr.tobytes()
-            assert back.tensors[name].flags.writeable
-
+        path = tmp_path / "v1.json"
+        oracle_save_model_v1(predictor.params_to_artifact(params), path)
+        with pytest.raises(ValueError, match="not a model artifact") as exc:
+            corpusio.load_model(path)
+        assert str(path) in str(exc.value)
         texts = tmp_path / "texts.txt"
-        texts.write_text("I am so happy today\nThis is awful\n",
-                         encoding="utf-8")
-        outputs = []
-        for model in (v1, v2):
-            out = tmp_path / f"pred-{model.stem}.jsonl"
-            assert cli.main(["predict", "--model", str(model), "--texts",
-                             str(texts), "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        texts.write_text("I am so happy today\n", encoding="utf-8")
+        assert cli.main(["predict", "--model", str(path), "--texts",
+                         str(texts)]) == 1
+        assert "not a model artifact" in capsys.readouterr().err
 
-
-class TestPerHeadPredictorArtifacts:
-    """Predictor artifacts written before the two first layers were fused
-    hold each head's half of W1 and b1 as its own tensor (W1c/b1c for the
-    class head, W1s/b1s for the strength head). They load by stacking."""
-
-    @staticmethod
-    def _per_head(params):
-        tensors = {name: arr.copy() for name, arr in params.as_dict().items()
+    def test_per_head_predictor_artifact_refused(self):
+        # the layout before the two first layers were fused: each head's
+        # half of W1 and b1 as its own tensor
+        params = predictor.init_params(3, 1.0)
+        tensors = {name: arr for name, arr in params.as_dict().items()
                    if name not in ("W1", "b1")}
-        tensors.update(W1c=params.W1[:256].copy(), W1s=params.W1[256:].copy(),
-                       b1c=params.b1[:256].copy(), b1s=params.b1[256:].copy())
-        return ModelArtifact(kind="predictor", tensors=tensors,
-                             metadata={"seed": "7"})
-
-    @staticmethod
-    def _params(seed):
-        params = predictor.init_params(seed, 1.0)
-        params.b1 = np.random.default_rng(seed).normal(size=512)
-        return params
-
-    def test_v1_and_v2_load_stacked_and_predict_identically(self, tmp_path):
-        params = self._params(7)
-        legacy = self._per_head(params)
-        assert len(legacy.tensors) == 8
-        fused, v1, v2 = (tmp_path / f"{name}.json"
-                         for name in ("fused", "v1", "v2"))
-        corpusio.save_model(predictor.params_to_artifact(params), fused)
-        oracle_save_model_v1(legacy, v1)
-        corpusio.save_model(legacy, v2)
-        assert v1.read_bytes().startswith(b"{")
-        assert v2.read_bytes().startswith(MODEL_MAGIC)
-        texts = tmp_path / "texts.txt"
-        texts.write_text("I am so happy today\nThis is awful\n",
-                         encoding="utf-8")
-        outputs = []
-        for model in (fused, v1, v2):
-            loaded = predictor.params_from_artifact(corpusio.load_model(model))
-            np.testing.assert_array_equal(loaded.W1, np.vstack(
-                [legacy.tensors["W1c"], legacy.tensors["W1s"]]))
-            np.testing.assert_array_equal(loaded.b1, np.concatenate(
-                [legacy.tensors["b1c"], legacy.tensors["b1s"]]))
-            for name in ("W2c", "b2c", "w2s", "b2s"):
-                np.testing.assert_array_equal(getattr(loaded, name),
-                                              legacy.tensors[name])
-            out = tmp_path / f"pred-{model.stem}.jsonl"
-            assert cli.main(["predict", "--model", str(model), "--texts",
-                             str(texts), "--out", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-
-    @pytest.mark.parametrize("half", ["W1c", "W1s", "b1c", "b1s"])
-    def test_missing_half_names_it(self, tmp_path, half):
-        legacy = self._per_head(self._params(3))
-        del legacy.tensors[half]
-        path = tmp_path / "model.json"
-        corpusio.save_model(legacy, path)
+        tensors.update(W1c=params.W1[:256], W1s=params.W1[256:],
+                       b1c=params.b1[:256], b1s=params.b1[256:])
+        artifact = ModelArtifact(kind="predictor", tensors=tensors)
         with pytest.raises(ValueError,
-                           match=rf"missing tensors: \['{half}'\]"):
-            predictor.params_from_artifact(corpusio.load_model(path))
-
-    def test_misshapen_half_names_it(self):
-        legacy = self._per_head(self._params(3))
-        legacy.tensors["W1s"] = legacy.tensors["W1s"][:255]
-        with pytest.raises(ValueError, match=r"W1s has shape \(255, 768\)"):
-            predictor.params_from_artifact(legacy)
+                           match=r"missing tensors: \['W1', 'b1'\]"):
+            predictor.params_from_artifact(artifact)
 
 
 def _split_artifact(path):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from emopred import predictor
 from emopred.corpusio import AnnotatedRecord, EMOTIONS
-from emopred.predictor import EmotionPrediction, TrainConfig
+from emopred.predictor import TrainConfig
 
 from conftest import FixedProvider
-from oracles import oracle_forward, oracle_train
+from oracles import oracle_forward, oracle_gradients, oracle_train
 
 
 def make_annotated(texts, emotions, strengths):
@@ -50,7 +50,7 @@ def sample_coordinates(params, count, seed):
 
 def finite_difference_check(params, X, y, s, lam, n_coords, seed, h=1e-5):
     """Max relative error between analytic and central-difference grads."""
-    grads = predictor.gradients(params, X, y, s, lam)
+    grads = oracle_gradients(params, X, y, s, lam)
     worst = 0.0
     for name, index in sample_coordinates(params, n_coords, seed):
         plus = params.copy()
@@ -104,13 +104,25 @@ class TestInitParams:
         assert np.abs(params.W2c).max() <= 1.0 / math.sqrt(256)
 
 
+def raw_strength(params, x):
+    """The unclamped strength head output for one embedding."""
+    return float(predictor._forward_batch(params, np.atleast_2d(x))[2][0])
+
+
+def one_row_loss(probs, raw, target_idx, strength, lam):
+    """The mean loss train() minimizes, on a batch of one."""
+    return predictor._mean_loss(np.atleast_2d(probs), np.array([raw]),
+                                np.array([target_idx]), np.array([strength]),
+                                lam)
+
+
 class TestForward:
     def test_zero_network(self):
         params = predictor.init_params(0, 0.0)
         pred = predictor.forward(params, np.ones(768))
         np.testing.assert_allclose(pred.probs, 0.25, atol=1e-15)
         assert pred.label == "neutral"  # lowest-index tie break
-        assert pred.strength_raw == 0.0
+        assert raw_strength(params, np.ones(768)) == 0.0
         assert pred.strength == 0.0
 
     def test_closed_form_softmax(self):
@@ -128,7 +140,7 @@ class TestForward:
         pred = predictor.forward(params, x)
         probs, raw = oracle_forward(params, x)
         assert np.abs(pred.probs - probs).max() <= 1e-9
-        assert abs(pred.strength_raw - raw) <= 1e-9
+        assert abs(raw_strength(params, x) - raw) <= 1e-9
 
     def test_dimension_mismatch(self):
         params = predictor.init_params(0, 0.0)
@@ -140,13 +152,14 @@ class TestForward:
         params = predictor.init_params(4, 1.0)
         X = rng.normal(size=(9, 768))
         batch = predictor.forward(params, X)
+        raws = predictor._forward_batch(params, X)[2]
         assert isinstance(batch, list) and len(batch) == 9
-        for x, got in zip(X, batch):
+        for x, got, raw in zip(X, batch, raws):
             want = predictor.forward(params, x)
             assert np.abs(got.probs - want.probs).max() <= 1e-12
-            assert abs(got.strength_raw - want.strength_raw) <= 1e-12
+            assert abs(raw - raw_strength(params, x)) <= 1e-12
             assert got.label == want.label
-            assert got.strength == np.clip(got.strength_raw, 0.0, 1.0)
+            assert got.strength == np.clip(raw, 0.0, 1.0)
 
     def test_batch_dimension_mismatch(self):
         params = predictor.init_params(0, 0.0)
@@ -158,24 +171,17 @@ class TestForward:
         params = predictor.init_params(0, 0.0)
         params.b2s = np.array([3.5])
         pred = predictor.forward(params, np.zeros(768))
-        assert pred.strength_raw == 3.5
+        assert raw_strength(params, np.zeros(768)) == 3.5
         assert pred.strength == 1.0
 
 
 class TestLoss:
     def test_perfect_prediction_zero(self):
-        pred = EmotionPrediction(
-            probs=np.array([0.0, 1.0, 0.0, 0.0]), label="happiness",
-            strength_raw=0.7, strength=0.7)
-        target = np.array([0.0, 1.0, 0.0, 0.0])
-        assert predictor.loss(pred, target, 0.7, 0.01) == 0.0
+        probs = np.array([0.0, 1.0, 0.0, 0.0])
+        assert one_row_loss(probs, 0.7, 1, 0.7, 0.01) == 0.0
 
     def test_uniform_closed_form(self):
-        pred = EmotionPrediction(
-            probs=np.full(4, 0.25), label="neutral",
-            strength_raw=0.5, strength=0.5)
-        target = np.array([1.0, 0.0, 0.0, 0.0])
-        value = predictor.loss(pred, target, 0.0, 0.01)
+        value = one_row_loss(np.full(4, 0.25), 0.5, 0, 0.0, 0.01)
         assert value == pytest.approx(0.25 + 0.01 * math.log(4.0), abs=1e-15)
         assert value == pytest.approx(0.2638629436111989, abs=1e-12)
 
@@ -185,24 +191,11 @@ class TestLoss:
             probs = rng.dirichlet(np.ones(4))
             raw = float(rng.normal())
             target_idx = int(rng.integers(4))
-            target = np.zeros(4)
-            target[target_idx] = 1.0
             strength = float(rng.uniform())
             lam = float(rng.uniform(0, 0.1))
-            pred = EmotionPrediction(probs=probs, label=EMOTIONS[0],
-                                     strength_raw=raw,
-                                     strength=min(max(raw, 0.0), 1.0))
             expected = (raw - strength) ** 2 - lam * math.log(probs[target_idx])
-            assert predictor.loss(pred, target, strength, lam) == pytest.approx(
-                expected, rel=1e-12)
-
-    def test_invalid_one_hot(self):
-        pred = EmotionPrediction(probs=np.full(4, 0.25), label="neutral",
-                                 strength_raw=0.0, strength=0.0)
-        with pytest.raises(ValueError, match="one-hot"):
-            predictor.loss(pred, np.array([0.5, 0.5, 0.0, 0.0]), 0.0)
-        with pytest.raises(ValueError, match="one-hot"):
-            predictor.loss(pred, np.ones(4), 0.0)
+            assert one_row_loss(probs, raw, target_idx, strength,
+                                lam) == pytest.approx(expected, rel=1e-12)
 
 
 class TestGradients:
@@ -212,7 +205,7 @@ class TestGradients:
         X = np.random.default_rng(1).normal(size=(5, 768))
         y = np.array([0, 1, 2, 3, 0])
         s = np.zeros(5)  # raw output of the zero network is 0
-        grads = predictor.gradients(params, X, y, s, lambda_cls=0.0)
+        grads = oracle_gradients(params, X, y, s, lambda_cls=0.0)
         for arr in grads.as_dict().values():
             assert np.linalg.norm(arr) < 1e-9
 
@@ -230,9 +223,9 @@ class TestGradients:
         rng = np.random.default_rng(9)
         params = predictor.init_params(9, 1.0)
         x = rng.normal(size=768)
-        single = predictor.gradients(params, x[None, :], [2], [0.4])
-        batch = predictor.gradients(params, np.tile(x, (5, 1)),
-                                    [2] * 5, [0.4] * 5)
+        single = oracle_gradients(params, x[None, :], [2], [0.4])
+        batch = oracle_gradients(params, np.tile(x, (5, 1)),
+                                 [2] * 5, [0.4] * 5)
         for name in predictor.PARAM_SHAPES:
             np.testing.assert_allclose(getattr(batch, name),
                                        getattr(single, name), atol=1e-12)
@@ -266,7 +259,7 @@ class TestTrain:
         for i, rec in enumerate(records):
             pred = predictor.forward(params, X[i])
             correct += pred.label == rec.emotion
-            mse += (pred.strength_raw - rec.strength) ** 2
+            mse += (raw_strength(params, X[i]) - rec.strength) ** 2
         assert correct / len(records) >= 0.99
         assert mse / len(records) < 1e-3
 
@@ -284,8 +277,7 @@ class TestTrain:
         params, _ = predictor.train(records, provider,
                                     TrainConfig(epochs=150, seed=1))
         X = provider.embed([r.text for r in records])
-        raws = [predictor.forward(params, X[i]).strength_raw
-                for i in range(len(records))]
+        raws = [raw_strength(params, X[i]) for i in range(len(records))]
         assert np.mean(np.abs(raws)) < 0.05
 
     def test_zero_init_trace_starts_at_analytic_baseline(self):
@@ -550,7 +542,7 @@ class TestInvariants:
         params = predictor.init_params(0, 0.0)
         params.b2s = np.array([0.37])
         pred = predictor.forward(params, np.zeros(768))
-        assert pred.strength == pred.strength_raw == 0.37
+        assert pred.strength == raw_strength(params, np.zeros(768)) == 0.37
 
 
 class TestSerialization:

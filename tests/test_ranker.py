@@ -278,6 +278,34 @@ class TestArtifact:
         assert ranker.rank_scores(model, np.array([[1.0, 2.0]]))[0] == 3.0
 
 
+    @staticmethod
+    def _artifact(**tensors):
+        base = {"w": np.ones(2), "feat_mean": np.zeros(2),
+                "feat_std": np.ones(2)}
+        base.update(tensors)
+        return corpusio.ModelArtifact(
+            kind="rank", tensors={k: v for k, v in base.items()
+                                  if v is not None})
+
+    def test_missing_tensor_named(self):
+        with pytest.raises(ValueError,
+                           match=r"artifact missing tensors: \['w'\]"):
+            ranker.rank_model_from_artifact(self._artifact(w=None))
+
+    @pytest.mark.parametrize("name", ["w", "feat_mean", "feat_std"])
+    def test_length_mismatch_named(self, name):
+        with pytest.raises(ValueError,
+                           match="w, feat_mean and feat_std must be vectors"):
+            ranker.rank_model_from_artifact(
+                self._artifact(**{name: np.ones(3)}))
+
+    def test_matrix_refused(self):
+        with pytest.raises(ValueError, match="must be vectors"):
+            ranker.rank_model_from_artifact(self._artifact(
+                w=np.ones((2, 2)), feat_mean=np.zeros((2, 2)),
+                feat_std=np.ones((2, 2))))
+
+
 class TestNormalizeStrengths:
     """annotate_corpus min-max scales each emotion's rank scores; the
     scores are fixed here by replacing rank_scores."""

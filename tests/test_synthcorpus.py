@@ -80,3 +80,24 @@ def test_make_micro_corpus_script(tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(corpusio.read_manifest(proc.stdout.strip())) == 4
+
+
+def test_make_micro_corpus_script_sizes(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def run(per_emotion):
+        return subprocess.run(
+            [sys.executable, str(root / "scripts" / "make_micro_corpus.py"),
+             str(tmp_path / f"corpus{per_emotion}"), "--per-emotion",
+             per_emotion], capture_output=True, text=True, env=env,
+            timeout=120)
+
+    proc = run("2")
+    assert proc.returncode == 0, proc.stderr
+    assert len(corpusio.read_manifest(proc.stdout.strip())) == 8
+    proc = run("0")
+    assert proc.returncode != 0
+    assert "per_emotion must be at least 1, got 0" in proc.stderr
+    assert not (tmp_path / "corpus0").exists()
+
