@@ -143,24 +143,18 @@ def load_audio(path: str | Path) -> AudioClip:
     return clip
 
 
-def frame_signal(clip: AudioClip, frame_ms: float = FRAME_MS,
-                 hop_ms: float = HOP_MS) -> np.ndarray:
+def frame_signal(clip: AudioClip) -> np.ndarray:
     """Slice a clip into overlapping frames, shape (frames, frame_len).
 
-    Frame and hop lengths are ms converted to samples (rounded down). A
-    signal shorter than one frame is zero-padded to a single frame. The
-    result is a read-only strided view of one copy of the samples, in
-    which consecutive frames share memory; copy it before writing.
+    Frame and hop lengths are FRAME_MS and HOP_MS converted to samples
+    (rounded down). A signal shorter than one frame is zero-padded to a
+    single frame. The result is a read-only strided view of one copy of
+    the samples, in which consecutive frames share memory; copy it
+    before writing.
     """
-    if hop_ms <= 0 or frame_ms <= 0:
-        raise ValueError("frame_ms and hop_ms must be positive")
-    if hop_ms > frame_ms:
-        raise ValueError("hop_ms must not exceed frame_ms")
     x = np.asarray(clip.samples, dtype=np.float64)
-    frame_len = int(clip.sample_rate * frame_ms / 1000.0)
-    hop = int(clip.sample_rate * hop_ms / 1000.0)
-    if frame_len < 1 or hop < 1:
-        raise ValueError("frame or hop shorter than one sample")
+    frame_len = int(clip.sample_rate * FRAME_MS / 1000.0)
+    hop = int(clip.sample_rate * HOP_MS / 1000.0)
     x = np.pad(x, (0, max(0, frame_len - len(x))))
     return sliding_window_view(x, frame_len)[::hop]
 

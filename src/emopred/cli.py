@@ -1,18 +1,19 @@
 """Command-line pipeline: features, annotate, train, predict, encode, eval.
 
 Each subcommand reads and writes the package's file formats so every
-stage's output is an inspectable fixture for the next. A plain
-`key = value` config file can supply any of a subcommand's options,
-required ones too (flags win); the fully resolved configuration is
-echoed to stderr on every run.
+stage's output is an inspectable fixture for the next. `annotate`
+writes strengths only: its rankers are not used after labelling. A
+plain `key = value` config file can supply any of a subcommand's
+options, required ones too (flags win); the fully resolved
+configuration is echoed to stderr on every run.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -161,12 +162,6 @@ def cmd_annotate(args) -> int:
     features = corpusio.read_features(args.features)
     annotated, models = ranker.annotate_corpus(records, features, c=args.C)
     corpusio.write_annotations(annotated, args.out)
-    if args.models_out:
-        out_dir = Path(args.models_out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for emotion, model in models.items():
-            corpusio.save_model(ranker.rank_model_to_artifact(model),
-                                out_dir / f"rank_{emotion}.json")
     for emotion, model in sorted(models.items()):
         capped = (f" (stopped at the {ranker.MAX_ITERATIONS}-step cap)"
                   if model.gap > ranker.GAP_TOL else "")
@@ -187,15 +182,8 @@ def cmd_train(args) -> int:
         seed=args.seed, init_scale=args.init_scale,
     )
     params, trace = predictor.train(records, provider, config)
-    metadata = {
-        "lambda_cls": repr(config.lambda_cls),
-        "learning_rate": repr(config.learning_rate),
-        "batch_size": str(config.batch_size),
-        "epochs": str(config.epochs),
-        "seed": str(config.seed),
-        "init_scale": repr(config.init_scale),
-        "final_loss": repr(trace[-1]),
-    }
+    metadata = {k: repr(v) for k, v in dataclasses.asdict(config).items()}
+    metadata["final_loss"] = repr(trace[-1])
     corpusio.save_model(predictor.params_to_artifact(params, metadata),
                         args.out)
     if args.trace:
@@ -300,8 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--features", type=str, required=True)
     sub.add_argument("--out", type=str, required=True)
     sub.add_argument("--C", type=float, default=ranker.DEFAULT_C)
-    sub.add_argument("--models-out", type=str, default="",
-                     help="directory for per-emotion rank model artifacts")
 
     sub = add("train", cmd_train, "train the joint emotion predictor")
     sub.add_argument("--annotated", type=str, required=True)

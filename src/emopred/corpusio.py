@@ -31,7 +31,7 @@ import numpy as np
 
 EMOTIONS = ("neutral", "happiness", "sadness", "anger")
 SPLITS = ("train", "valid", "test")
-ARTIFACT_KINDS = ("rank", "predictor")
+ARTIFACT_KINDS = ("predictor",)
 ARTIFACT_VERSION = 2
 MODEL_MAGIC = b"\x93EMOPRED"
 _FLOAT_MAX = float(np.finfo(np.float64).max)

@@ -325,16 +325,20 @@ def predict(
 ) -> list[EmotionPrediction]:
     """Predict per sentence, optionally with preceding-sentence context.
 
-    In single mode each sentence is embedded alone. In paragraph mode
-    sentence i is embedded as the space-joined concatenation of
-    sentences max(0, i-window+1)..i (window=None means the whole
-    preceding paragraph); one prediction is still emitted per sentence.
+    In single mode each sentence is embedded alone, and a context_window
+    is refused. In paragraph mode sentence i is embedded as the
+    space-joined concatenation of sentences max(0, i-window+1)..i
+    (window=None means the whole preceding paragraph); one prediction is
+    still emitted per sentence.
     """
     if not texts:
         raise ValueError("texts must be nonempty")
     if mode not in ("single", "paragraph"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "single":
+        if context_window is not None:
+            raise ValueError(f"a context window (--window) needs paragraph "
+                             f"mode, got {context_window} in single mode")
         inputs = list(texts)
     else:
         window = len(texts) if context_window is None else int(context_window)

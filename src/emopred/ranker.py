@@ -10,7 +10,8 @@ over per-dimension standardized features z, i strong and j weak. Sums
 over the active pairs (margin > 0) come from one sort of the scores and
 prefix sums, and Newton's method minimizes J in the primal until its
 dual gap certifies the optimum (train_ranksvm). Rank scores are min-max
-normalized per emotion to [0, 1] strengths; neutral ones get 0.
+normalized per emotion to [0, 1] strengths; neutral ones get 0. The
+rankers only label the corpus, so they live in memory and are not saved.
 """
 
 from __future__ import annotations
@@ -20,12 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpusio import (
-    AnnotatedRecord,
-    EMOTIONS,
-    ModelArtifact,
-    UtteranceRecord,
-)
+from .corpusio import AnnotatedRecord, EMOTIONS, UtteranceRecord
 
 DEFAULT_C = 1.0
 STD_FLOOR = 1e-8
@@ -37,11 +33,9 @@ MAX_ITERATIONS = 200
 class RankModel:
     """Linear ranking function with its standardization statistics."""
 
-    emotion: str
     w: np.ndarray
     feat_mean: np.ndarray
     feat_std: np.ndarray
-    c: float
     objective: float = float("nan")
     pair_accuracy: float = float("nan")
     gap: float = float("nan")
@@ -105,7 +99,6 @@ def train_ranksvm(
     strong: np.ndarray,
     weak: np.ndarray,
     c: float = DEFAULT_C,
-    emotion: str = "",
 ) -> RankModel:
     """Train a linear RankSVM to a certified optimum of J(w).
 
@@ -165,8 +158,8 @@ def train_ranksvm(
     s, t = np.split(Z @ w, [n_s])
     # pair accuracy: the share of pairs with s_i > t_j, i.e. -t_j > -s_i
     return RankModel(
-        emotion=emotion, w=w, feat_mean=mean, feat_std=std, c=float(c),
-        objective=objective, gap=gap, objective_trace=trace,
+        w=w, feat_mean=mean, feat_std=std, objective=objective, gap=gap,
+        objective_trace=trace,
         pair_accuracy=float(_active_sums(-s, -t)[0].sum()) / (n_s * len(t)),
     )
 
@@ -211,7 +204,7 @@ def annotate_corpus(
     models: dict[str, RankModel] = {}
     for emotion in emotions:
         idx = np.flatnonzero(labels == emotion)
-        model = train_ranksvm(X[idx], neutral, c=c, emotion=emotion)
+        model = train_ranksvm(X[idx], neutral, c=c)
         models[emotion] = model
         scores = rank_scores(model, X[idx])
         lo, hi = scores.min(), scores.max()
@@ -226,46 +219,3 @@ def annotate_corpus(
     ]
     return annotated, models
 
-
-def rank_model_to_artifact(model: RankModel) -> ModelArtifact:
-    """Package a rank model for persistence."""
-    return ModelArtifact(
-        kind="rank",
-        tensors={
-            "w": model.w,
-            "feat_mean": model.feat_mean,
-            "feat_std": model.feat_std,
-        },
-        metadata={
-            "emotion": model.emotion,
-            "c": repr(float(model.c)),
-            "objective": repr(float(model.objective)),
-            "pair_accuracy": repr(float(model.pair_accuracy)),
-            "gap": repr(float(model.gap)),
-        },
-    )
-
-
-def rank_model_from_artifact(artifact: ModelArtifact) -> RankModel:
-    """A rank model from its artifact, refusing missing tensors by name
-    and tensors that are not vectors of one length; the `epochs` key of
-    older artifacts is ignored and a missing `gap` reads as NaN."""
-    if artifact.kind != "rank":
-        raise ValueError(f"expected a rank artifact, got {artifact.kind!r}")
-    names = ("w", "feat_mean", "feat_std")
-    missing = sorted(set(names) - set(artifact.tensors))
-    if missing:
-        raise ValueError(f"artifact missing tensors: {missing}")
-    shapes = {name: artifact.tensors[name].shape for name in names}
-    if len(set(shapes.values())) != 1 or len(shapes["w"]) != 1:
-        raise ValueError(f"w, feat_mean and feat_std must be vectors of one "
-                         f"length, got shapes {shapes}")
-    meta = artifact.metadata
-    return RankModel(
-        emotion=meta.get("emotion", ""),
-        **{name: artifact.tensors[name] for name in names},
-        c=float(meta.get("c", DEFAULT_C)),
-        objective=float(meta.get("objective", "nan")),
-        pair_accuracy=float(meta.get("pair_accuracy", "nan")),
-        gap=float(meta.get("gap", "nan")),
-    )

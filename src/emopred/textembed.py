@@ -44,9 +44,13 @@ class ProviderConfig:
         if not 0 < self.timeout < np.inf:
             raise ValueError(
                 f"timeout must be positive and finite, got {self.timeout}")
-        if not -2 ** 63 <= self.seed < 2 ** 63:
-            raise ValueError(f"embedding seed must be a signed 64-bit "
-                             f"integer, got {self.seed}")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    if not -2 ** 63 <= seed < 2 ** 63:
+        raise ValueError(
+            f"embedding seed must be a signed 64-bit integer, got {seed}")
 
 
 def _ngram_codes(data: np.ndarray) -> np.ndarray:
@@ -87,6 +91,7 @@ def embed_local(texts: list[str], seed: int = 0,
     gives exactly the vector of adding every occurrence (sums of +-1 are
     exact in float64).
     """
+    _check_seed(seed)
     key = int(seed).to_bytes(8, "little", signed=True)
     out = np.zeros((len(texts), dim))
     # Hashed n-grams of this call, sorted by code; bounded by the distinct

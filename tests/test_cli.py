@@ -1,6 +1,7 @@
 """Command-line tests: config parsing, module start-up, and the whole
 pipeline driven in-process on a small synthetic corpus."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -103,6 +104,21 @@ class TestOptionRanges:
                          "--out", str(out)]) == 1
         assert "--window must be at least 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_window_in_single_mode(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        corpusio.save_model(
+            predictor.params_to_artifact(predictor.init_params(0), {}), model)
+        texts = tmp_path / "texts.txt"
+        texts.write_text("one\ntwo\n", encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        argv = ["predict", "--model", str(model), "--texts", str(texts),
+                "--out", str(out)]
+        assert cli.main([*argv, "--mode", "single", "--window", "2"]) == 1
+        assert "--window" in capsys.readouterr().err
+        assert not out.exists()
+        for mode in ("single", "paragraph"):
+            assert cli.main([*argv, "--mode", mode, "--window", "0"]) == 0
 
     @pytest.mark.parametrize("flags, message", [
         (["--C", "-1"], "C must be positive, got -1.0"),
@@ -483,7 +499,7 @@ def test_pipeline_end_to_end(tmp_path):
     steps = [
         ["features", "--manifest", str(manifest), "--out", str(features)],
         ["annotate", "--manifest", str(manifest), "--features", str(features),
-         "--out", str(annotated), "--models-out", str(tmp_path / "rank")],
+         "--out", str(annotated)],
         ["train", "--annotated", str(annotated), "--out", str(model),
          "--epochs", "5"],
         ["predict", "--model", str(model), "--texts", str(annotated),
@@ -501,8 +517,6 @@ def test_pipeline_end_to_end(tmp_path):
     assert len(records) == 16
     assert all(0.0 <= r.strength <= 1.0 for r in records)
     assert all(r.strength == 0.0 for r in records if r.emotion == "neutral")
-    assert sorted(p.name for p in (tmp_path / "rank").iterdir()) == [
-        "rank_anger.json", "rank_happiness.json", "rank_sadness.json"]
     for path in (single, paragraph):
         items = predictor.predictions_from_jsonl(path)
         assert [uid for uid, _ in items] == [r.id for r in records]
@@ -512,8 +526,19 @@ def test_pipeline_end_to_end(tmp_path):
     scores = json.loads(metrics.read_text(encoding="utf-8"))
     assert 0.0 <= scores["macro_accuracy"] <= 1.0
 
-    # every pair is used, so the pair cap and its subsample seed are gone
-    for removed in (["--max-pairs", "10"], ["--seed", "1"]):
+    # the saved metadata holds every TrainConfig field
+    metadata = corpusio.load_model(model).metadata
+    assert set(metadata) == {f.name for f in dataclasses.fields(
+        predictor.TrainConfig)} | {"final_loss"}
+    assert {k: metadata[k] for k in ("batch_size", "epochs", "momentum",
+                                     "lr_decay")} == {
+        "batch_size": "16", "epochs": "5", "momentum": "0.9",
+        "lr_decay": "0.999"}
+
+    # every pair is used, so the pair cap and its subsample seed are gone,
+    # and the rankers are not saved
+    for removed in (["--max-pairs", "10"], ["--seed", "1"],
+                    ["--models-out", "x"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(["annotate", "--manifest", str(manifest), "--features",
                       str(features), "--out", str(annotated), *removed])

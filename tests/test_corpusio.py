@@ -250,7 +250,7 @@ class TestModelArtifacts:
 
     def test_save_is_byte_deterministic(self, tmp_path):
         rng = np.random.default_rng(5)
-        artifact = ModelArtifact(kind="rank",
+        artifact = ModelArtifact(kind="predictor",
                                  tensors={"lut": rng.normal(size=(4, 32)),
                                           "w_emb": rng.normal(size=(32, 32)),
                                           "w_str": np.array([1.0])},
@@ -267,12 +267,12 @@ class TestModelArtifacts:
                 f"t{i}": rng.normal(size=tuple(rng.integers(1, 5, size=2)))
                 for i in range(int(rng.integers(1, 4)))
             }
-            artifact = ModelArtifact(kind="rank", tensors=tensors,
+            artifact = ModelArtifact(kind="predictor", tensors=tensors,
                                      metadata={"case": str(case)})
             path = tmp_path / f"m{case}.json"
             corpusio.save_model(artifact, path)
             back = corpusio.load_model(path)
-            assert back.kind == "rank"
+            assert back.kind == "predictor"
             assert back.metadata["case"] == str(case)
             for name, arr in tensors.items():
                 np.testing.assert_array_equal(back.tensors[name], arr)
@@ -288,7 +288,8 @@ class TestModelArtifacts:
         max_size=4))
     def test_round_trip_bit_exact_and_writable(self, tmp_path, tensors):
         path = tmp_path / "m.bin"
-        corpusio.save_model(ModelArtifact(kind="rank", tensors=tensors), path)
+        corpusio.save_model(ModelArtifact(kind="predictor", tensors=tensors),
+                            path)
         back = corpusio.load_model(path)
         assert list(back.tensors) == sorted(tensors)
         for name, arr in tensors.items():
@@ -343,8 +344,8 @@ class TestBinaryArtifactErrors:
     def saved(self, tmp_path):
         path = tmp_path / "served_model.json"
         corpusio.save_model(ModelArtifact(
-            kind="rank", tensors={"a": np.arange(6.0).reshape(2, 3),
-                                  "w": np.ones(4)}), path)
+            kind="predictor", tensors={"a": np.arange(6.0).reshape(2, 3),
+                                       "w": np.ones(4)}), path)
         return path
 
     def _refused(self, path, match):
@@ -354,8 +355,8 @@ class TestBinaryArtifactErrors:
 
     def test_header_and_layout(self, saved):
         header, payload = _split_artifact(saved)
-        assert header == {"format_version": 2, "kind": "rank", "metadata": {},
-                          "shapes": {"a": [2, 3], "w": [4]}}
+        assert header == {"format_version": 2, "kind": "predictor",
+                          "metadata": {}, "shapes": {"a": [2, 3], "w": [4]}}
         assert payload == (np.arange(6.0).astype("<f8").tobytes()
                            + np.ones(4).astype("<f8").tobytes())
 
@@ -400,11 +401,30 @@ class TestBinaryArtifactErrors:
         saved.write_bytes(_join_artifact(header, payload))
         self._refused(saved, "shapes and metadata must be JSON objects")
 
-    def test_unknown_kind(self, saved):
+    @pytest.mark.parametrize("kind", ["mystery", "rank"])
+    def test_unknown_kind(self, saved, kind):
         header, payload = _split_artifact(saved)
-        header["kind"] = "mystery"
+        header["kind"] = kind
         saved.write_bytes(_join_artifact(header, payload))
-        self._refused(saved, "unknown artifact kind 'mystery'")
+        self._refused(saved, f"unknown artifact kind '{kind}'")
+
+    def test_rank_artifact_refused_by_predict(self, tmp_path, capsys):
+        # laid out as `annotate --models-out` once wrote rank_<emotion>.json
+        vectors = {"feat_mean": np.zeros(384), "feat_std": np.ones(384),
+                   "w": np.full(384, 0.5)}
+        path = tmp_path / "rank_anger.json"
+        path.write_bytes(_join_artifact(
+            {"format_version": 2, "kind": "rank",
+             "metadata": {"c": "1.0", "emotion": "anger", "gap": "1e-07",
+                          "objective": "0.5", "pair_accuracy": "1.0"},
+             "shapes": {name: [384] for name in vectors}},
+            b"".join(arr.astype("<f8").tobytes()
+                     for arr in vectors.values())))
+        texts = tmp_path / "texts.txt"
+        texts.write_text("I am so happy today\n", encoding="utf-8")
+        assert cli.main(["predict", "--model", str(path), "--texts",
+                         str(texts)]) == 1
+        assert "unknown artifact kind 'rank'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("version", [1, 3, 2.0, None])
     def test_unsupported_version(self, saved, version):

@@ -433,6 +433,14 @@ class TestPredict:
                           context_window=2)
         assert provider.calls[-1] == ["A", "A B", "B C"]
 
+    def test_window_refused_in_single_mode(self):
+        params = predictor.init_params(2, 1.0)
+        provider = FixedProvider()
+        with pytest.raises(ValueError, match="--window"):
+            predictor.predict(["A", "B"], params, provider, mode="single",
+                              context_window=2)
+        assert not provider.calls
+
     def test_empty_texts_error(self):
         params = predictor.init_params(0, 0.0)
         with pytest.raises(ValueError, match="nonempty"):

@@ -71,7 +71,7 @@ class TestBuildPairs:
 class TestTrainRanksvm:
     def test_separable_1d(self):
         X = np.array([[3.0], [4.0], [5.0], [0.0], [1.0], [2.0]])
-        model = ranker.train_ranksvm(X[:3], X[3:], emotion="happiness")
+        model = ranker.train_ranksvm(X[:3], X[3:])
         assert model.pair_accuracy == 1.0
         assert model.w[0] > 0
 
@@ -107,7 +107,7 @@ class TestTrainRanksvm:
     def test_objective_trace_monotone(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 8))
-        model = ranker.train_ranksvm(X[:15], X[15:], emotion="anger")
+        model = ranker.train_ranksvm(X[:15], X[15:])
         trace = model.objective_trace
         assert trace[-1] == model.objective == min(trace)
         assert all(trace[i + 1] <= trace[i] + 1e-9 for i in range(len(trace) - 1))
@@ -209,10 +209,9 @@ class TestRankScore:
     def _model(self, w, mean=None, std=None):
         dim = len(w)
         return ranker.RankModel(
-            emotion="anger", w=np.asarray(w, dtype=float),
+            w=np.asarray(w, dtype=float),
             feat_mean=np.zeros(dim) if mean is None else np.asarray(mean),
             feat_std=np.ones(dim) if std is None else np.asarray(std),
-            c=1.0,
         )
 
     def test_score_at_mean_is_zero(self):
@@ -238,72 +237,6 @@ class TestRankScore:
         model = self._model([1.0, 2.0])
         with pytest.raises(ValueError, match="mismatch"):
             ranker.rank_scores(model, np.zeros((1, 3)))
-
-
-class TestArtifact:
-    def test_round_trip(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(8, 3))
-        model = ranker.train_ranksvm(X[:4], X[4:], emotion="anger")
-        back = ranker.rank_model_from_artifact(
-            ranker.rank_model_to_artifact(model))
-        np.testing.assert_array_equal(back.w, model.w)
-        assert (back.emotion, back.objective, back.pair_accuracy) == (
-            "anger", model.objective, model.pair_accuracy)
-
-    def test_round_trip_numpy_scalars(self):
-        model = ranker.RankModel(
-            emotion="anger", w=np.ones(2), feat_mean=np.zeros(2),
-            feat_std=np.ones(2), c=np.float64(1.0),
-            objective=np.float64(0.5), pair_accuracy=np.float64(0.75),
-            gap=np.float64(1e-7))
-        back = ranker.rank_model_from_artifact(
-            ranker.rank_model_to_artifact(model))
-        assert (back.c, back.objective, back.pair_accuracy, back.gap) == (
-            1.0, 0.5, 0.75, 1e-7)
-
-    def test_artifact_with_seed_metadata_loads(self, tmp_path):
-        artifact = corpusio.ModelArtifact(
-            kind="rank",
-            tensors={"w": np.ones(2), "feat_mean": np.zeros(2),
-                     "feat_std": np.ones(2)},
-            metadata={"emotion": "anger", "c": "1.0", "epochs": "200",
-                      "seed": "0", "objective": "0.5",
-                      "pair_accuracy": "1.0"},
-        )
-        corpusio.save_model(artifact, tmp_path / "rank_anger.json")
-        model = ranker.rank_model_from_artifact(
-            corpusio.load_model(tmp_path / "rank_anger.json"))
-        assert model.objective == 0.5
-        assert ranker.rank_scores(model, np.array([[1.0, 2.0]]))[0] == 3.0
-
-
-    @staticmethod
-    def _artifact(**tensors):
-        base = {"w": np.ones(2), "feat_mean": np.zeros(2),
-                "feat_std": np.ones(2)}
-        base.update(tensors)
-        return corpusio.ModelArtifact(
-            kind="rank", tensors={k: v for k, v in base.items()
-                                  if v is not None})
-
-    def test_missing_tensor_named(self):
-        with pytest.raises(ValueError,
-                           match=r"artifact missing tensors: \['w'\]"):
-            ranker.rank_model_from_artifact(self._artifact(w=None))
-
-    @pytest.mark.parametrize("name", ["w", "feat_mean", "feat_std"])
-    def test_length_mismatch_named(self, name):
-        with pytest.raises(ValueError,
-                           match="w, feat_mean and feat_std must be vectors"):
-            ranker.rank_model_from_artifact(
-                self._artifact(**{name: np.ones(3)}))
-
-    def test_matrix_refused(self):
-        with pytest.raises(ValueError, match="must be vectors"):
-            ranker.rank_model_from_artifact(self._artifact(
-                w=np.ones((2, 2)), feat_mean=np.zeros((2, 2)),
-                feat_std=np.ones((2, 2))))
 
 
 class TestNormalizeStrengths:
@@ -425,10 +358,10 @@ class TestInvariants:
     def test_translation_invariance_of_ordering(self):
         rng = np.random.default_rng(31)
         X = rng.normal(size=(24, 6))
-        model_a = ranker.train_ranksvm(X[:12], X[12:], emotion="happiness")
+        model_a = ranker.train_ranksvm(X[:12], X[12:])
         shift = rng.normal(size=6) * 10.0
         Y = X + shift
-        model_b = ranker.train_ranksvm(Y[:12], Y[12:], emotion="happiness")
+        model_b = ranker.train_ranksvm(Y[:12], Y[12:])
         scores_a = ranker.rank_scores(model_a, X)
         scores_b = ranker.rank_scores(model_b, X + shift)
         np.testing.assert_array_equal(np.argsort(scores_a),

@@ -89,6 +89,16 @@ class TestProviderConfig:
                            "finite"):
             ProviderConfig(mode="local", timeout=timeout).validate()
 
+    @pytest.mark.parametrize("seed", [2 ** 63, -2 ** 63 - 1])
+    def test_out_of_range_seed_refused_by_every_entry_point(self, seed):
+        message = f"embedding seed must be a signed 64-bit integer, got {seed}"
+        with pytest.raises(ValueError, match=message):
+            ProviderConfig(mode="local", seed=seed).validate()
+        with pytest.raises(ValueError, match=message):
+            textembed.embed_local(["a"], seed=seed)
+        with pytest.raises(ValueError, match=message):
+            textembed.LocalProvider(seed).embed(["a"])
+
 
 class TestEmbedRemote:
     def test_passthrough_in_order(self, embed_server):
