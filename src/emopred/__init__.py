@@ -1,9 +1,12 @@
 """Emotion strength annotation, text-based emotion prediction, and joint
-emotion embeddings for speech corpora."""
+emotion embeddings for speech corpora.
+
+Submodules load on first use (`emopred.afeat`, ...), so a process
+compiles only the code it runs."""
+
+import importlib
 
 __version__ = "0.1.0"
-
-from . import afeat, corpusio, encoder, predictor, ranker, textembed
 
 __all__ = [
     "afeat",
@@ -13,3 +16,9 @@ __all__ = [
     "ranker",
     "textembed",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import afeat, corpusio, encoder, predictor, ranker, textembed
+from . import corpusio, predictor, textembed
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -143,6 +143,8 @@ def _emit(text: str, out: str) -> None:
 
 
 def cmd_features(args) -> int:
+    from . import afeat
+
     records = corpusio.read_manifest(args.manifest)
     features: dict[str, np.ndarray] = {}
     for rec in records:
@@ -158,6 +160,8 @@ def cmd_features(args) -> int:
 
 
 def cmd_annotate(args) -> int:
+    from . import ranker
+
     records = corpusio.read_manifest(args.manifest)
     features = corpusio.read_features(args.features)
     annotated, models = ranker.annotate_corpus(records, features, c=args.C)
@@ -212,6 +216,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from . import encoder
+
     params = encoder.init_encoder(args.init_seed)
     if args.grid:
         if args.grid_points < 1:
@@ -287,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--manifest", type=str, required=True)
     sub.add_argument("--features", type=str, required=True)
     sub.add_argument("--out", type=str, required=True)
-    sub.add_argument("--C", type=float, default=ranker.DEFAULT_C)
+    sub.add_argument("--C", type=float, default=corpusio.DEFAULT_C,
+                     help="RankSVM trade-off C (default: %(default)s)")
 
     sub = add("train", cmd_train, "train the joint emotion predictor")
     sub.add_argument("--annotated", type=str, required=True)

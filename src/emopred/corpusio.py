@@ -22,7 +22,6 @@ import json
 import math
 import os
 import reprlib
-import secrets
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -30,6 +29,9 @@ from pathlib import Path
 import numpy as np
 
 EMOTIONS = ("neutral", "happiness", "sadness", "anger")
+# RankSVM trade-off C of `annotate`: ranker's default, kept here so that
+# the CLI parser shows it without importing ranker
+DEFAULT_C = 1.0
 SPLITS = ("train", "valid", "test")
 ARTIFACT_KINDS = ("predictor",)
 ARTIFACT_VERSION = 2
@@ -85,7 +87,7 @@ def atomic_write(path: str | Path, binary: bool = False):
     and any previous file at `path` is left untouched.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
         with (open(tmp, "xb") if binary
               else open(tmp, "x", encoding="utf-8")) as fh:

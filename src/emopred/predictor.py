@@ -39,6 +39,8 @@ EMBED_DIM = 768
 HIDDEN_DIM = 256
 NUM_CLASSES = len(EMOTIONS)
 PROB_FLOOR = 1e-12
+# rows of W1 that train() updates per product when it builds W1 from A
+ROW_BLOCK = 64
 
 PARAM_SHAPES = {
     "W1": (2 * HIDDEN_DIM, EMBED_DIM), "b1": (2 * HIDDEN_DIM,),
@@ -113,22 +115,24 @@ def init_params(seed: int = 0, init_scale: float = 1.0) -> PredictorParams:
 
     Weight blocks are drawn in a fixed order (class rows of W1, W2c,
     strength rows of W1, w2s), so parameters are a pure function of
-    (seed, init_scale).
+    (seed, init_scale). Each tensor is allocated once and each block is
+    drawn straight into its slice and scaled in place, so the peak
+    memory is the returned parameters; the values are the doubles
+    Generator.uniform(-limit, limit) gives.
     """
     if not 0 <= init_scale < np.inf:
         raise ValueError(
             f"init_scale must be nonnegative and finite, got {init_scale}")
     rng = np.random.default_rng(seed)
-
-    def draw(rows: int, fan_in: int) -> np.ndarray:
-        limit = init_scale / np.sqrt(fan_in)
-        return rng.uniform(-limit, limit, size=(rows, fan_in))
-
-    head_c, W2c = draw(HIDDEN_DIM, EMBED_DIM), draw(NUM_CLASSES, HIDDEN_DIM)
-    head_s, w2s = draw(HIDDEN_DIM, EMBED_DIM), draw(1, HIDDEN_DIM)
-    return PredictorParams(W1=np.vstack([head_c, head_s]),
-                           b1=np.zeros(2 * HIDDEN_DIM), W2c=W2c,
-                           b2c=np.zeros(NUM_CLASSES), w2s=w2s, b2s=np.zeros(1))
+    params = PredictorParams(**{name: np.zeros(shape)
+                                for name, shape in PARAM_SHAPES.items()})
+    for block in (params.W1[:HIDDEN_DIM], params.W2c,
+                  params.W1[HIDDEN_DIM:], params.w2s):
+        limit = init_scale / np.sqrt(block.shape[1])
+        rng.random(out=block)
+        block *= 2 * limit
+        block -= limit
+    return params
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -217,6 +221,58 @@ def batch_loss(params: PredictorParams, X: np.ndarray, class_idx: np.ndarray,
     return _mean_loss(probs, raw, class_idx, strengths, lambda_cls)
 
 
+def _descend(theta, shapes, G, H0, Cmat, class_idx, strengths,
+             config: TrainConfig) -> tuple[list[float], int]:
+    """train()'s loop: momentum SGD on the flat vector theta of (A, b1,
+    W2c, b2c, w2s, b2s), which ends holding the best epoch's values.
+    Returns the best-so-far loss trace and the best epoch. Its gradient,
+    velocity and snapshot buffers are freed on return."""
+    A, b1, W2c, b2c, w2s, b2s = _flat_views(theta, shapes)
+    grad, velocity = np.zeros((2, theta.size))
+    gA, gb1, gW2c, gb2c, gw2s, gb2s = _flat_views(grad, shapes)
+    n = len(H0)
+
+    def full_loss() -> float:
+        h = G @ A.T
+        h += H0
+        h += b1
+        return _mean_loss(*_output(h, W2c, b2c, w2s, b2s), class_idx,
+                          strengths, config.lambda_cls)
+
+    shuffle_rng = np.random.default_rng([config.seed, 1])
+    lr = config.learning_rate
+    best = full_loss()
+    best_theta, best_epoch = theta.copy(), 0
+    trace: list[float] = [best]
+    for epoch in range(1, config.epochs + 1):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            h = G[idx] @ A.T
+            h += H0[idx]
+            h += b1
+            probs, raw = _output(h, W2c, b2c, w2s, b2s)
+            d_h, gW2c[:], gb2c[:], gw2s[:], gb2s[:] = _backward(
+                h, probs, raw, class_idx[idx], strengths[idx], W2c, w2s,
+                config.lambda_cls)
+            np.matmul(d_h.T, Cmat[idx], out=gA)
+            d_h.sum(axis=0, out=gb1)
+            velocity *= config.momentum
+            grad *= lr
+            velocity -= grad
+            theta += velocity
+        lr *= config.lr_decay
+        epoch_loss = full_loss()
+        if epoch_loss < best:
+            best = epoch_loss
+            best_theta[:] = theta
+            best_epoch = epoch
+        trace.append(best)
+
+    theta[:] = best_theta
+    return trace, best_epoch
+
+
 def train(
     records: Sequence[AnnotatedRecord],
     provider,
@@ -242,8 +298,12 @@ def train(
     exact arithmetic. The hidden layers of training rows are
     H0 + G @ A.T + b1 with the precomputed H0 = X @ W1_0.T and G = X @ B.T
     (the Gram matrix when n <= 768). A and the other five tensors are
-    views into one flat vector, updated in place; W1 is built once, from
-    the best epoch's snapshot.
+    views into one flat vector, updated in place (_descend).
+
+    Memory: W1_0 is dropped once H0 is formed and drawn again after the
+    loop, and W1 is built in that buffer ROW_BLOCK rows at a time, so
+    training holds one W1 plus one ROW_BLOCK x 768 block, on top of
+    O(n * (n + 768)) for X, G, H0 and the loop's buffers when n <= 768.
     """
     config = config or TrainConfig()
     config.validate()
@@ -265,49 +325,18 @@ def train(
     H0 = X @ init.W1.T
     # A, the coefficients of W1 - W1_0, stands first in place of W1
     shapes = [(2 * HIDDEN_DIM, len(B)), *list(PARAM_SHAPES.values())[1:]]
-    size = sum(int(np.prod(shape)) for shape in shapes)
-    theta, grad, velocity = np.zeros((3, size))
+    theta = np.concatenate([np.zeros(2 * HIDDEN_DIM * len(B)),
+                            *(getattr(init, name).ravel()
+                              for name in list(PARAM_SHAPES)[1:])])
+    del init  # W1_0 is drawn again once the loop is done
+    trace, best_epoch = _descend(theta, shapes, G, H0, Cmat, class_idx,
+                                 strengths, config)
     A, b1, W2c, b2c, w2s, b2s = _flat_views(theta, shapes)
-    gA, gb1, gW2c, gb2c, gw2s, gb2s = _flat_views(grad, shapes)
-    b1[:], W2c[:], b2c[:], w2s[:], b2s[:] = (
-        init.b1, init.W2c, init.b2c, init.w2s, init.b2s)
-
-    def full_loss() -> float:
-        h = H0 + G @ A.T + b1
-        return _mean_loss(*_output(h, W2c, b2c, w2s, b2s), class_idx,
-                          strengths, config.lambda_cls)
-
-    shuffle_rng = np.random.default_rng([config.seed, 1])
-    lr = config.learning_rate
-    best = full_loss()
-    best_theta, best_epoch = theta.copy(), 0
-    trace: list[float] = [best]
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            h = H0[idx] + G[idx] @ A.T + b1
-            probs, raw = _output(h, W2c, b2c, w2s, b2s)
-            d_h, gW2c[:], gb2c[:], gw2s[:], gb2s[:] = _backward(
-                h, probs, raw, class_idx[idx], strengths[idx], W2c, w2s,
-                config.lambda_cls)
-            np.matmul(d_h.T, Cmat[idx], out=gA)
-            d_h.sum(axis=0, out=gb1)
-            velocity *= config.momentum
-            grad *= lr
-            velocity -= grad
-            theta += velocity
-        lr *= config.lr_decay
-        epoch_loss = full_loss()
-        if epoch_loss < best:
-            best = epoch_loss
-            best_theta[:] = theta
-            best_epoch = epoch
-        trace.append(best)
-
-    theta[:] = best_theta
-    best_params = PredictorParams(W1=init.W1 + A @ B, b1=b1, W2c=W2c,
-                                  b2c=b2c, w2s=w2s, b2s=b2s)
+    W1 = init_params(config.seed, config.init_scale).W1
+    for r in range(0, len(W1), ROW_BLOCK):
+        W1[r:r + ROW_BLOCK] += A[r:r + ROW_BLOCK] @ B
+    best_params = PredictorParams(W1=W1, b1=b1, W2c=W2c, b2c=b2c, w2s=w2s,
+                                  b2s=b2s)
     best_params.validate()
     # the loss of the built W1 agrees with the loop's to rounding; report
     # the former, the loss of what is returned

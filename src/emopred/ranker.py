@@ -21,9 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpusio import AnnotatedRecord, EMOTIONS, UtteranceRecord
+from .corpusio import AnnotatedRecord, DEFAULT_C, EMOTIONS, UtteranceRecord
 
-DEFAULT_C = 1.0
 STD_FLOOR = 1e-8
 GAP_TOL = 1e-6
 MAX_ITERATIONS = 200
@@ -76,7 +75,9 @@ def _terms(w: np.ndarray, Z: np.ndarray, n_s: int, c: float):
                             k_w * u_w - over_strong(u_s)])
         return p + 2.0 * c * (Z.T @ v)
 
-    return objective, w - w_dual, 1.0 - dual / objective, hessian_product
+    # J >= dual, so a gap below 0 is rounding once J is certified
+    gap = max(1.0 - dual / objective, 0.0)
+    return objective, w - w_dual, gap, hessian_product
 
 
 def _conjugate_gradient(hessian_product, b: np.ndarray) -> np.ndarray:

@@ -274,6 +274,26 @@ def test_cli_import_loads_neither_scipy_nor_requests():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_imports_only_what_a_subcommand_runs(tmp_path):
+    manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=1)
+    code = """
+import sys
+from emopred import cli
+names = ("emopred.afeat", "emopred.ranker", "emopred.encoder", "secrets")
+print([m for m in names if m in sys.modules])
+assert cli.main(["features", "--manifest", sys.argv[1],
+                 "--out", sys.argv[2]]) == 0
+print([m for m in names if m in sys.modules])
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(manifest),
+         str(tmp_path / "features.jsonl")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['emopred.afeat']"]
+
+
 def test_features_and_remote_provider_load_neither_scipy_nor_requests(
         tmp_path):
     manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=1)

@@ -2,6 +2,7 @@
 finite-difference gradients, training behavior, paragraph mode, metrics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -390,6 +391,36 @@ class TestTrainMatchesOracle:
                              init_scale=init_scale, momentum=momentum,
                              lr_decay=lr_decay)
         assert_matches_oracle(records, provider, config)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it traced above its start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """numpy reports its buffers to tracemalloc, so these peaks are
+    deterministic."""
+
+    def test_init_params_peak_is_its_output(self):
+        params, peak = traced_peak(predictor.init_params, 3, 1.0)
+        out = sum(arr.nbytes for arr in params.as_dict().values())
+        assert peak <= out + 64 * 1024
+
+    def test_train_peak_holds_one_W1(self):
+        # one W1, a row block and the 80-row working set (X, G, H0, the
+        # loop's flat vectors) stay under two W1s; building W1_0 + A @ B
+        # whole holds three
+        records, provider = random_corpus(80, seed=80)
+        (params, _), peak = traced_peak(predictor.train, records, provider,
+                                        TrainConfig(epochs=2))
+        assert peak < 2 * params.W1.nbytes
 
 
 class TestPredict:

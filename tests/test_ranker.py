@@ -191,16 +191,27 @@ class TestCertifiedOptimum:
         assert _primal_minimum(Zs, Zw, c, model.w) >= (
             model.objective * (1.0 - 1e-6))
 
-    def test_gap_on_synthetic_corpus(self, tmp_path):
-        manifest = generate_micro_corpus(tmp_path, seed=3, per_emotion=6)
+    @staticmethod
+    def _synthetic_models(root, seed, per_emotion):
+        manifest = generate_micro_corpus(root, seed=seed,
+                                         per_emotion=per_emotion)
         records = corpusio.read_manifest(manifest)
         features = {
             r.id: afeat.extract_features(afeat.load_audio(r.audio_path))
             for r in records}
-        _, models = ranker.annotate_corpus(records, features)
+        return ranker.annotate_corpus(records, features)[1]
+
+    def test_gap_on_synthetic_corpus(self, tmp_path):
+        models = self._synthetic_models(tmp_path, 3, 6)
         assert sorted(models) == ["anger", "happiness", "sadness"]
         for emotion, model in models.items():
             assert model.gap <= 1e-6, emotion
+
+    def test_gap_is_never_negative(self, tmp_path):
+        # J >= its dual bound, so 1 - dual / J < 0 is rounding; at this
+        # seed all three unclamped gaps are -2e-16 to -4e-16
+        for emotion, model in self._synthetic_models(tmp_path, 1, 3).items():
+            assert 0.0 <= model.gap <= 1e-6, emotion
 
 
 class TestRankScore:
