@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import corpusio, predictor, textembed
+from . import corpusio, predictor
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -91,6 +91,8 @@ def _echo_config(args: argparse.Namespace, command: str) -> None:
 
 
 def _provider_from_args(args: argparse.Namespace):
+    from . import textembed
+
     config = textembed.ProviderConfig(
         mode=args.provider, endpoint=args.endpoint,
         timeout=args.timeout, seed=args.embed_seed,

@@ -15,12 +15,11 @@ averaged over a batch, with mini-batch gradient descent and momentum.
 The embedding backbone is consumed through a provider and never updated.
 
 train() runs the first layer in the row space of the n training
-embeddings: every gradient of W1 is a combination of training rows, so
-W1 - W1_0 = A @ B stays in the span of B (the embeddings when n <= 768,
-the identity otherwise), and momentum SGD on the 512 x n coefficients A
-is momentum SGD on W1 (the representer argument of Schoelkopf, Herbrich
-& Smola, COLT 2001). The iterates equal those of the plain loop up to
-rounding.
+embeddings X, which holds every gradient of W1. With Q an orthonormal
+basis of it (768 x min(n, 768), from one QR of X.T), W1 = W1_0 +
+(A - A_0) @ Q.T for A_0 = W1_0 @ Q, and momentum SGD on the same network
+with first layer A on the rows of G = X @ Q is momentum SGD on W1 (the
+representer argument of Schoelkopf, Herbrich & Smola, COLT 2001).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ EMBED_DIM = 768
 HIDDEN_DIM = 256
 NUM_CLASSES = len(EMOTIONS)
 PROB_FLOOR = 1e-12
-# rows of W1 that train() updates per product when it builds W1 from A
+# rows per product when batch_loss() runs a corpus and train() builds W1
 ROW_BLOCK = 64
 
 PARAM_SHAPES = {
@@ -104,6 +103,12 @@ class TrainConfig:
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be positive and finite, "
                              f"got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), "
+                             f"got {self.momentum}")
+        if not 0 < self.lr_decay <= 1:
+            raise ValueError(f"lr_decay must be in (0, 1], "
+                             f"got {self.lr_decay}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be at least 1")
         if self.seed < 0:
@@ -153,7 +158,8 @@ def _output(h: np.ndarray, W2c, b2c, w2s, b2s):
 def _forward_batch(params: PredictorParams, X: np.ndarray):
     """Returns (pre-ReLU hidden layers [h_cls | h_str], probs, raw
     strengths) for a batch of embeddings."""
-    h = X @ params.W1.T + params.b1
+    h = X @ params.W1.T
+    h += params.b1
     return (h, *_output(h, params.W2c, params.b2c, params.w2s, params.b2s))
 
 
@@ -213,56 +219,50 @@ def forward(params: PredictorParams,
 def batch_loss(params: PredictorParams, X: np.ndarray, class_idx: np.ndarray,
                strengths: np.ndarray, lambda_cls: float = 0.01) -> float:
     """Mean joint loss over a batch, the loss train() minimizes; the log
-    is floored at probability PROB_FLOOR."""
+    is floored at probability PROB_FLOOR. Rows run ROW_BLOCK at a time."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     class_idx = np.asarray(class_idx, dtype=np.int64).ravel()
     strengths = np.asarray(strengths, dtype=np.float64).ravel()
-    _, probs, raw = _forward_batch(params, X)
+    probs, raw = np.empty((len(X), NUM_CLASSES)), np.empty(len(X))
+    for r in range(0, len(X), ROW_BLOCK):
+        _, probs[r:r + ROW_BLOCK], raw[r:r + ROW_BLOCK] = _forward_batch(
+            params, X[r:r + ROW_BLOCK])
     return _mean_loss(probs, raw, class_idx, strengths, lambda_cls)
 
 
-def _descend(theta, shapes, G, H0, Cmat, class_idx, strengths,
+def _descend(theta, shapes, G, class_idx, strengths,
              config: TrainConfig) -> tuple[list[float], int]:
     """train()'s loop: momentum SGD on the flat vector theta of (A, b1,
-    W2c, b2c, w2s, b2s), which ends holding the best epoch's values.
-    Returns the best-so-far loss trace and the best epoch. Its gradient,
-    velocity and snapshot buffers are freed on return."""
-    A, b1, W2c, b2c, w2s, b2s = _flat_views(theta, shapes)
+    W2c, b2c, w2s, b2s), the network on the coordinates G, which ends
+    holding the best epoch's values. Returns the best-so-far loss trace
+    and the best epoch. Its gradient, velocity and snapshot buffers are
+    freed on return."""
+    params = PredictorParams(*_flat_views(theta, shapes))
     grad, velocity = np.zeros((2, theta.size))
     gA, gb1, gW2c, gb2c, gw2s, gb2s = _flat_views(grad, shapes)
-    n = len(H0)
-
-    def full_loss() -> float:
-        h = G @ A.T
-        h += H0
-        h += b1
-        return _mean_loss(*_output(h, W2c, b2c, w2s, b2s), class_idx,
-                          strengths, config.lambda_cls)
-
     shuffle_rng = np.random.default_rng([config.seed, 1])
     lr = config.learning_rate
-    best = full_loss()
+    best = batch_loss(params, G, class_idx, strengths, config.lambda_cls)
     best_theta, best_epoch = theta.copy(), 0
     trace: list[float] = [best]
     for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, config.batch_size):
+        order = shuffle_rng.permutation(len(G))
+        for start in range(0, len(G), config.batch_size):
             idx = order[start:start + config.batch_size]
-            h = G[idx] @ A.T
-            h += H0[idx]
-            h += b1
-            probs, raw = _output(h, W2c, b2c, w2s, b2s)
+            rows = G[idx]
+            h, probs, raw = _forward_batch(params, rows)
             d_h, gW2c[:], gb2c[:], gw2s[:], gb2s[:] = _backward(
-                h, probs, raw, class_idx[idx], strengths[idx], W2c, w2s,
-                config.lambda_cls)
-            np.matmul(d_h.T, Cmat[idx], out=gA)
+                h, probs, raw, class_idx[idx], strengths[idx], params.W2c,
+                params.w2s, config.lambda_cls)
+            np.matmul(d_h.T, rows, out=gA)
             d_h.sum(axis=0, out=gb1)
             velocity *= config.momentum
             grad *= lr
             velocity -= grad
             theta += velocity
         lr *= config.lr_decay
-        epoch_loss = full_loss()
+        epoch_loss = batch_loss(params, G, class_idx, strengths,
+                                config.lambda_cls)
         if epoch_loss < best:
             best = epoch_loss
             best_theta[:] = theta
@@ -289,21 +289,17 @@ def train(
     parameters, so trace[-1] is exactly their batch_loss().
     Deterministic for fixed (seed, config, provider).
 
-    The loop runs in the row space of the training embeddings X (n x
-    768). The fused first layer is W1 = W1_0 + A @ B with X = Cmat @ B:
-    B = X and Cmat = I when n <= 768, B = I and Cmat = X otherwise. Its
-    gradient d_hidden.T @ X[batch] equals (d_hidden.T @ Cmat[batch]) @ B
-    and the velocity starts at 0, so the momentum update of A, applied
-    through B, is the update of W1: the iterates match the plain loop in
-    exact arithmetic. The hidden layers of training rows are
-    H0 + G @ A.T + b1 with the precomputed H0 = X @ W1_0.T and G = X @ B.T
-    (the Gram matrix when n <= 768). A and the other five tensors are
-    views into one flat vector, updated in place (_descend).
+    The loop runs in the row space of X (see the module docstring): X =
+    G @ Q.T gives X @ W1.T = G @ A.T, and the gradient d_hidden.T @
+    X[batch] of W1 is that of A, d_hidden.T @ G[batch], applied through
+    Q.T. The velocity starts at 0, so the iterates match the plain loop in
+    exact arithmetic. A and the other five tensors are views into one
+    flat vector, updated in place (_descend).
 
-    Memory: W1_0 is dropped once H0 is formed and drawn again after the
-    loop, and W1 is built in that buffer ROW_BLOCK rows at a time, so
-    training holds one W1 plus one ROW_BLOCK x 768 block, on top of
-    O(n * (n + 768)) for X, G, H0 and the loop's buffers when n <= 768.
+    Memory: W1_0 is dropped once A_0 is formed and drawn again after the
+    loop, and W1 is built in its buffer ROW_BLOCK rows at a time, as
+    losses are, so training holds one W1 and row blocks on top of X, G,
+    Q and the loop's buffers.
     """
     config = config or TrainConfig()
     config.validate()
@@ -315,26 +311,26 @@ def train(
         raise ValueError(f"provider returned shape {X.shape}")
     class_idx = np.array([EMOTIONS.index(r.emotion) for r in records])
     strengths = np.array([r.strength for r in records])
-    n = len(records)
-    if n <= EMBED_DIM:
-        B, Cmat, G = X, np.eye(n), X @ X.T
-    else:
-        B, Cmat, G = np.eye(EMBED_DIM), X, X
+    Q = np.linalg.qr(X.T)[0]
+    G = X @ Q
 
     init = init_params(config.seed, config.init_scale)
-    H0 = X @ init.W1.T
-    # A, the coefficients of W1 - W1_0, stands first in place of W1
-    shapes = [(2 * HIDDEN_DIM, len(B)), *list(PARAM_SHAPES.values())[1:]]
-    theta = np.concatenate([np.zeros(2 * HIDDEN_DIM * len(B)),
-                            *(getattr(init, name).ravel()
-                              for name in list(PARAM_SHAPES)[1:])])
+    # in this operand order BLAS keeps the product on one thread; W1 @ Q
+    # started a second one, which added 1.4 MB to the CLI train's peak RSS
+    A_0 = (Q.T @ init.W1.T).T
+    # A, the first layer on the coordinates G, stands first in place of W1
+    shapes = [A_0.shape, *list(PARAM_SHAPES.values())[1:]]
+    theta = np.concatenate([A_0.ravel(), *(
+        getattr(init, name).ravel() for name in list(PARAM_SHAPES)[1:])])
     del init  # W1_0 is drawn again once the loop is done
-    trace, best_epoch = _descend(theta, shapes, G, H0, Cmat, class_idx,
-                                 strengths, config)
+    trace, best_epoch = _descend(theta, shapes, G, class_idx, strengths,
+                                 config)
     A, b1, W2c, b2c, w2s, b2s = _flat_views(theta, shapes)
+    A -= A_0
+    del A_0
     W1 = init_params(config.seed, config.init_scale).W1
     for r in range(0, len(W1), ROW_BLOCK):
-        W1[r:r + ROW_BLOCK] += A[r:r + ROW_BLOCK] @ B
+        W1[r:r + ROW_BLOCK] += A[r:r + ROW_BLOCK] @ Q.T
     best_params = PredictorParams(W1=W1, b1=b1, W2c=W2c, b2c=b2c, w2s=w2s,
                                   b2s=b2s)
     best_params.validate()

@@ -279,7 +279,8 @@ def test_cli_imports_only_what_a_subcommand_runs(tmp_path):
     code = """
 import sys
 from emopred import cli
-names = ("emopred.afeat", "emopred.ranker", "emopred.encoder", "secrets")
+names = ("emopred.afeat", "emopred.ranker", "emopred.encoder",
+         "emopred.textembed", "secrets", "hashlib")
 print([m for m in names if m in sys.modules])
 assert cli.main(["features", "--manifest", sys.argv[1],
                  "--out", sys.argv[2]]) == 0

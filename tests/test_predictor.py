@@ -325,6 +325,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             predictor.train([], FixedProvider(), TrainConfig())
 
+    @pytest.mark.parametrize("field, value", [
+        ("momentum", -0.1), ("momentum", 1.0), ("momentum", 1.5),
+        ("momentum", float("nan")), ("lr_decay", 0.0), ("lr_decay", -0.5),
+        ("lr_decay", 1.01), ("lr_decay", float("nan")),
+    ])
+    def test_config_out_of_range_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value}).validate()
+
 
 def random_corpus(n, seed, distinct=None):
     """n records on unit-norm random embeddings; with `distinct`, record i
@@ -353,18 +362,19 @@ def assert_matches_oracle(records, provider, config):
 
 
 class TestTrainMatchesOracle:
-    """train runs the first layer in the row space of the training
-    embeddings; it must reproduce the per-tensor loop on both sides of
-    n = 768, where the basis switches from the embeddings to the identity."""
+    """train runs the first layer in an orthonormal basis of the training
+    embeddings' row space; it must reproduce the per-tensor loop whether
+    that basis spans fewer than 768 dimensions or all of them."""
 
     @pytest.mark.parametrize("n, epochs, batch_size, init_scale, distinct", [
-        (80, 8, 16, 1.0, None),     # n < 768: Gram-matrix basis
-        (768, 2, 16, 1.0, None),    # n = 768: last size on the Gram basis
-        (800, 2, 16, 1.0, None),    # n > 768: identity basis
+        (80, 8, 16, 1.0, None),     # n < 768: basis of n dimensions
+        (768, 2, 16, 1.0, None),    # n = 768: basis of all 768
+        (800, 2, 16, 1.0, None),    # n > 768: basis of all 768
+        (800, 2, 16, 1.0, 100),     # n > 768 rows of rank 100
         (50, 6, 7, 1.0, None),      # batch size does not divide n
         (12, 6, 20, 1.0, None),     # batch size larger than n
         (30, 5, 16, 0.0, None),     # zero initialization
-        (40, 6, 16, 1.0, 5),        # duplicate texts: singular Gram matrix
+        (40, 6, 16, 1.0, 5),        # duplicate texts: rank 5 in 40 dimensions
     ])
     def test_matches_per_tensor_loop(self, n, epochs, batch_size,
                                      init_scale, distinct):
@@ -414,13 +424,22 @@ class TestMemory:
         assert peak <= out + 64 * 1024
 
     def test_train_peak_holds_one_W1(self):
-        # one W1, a row block and the 80-row working set (X, G, H0, the
-        # loop's flat vectors) stay under two W1s; building W1_0 + A @ B
-        # whole holds three
+        # one W1, a row block and the 80-row working set (X, Q, G, A_0, the
+        # loop's flat vectors) stay under two W1s; building
+        # W1_0 + (A - A_0) @ Q.T whole holds three
         records, provider = random_corpus(80, seed=80)
         (params, _), peak = traced_peak(predictor.train, records, provider,
                                         TrainConfig(epochs=2))
         assert peak < 2 * params.W1.nbytes
+
+    def test_train_peak_above_768_rows(self):
+        # 1000 rows: X and G (n x 768 each), Q (768 x 768), A_0 and the
+        # loop's four flat vectors (512 x 768 each) stay under 11 W1s; no
+        # loss forms an n x 512 hidden layer
+        records, provider = random_corpus(1000, seed=1000)
+        (params, _), peak = traced_peak(predictor.train, records, provider,
+                                        TrainConfig(epochs=2))
+        assert peak < 11 * params.W1.nbytes
 
 
 class TestPredict:
