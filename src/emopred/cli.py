@@ -97,7 +97,8 @@ def _provider_from_args(args: argparse.Namespace):
         mode=args.provider, endpoint=args.endpoint,
         timeout=args.timeout, seed=args.embed_seed,
     )
-    return textembed.make_provider(config)
+    config.validate()
+    return config
 
 
 def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
@@ -205,11 +206,14 @@ def cmd_predict(args) -> int:
     if args.window < 0:
         raise ValueError(f"--window must be at least 0 (0 = whole paragraph),"
                          f" got {args.window}")
+    if args.mode == "single" and args.window:
+        raise ValueError(f"a context window (--window) needs paragraph mode,"
+                         f" got {args.window} in single mode")
     params = predictor.params_from_artifact(corpusio.load_model(args.model))
     provider = _provider_from_args(args)
     ids, texts = _read_texts(args.texts)
-    predictions = predictor.predict(texts, params, provider, mode=args.mode,
-                                    context_window=args.window or None)
+    window = 1 if args.mode == "single" else args.window
+    predictions = predictor.predict(texts, params, provider, window=window)
     payload = predictor.predictions_to_jsonl(ids, predictions)
     _emit(payload, args.out)
     print(f"predicted {len(predictions)} sentences ({args.mode} mode)",
@@ -319,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", type=str, default="single",
                      choices=("single", "paragraph"))
     sub.add_argument("--window", type=int, default=0,
-                     help="paragraph context window; 0 = whole paragraph")
+                     help="paragraph mode's context in sentences: "
+                     "1 = sentence alone; 0 = whole paragraph")
     sub.add_argument("--out", type=str, default="")
     _add_provider_flags(sub)
 

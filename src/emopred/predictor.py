@@ -16,10 +16,12 @@ The embedding backbone is consumed through a provider and never updated.
 
 train() runs the first layer in the row space of the n training
 embeddings X, which holds every gradient of W1. With Q an orthonormal
-basis of it (768 x min(n, 768), from one QR of X.T), W1 = W1_0 +
-(A - A_0) @ Q.T for A_0 = W1_0 @ Q, and momentum SGD on the same network
-with first layer A on the rows of G = X @ Q is momentum SGD on W1 (the
-representer argument of Schoelkopf, Herbrich & Smola, COLT 2001).
+basis of a space holding it (768 x min(n, 768), from one QR of the first
+min(n, 768) rows' transpose: a basis of the rows for n <= 768, an
+orthogonal 768 x 768 matrix above), W1 = W1_0 + (A - A_0) @ Q.T for
+A_0 = W1_0 @ Q, and momentum SGD on the same network with first layer
+A on the rows of G = X @ Q is momentum SGD on W1 (the representer
+argument of Schoelkopf, Herbrich & Smola, COLT 2001).
 """
 
 from __future__ import annotations
@@ -311,7 +313,7 @@ def train(
         raise ValueError(f"provider returned shape {X.shape}")
     class_idx = np.array([EMOTIONS.index(r.emotion) for r in records])
     strengths = np.array([r.strength for r in records])
-    Q = np.linalg.qr(X.T)[0]
+    Q = np.linalg.qr(X[:EMBED_DIM].T)[0]
     G = X @ Q
 
     init = init_params(config.seed, config.init_scale)
@@ -325,7 +327,10 @@ def train(
     del init  # W1_0 is drawn again once the loop is done
     trace, best_epoch = _descend(theta, shapes, G, class_idx, strengths,
                                  config)
-    A, b1, W2c, b2c, w2s, b2s = _flat_views(theta, shapes)
+    A, *rest = _flat_views(theta, shapes)
+    # copied, so the returned tensors own their memory and do not keep
+    # theta, A block included, alive
+    b1, W2c, b2c, w2s, b2s = (t.copy() for t in rest)
     A -= A_0
     del A_0
     W1 = init_params(config.seed, config.init_scale).W1
@@ -345,32 +350,23 @@ def predict(
     texts: Sequence[str],
     params: PredictorParams,
     provider,
-    mode: str = "single",
-    context_window: int | None = None,
+    window: int = 1,
 ) -> list[EmotionPrediction]:
-    """Predict per sentence, optionally with preceding-sentence context.
+    """Predict per sentence, with preceding sentences as context.
 
-    In single mode each sentence is embedded alone, and a context_window
-    is refused. In paragraph mode sentence i is embedded as the
-    space-joined concatenation of sentences max(0, i-window+1)..i
-    (window=None means the whole preceding paragraph); one prediction is
-    still emitted per sentence.
+    Sentence i is embedded as the space-joined sentences
+    max(0, i-window+1)..i: window 1 embeds each sentence alone, and
+    window 0 means the whole paragraph up to sentence i. One provider
+    call embeds every input; one prediction is emitted per sentence.
     """
     if not texts:
         raise ValueError("texts must be nonempty")
-    if mode not in ("single", "paragraph"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "single":
-        if context_window is not None:
-            raise ValueError(f"a context window (--window) needs paragraph "
-                             f"mode, got {context_window} in single mode")
-        inputs = list(texts)
-    else:
-        window = len(texts) if context_window is None else int(context_window)
-        if window < 1:
-            raise ValueError("context_window must be at least 1")
-        inputs = [" ".join(texts[max(0, i - window + 1):i + 1])
-                  for i in range(len(texts))]
+    if window < 0:
+        raise ValueError(f"window must be at least 0 (0 = whole paragraph), "
+                         f"got {window}")
+    window = window or len(texts)
+    inputs = [" ".join(texts[max(0, i - window + 1):i + 1])
+              for i in range(len(texts))]
     X = np.asarray(provider.embed(inputs), dtype=np.float64)
     if X.shape != (len(inputs), EMBED_DIM):
         raise ValueError(f"provider returned shape {X.shape}")

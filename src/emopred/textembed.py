@@ -1,13 +1,15 @@
 """Text embedding providers.
 
-The remote provider consumes a frozen pre-trained language model served
-over HTTP: POST {endpoint}/embed with {"texts": [...]} returns
-{"embeddings": [[...768 floats...], ...]}. The local provider is a
-deterministic offline stand-in for development and tests: signed feature
-hashing (Weinberger et al., ICML 2009) of UTF-8 byte n-grams. A text's
-vector depends only on the multiset of its n-grams, so each distinct
-n-gram is hashed once per call and weighted by its count; the result
-equals hashing every n-gram occurrence one by one.
+ProviderConfig is the one provider type: its embed() asks the remote
+service or the local embedder, as its mode says. The remote service
+serves a frozen pre-trained language model over HTTP: POST
+{endpoint}/embed with {"texts": [...]} returns {"embeddings": [[...768
+floats...], ...]}. The local embedder is a deterministic offline
+stand-in for development and tests: signed feature hashing (Weinberger
+et al., ICML 2009) of UTF-8 byte n-grams. A text's vector depends only
+on the multiset of its n-grams, so each distinct n-gram is hashed once
+per call and weighted by its count; the result equals hashing every
+n-gram occurrence one by one.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ class ProviderConfig:
                 f"timeout must be positive and finite, got {self.timeout}")
         _check_seed(self.seed)
 
+    def embed(self, texts: list[str]) -> np.ndarray:
+        """One embedding row per text, from the provider of this mode."""
+        self.validate()
+        if self.mode == "remote":
+            return embed_remote(texts, self)
+        return embed_local(texts, seed=self.seed)
+
 
 def _check_seed(seed: int) -> None:
     if not -2 ** 63 <= seed < 2 ** 63:
@@ -68,15 +77,12 @@ def _ngram_codes(data: np.ndarray) -> np.ndarray:
     return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
 
-def _hash_codes(codes: list[int], key: bytes) -> np.ndarray:
-    """Keyed 64-bit blake2b value of each n-gram code's bytes."""
-    values = []
-    for code in codes:
-        gram = (code & ((1 << _LENGTH_SHIFT) - 1)).to_bytes(
-            code >> _LENGTH_SHIFT, "big")
-        digest = hashlib.blake2b(gram, key=key, digest_size=8).digest()
-        values.append(int.from_bytes(digest, "little"))
-    return np.array(values, dtype=np.uint64)
+def _hash_code(code: int, key: bytes) -> int:
+    """Keyed 64-bit blake2b value of an n-gram code's bytes."""
+    gram = (code & ((1 << _LENGTH_SHIFT) - 1)).to_bytes(
+        code >> _LENGTH_SHIFT, "big")
+    return int.from_bytes(
+        hashlib.blake2b(gram, key=key, digest_size=8).digest(), "little")
 
 
 def embed_local(texts: list[str], seed: int = 0,
@@ -94,24 +100,20 @@ def embed_local(texts: list[str], seed: int = 0,
     _check_seed(seed)
     key = int(seed).to_bytes(8, "little", signed=True)
     out = np.zeros((len(texts), dim))
-    # Hashed n-grams of this call, sorted by code; bounded by the distinct
-    # n-grams of the batch, and private to the call so threads share nothing.
-    known = np.empty(0, dtype=np.int64)
-    hashes = np.empty(0, dtype=np.uint64)
+    # n-gram code -> hash for this call; bounded by the distinct n-grams of
+    # the batch, and private to the call so threads share nothing
+    hashes: dict[int, int] = {}
     for row, text in enumerate(texts):
         codes = _ngram_codes(np.frombuffer(text.encode("utf-8"),
                                            dtype=np.uint8))
         if not codes.size:
             continue
         distinct, counts = np.unique(codes, return_counts=True)
-        new = distinct[~np.isin(distinct, known, assume_unique=True)]
-        if new.size:
-            known = np.concatenate([known, new])
-            order = np.argsort(known)
-            known = known[order]
-            hashes = np.concatenate([hashes, _hash_codes(new.tolist(),
-                                                         key)])[order]
-        value = hashes[np.searchsorted(known, distinct)]
+        grams = distinct.tolist()
+        for code in grams:
+            if code not in hashes:
+                hashes[code] = _hash_code(code, key)
+        value = np.array([hashes[code] for code in grams], dtype=np.uint64)
         bins = ((value >> 1) % dim).astype(np.int64)
         signs = np.where(value & 1, 1.0, -1.0)
         vec = out[row]
@@ -175,31 +177,3 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
         raise ProviderError("non-finite values in embedding response")
     return arr
 
-
-class LocalProvider:
-    """Offline provider backed by embed_local; thread-safe."""
-
-    def __init__(self, seed: int = 0):
-        self.seed = int(seed)
-
-    def embed(self, texts: list[str]) -> np.ndarray:
-        return embed_local(texts, seed=self.seed)
-
-
-class RemoteProvider:
-    """HTTP provider backed by embed_remote; one attempt per call."""
-
-    def __init__(self, config: ProviderConfig):
-        config.validate()
-        self.config = config
-
-    def embed(self, texts: list[str]) -> np.ndarray:
-        return embed_remote(texts, self.config)
-
-
-def make_provider(config: ProviderConfig):
-    """Build the provider matching config.mode."""
-    config.validate()
-    if config.mode == "remote":
-        return RemoteProvider(config)
-    return LocalProvider(seed=config.seed)

@@ -223,6 +223,22 @@ class TestNonFiniteOptions:
         assert not out.exists()
 
 
+def test_paragraph_window_1_is_single_mode(tmp_path):
+    model = tmp_path / "model.json"
+    corpusio.save_model(
+        predictor.params_to_artifact(predictor.init_params(3), {}), model)
+    texts = tmp_path / "texts.txt"
+    texts.write_text("I am so happy today.\nThen it rained.\n\n"
+                     "We went home, angry.\nAnd slept.\n", encoding="utf-8")
+    single, paragraph = tmp_path / "single.jsonl", tmp_path / "para.jsonl"
+    argv = ["predict", "--model", str(model), "--texts", str(texts)]
+    assert cli.main([*argv, "--mode", "single", "--out", str(single)]) == 0
+    assert cli.main([*argv, "--mode", "paragraph", "--window", "1",
+                     "--out", str(paragraph)]) == 0
+    assert single.read_bytes() == paragraph.read_bytes()
+    assert len(single.read_text(encoding="utf-8").splitlines()) == 4
+
+
 def test_predict_refuses_out_of_range_embed_seed(tmp_path, capsys):
     model = tmp_path / "model.json"
     corpusio.save_model(

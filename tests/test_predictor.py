@@ -441,24 +441,36 @@ class TestMemory:
                                         TrainConfig(epochs=2))
         assert peak < 11 * params.W1.nbytes
 
+    def test_train_peak_far_above_768_rows(self):
+        # 4000 rows: QR factors only the first 768, so no 768 x n copy of
+        # X.T stands next to X and G
+        records, provider = random_corpus(4000, seed=4000)
+        (params, _), peak = traced_peak(predictor.train, records, provider,
+                                        TrainConfig(epochs=1))
+        assert peak < 24 * params.W1.nbytes
+
+    def test_returned_tensors_own_their_memory(self):
+        records, provider = random_corpus(80, seed=81)
+        params, _ = predictor.train(records, provider, TrainConfig(epochs=1))
+        assert all(arr.base is None for arr in params.as_dict().values())
+
 
 class TestPredict:
     def test_single_sentence_mode_equivalence(self):
         params = predictor.init_params(2, 1.0)
         provider = FixedProvider()
         a = predictor.predict(["only one sentence"], params, provider,
-                              mode="single")
+                              window=1)
         b = predictor.predict(["only one sentence"], params, provider,
-                              mode="paragraph")
+                              window=0)
         np.testing.assert_array_equal(a[0].probs, b[0].probs)
         assert a[0].strength == b[0].strength
 
     def test_paragraph_context_changes_prediction(self):
         params = predictor.init_params(2, 1.0)
         provider = FixedProvider()
-        single = predictor.predict(["A", "B"], params, provider, mode="single")
-        para = predictor.predict(["A", "B"], params, provider,
-                                 mode="paragraph", context_window=2)
+        single = predictor.predict(["A", "B"], params, provider, window=1)
+        para = predictor.predict(["A", "B"], params, provider, window=2)
         # sentence 1 has no added context; sentence 2 sees "A B"
         np.testing.assert_array_equal(single[0].probs, para[0].probs)
         assert not np.array_equal(single[1].probs, para[1].probs)
@@ -467,10 +479,8 @@ class TestPredict:
         params = predictor.init_params(4, 1.0)
         provider = FixedProvider()
         texts = [f"sentence number {i}" for i in range(7)]
-        a = predictor.predict(texts, params, provider, mode="paragraph",
-                              context_window=7)
-        b = predictor.predict(texts, params, provider, mode="paragraph",
-                              context_window=7)
+        a = predictor.predict(texts, params, provider, window=7)
+        b = predictor.predict(texts, params, provider, window=7)
         assert len(a) == 7
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.probs, pb.probs)
@@ -479,16 +489,14 @@ class TestPredict:
         params = predictor.init_params(2, 1.0)
         provider = FixedProvider()
         texts = ["A", "B", "C"]
-        predictor.predict(texts, params, provider, mode="paragraph",
-                          context_window=2)
+        predictor.predict(texts, params, provider, window=2)
         assert provider.calls[-1] == ["A", "A B", "B C"]
 
-    def test_window_refused_in_single_mode(self):
+    def test_negative_window_refused(self):
         params = predictor.init_params(2, 1.0)
         provider = FixedProvider()
-        with pytest.raises(ValueError, match="--window"):
-            predictor.predict(["A", "B"], params, provider, mode="single",
-                              context_window=2)
+        with pytest.raises(ValueError, match="window must be at least 0"):
+            predictor.predict(["A", "B"], params, provider, window=-1)
         assert not provider.calls
 
     def test_empty_texts_error(self):
@@ -507,7 +515,7 @@ class TestPredict:
 
         monkeypatch.setattr(predictor, "forward", counting_forward)
         preds = predictor.predict(["A", "B", "C"], params, FixedProvider(),
-                                  mode="paragraph")
+                                  window=0)
         assert shapes == [(3, 768)]
         assert len(preds) == 3
 

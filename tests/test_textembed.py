@@ -46,6 +46,22 @@ class TestEmbedLocal:
         np.testing.assert_array_equal(E[0], shuffled[2])
         np.testing.assert_array_equal(E[2], shuffled[0])
 
+    def test_each_distinct_ngram_hashed_once(self, monkeypatch):
+        texts = ["abab", "", "abab", "bab", "\u00e9", ""]
+        calls = []
+        hash_code = textembed._hash_code
+
+        def counting(code, key):
+            calls.append(code)
+            return hash_code(code, key)
+
+        monkeypatch.setattr(textembed, "_hash_code", counting)
+        E = textembed.embed_local(texts, seed=3)
+        grams = {data[i:i + n] for data in (t.encode("utf-8") for t in texts)
+                 for n in (1, 2, 3) for i in range(len(data) - n + 1)}
+        assert len(calls) == len(set(calls)) == len(grams)
+        assert np.array_equal(E, oracle_embed_local(texts, 3))
+
 
 seeds = st.integers(-2 ** 63, 2 ** 63 - 1)
 
@@ -83,6 +99,12 @@ class TestProviderConfig:
         with pytest.raises(ValueError, match="timeout"):
             ProviderConfig(mode="local", timeout=0).validate()
 
+    def test_embed_refuses_bad_config(self):
+        with pytest.raises(ValueError, match="unknown provider mode"):
+            ProviderConfig(mode="cloud").embed(["a"])
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            ProviderConfig(mode="local", timeout=0).embed(["a"])
+
     @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
     def test_nonfinite_timeout(self, timeout):
         with pytest.raises(ValueError, match="timeout must be positive and "
@@ -97,7 +119,7 @@ class TestProviderConfig:
         with pytest.raises(ValueError, match=message):
             textembed.embed_local(["a"], seed=seed)
         with pytest.raises(ValueError, match=message):
-            textembed.LocalProvider(seed).embed(["a"])
+            ProviderConfig(mode="local", seed=seed).embed(["a"])
 
 
 class TestEmbedRemote:
@@ -160,12 +182,11 @@ class TestEmbedRemote:
 
 class TestMakeProvider:
     def test_local(self):
-        provider = textembed.make_provider(ProviderConfig(mode="local", seed=9))
+        provider = ProviderConfig(mode="local", seed=9)
         E = provider.embed(["x"])
         np.testing.assert_array_equal(E, textembed.embed_local(["x"], seed=9))
 
     def test_remote(self, embed_server):
         server = embed_server()
-        provider = textembed.make_provider(
-            ProviderConfig(mode="remote", endpoint=server.endpoint))
+        provider = ProviderConfig(mode="remote", endpoint=server.endpoint)
         assert provider.embed(["x", "y"]).shape == (2, 768)
