@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Compare two source checkouts on one perfbench workload, in pairs.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload label \
+        --seed 5 --seconds 25 --pairs 10
+
+Each pair runs `perfbench/run.py --workload W --seed S --seconds T` once in
+each checkout, one after the other; the side that goes first alternates,
+parent first in pair 1. Each checkout runs its own perfbench copy, so both
+should hold the same perfbench files. Per pair, the script prints the
+metrics BENCHMARK.json declares as end-to-end; at the end, for every
+end-to-end metric the runs printed, each side's median and quartiles and
+the number of pairs the change won (a tie counts for neither side). A run
+that fails is reported and left out of the pairs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+# An end-to-end line of run.py: name, value, unit, better, sample count.
+METRIC_LINE = re.compile(
+    r"^(\S+)\s+(-?\d+(?:\.\d+)?)\s+(\S+)\s+(lower|higher)\s+n=\d+$")
+
+
+def run_once(checkout: Path, workload: str, seed: int,
+             seconds: float) -> dict[str, tuple[float, str]] | None:
+    """Run the benchmark once; return {metric: (value, better)}, or None
+    when the run failed."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        print(f"  {checkout}: exit {proc.returncode}\n{proc.stdout}"
+              f"{proc.stderr}", file=sys.stderr)
+        return None
+    metrics = {}
+    for line in proc.stdout.splitlines():
+        match = METRIC_LINE.match(line)
+        if match:
+            name, value, _, better = match.groups()
+            metrics[name] = (float(value), better)
+    return metrics
+
+
+def summary(values: list[float]) -> str:
+    q1, median, q3 = (statistics.quantiles(values, n=4)
+                      if len(values) > 1 else values * 3)
+    return f"{median:.4f} [{q1:.4f}, {q3:.4f}]"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+
+    with open(args.change / "BENCHMARK.json", encoding="utf-8") as fh:
+        declared = [m["name"] for m in json.load(fh)["end_to_end"]]
+    sides = {"parent": args.parent, "change": args.change}
+    pairs = []
+    for index in range(args.pairs):
+        order = ["parent", "change"]
+        if index % 2:
+            order.reverse()
+        result = {side: run_once(sides[side], args.workload, args.seed,
+                                 args.seconds) for side in order}
+        if None in result.values():
+            print(f"pair {index + 1}: a run failed, pair dropped")
+            continue
+        pairs.append(result)
+        shown = "  ".join(
+            f"{name} {result['parent'][name][0]:.4f}/"
+            f"{result['change'][name][0]:.4f}" for name in declared)
+        print(f"pair {index + 1} ({order[0]} first, parent/change): {shown}",
+              flush=True)
+    if not pairs:
+        return 1
+
+    print(f"\n{len(pairs)} pairs, workload {args.workload}, seed {args.seed},"
+          f" {args.seconds:g} s; median [q1, q3]")
+    for name, (_, better) in pairs[0]["parent"].items():
+        parent = [p["parent"][name][0] for p in pairs]
+        change = [p["change"][name][0] for p in pairs]
+        sign = 1 if better == "lower" else -1
+        won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        print(f"{name:<24} parent {summary(parent)}  change "
+              f"{summary(change)}  change won {won}/{len(pairs)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,9 +6,24 @@ writes strengths only: its rankers are not used after labelling. A
 plain `key = value` config file can supply any of a subcommand's
 options, required ones too (flags win); the fully resolved
 configuration is echoed to stderr on every run.
+
+CPUs: each process runs BLAS on one thread, since the products here are
+small enough that a second BLAS thread only burns CPU; a caller who sets
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS keeps that
+choice. `features` instead extracts its clips on threads, one per CPU
+the process may run on (numpy's FFT, BLAS and array loops release the
+GIL), and writes them in manifest order.
 """
 
 from __future__ import annotations
+
+import os
+
+# OpenBLAS sizes its thread pool once, when numpy loads it, so this must
+# run before anything imports numpy
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+        "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
 import dataclasses
@@ -17,7 +32,7 @@ import sys
 
 import numpy as np
 
-from . import corpusio, predictor
+from . import corpusio
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -146,16 +161,28 @@ def _emit(text: str, out: str) -> None:
 
 
 def cmd_features(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
     from . import afeat
 
+    def clip_features(path: str) -> np.ndarray:
+        return afeat.extract_features(afeat.load_audio(path))
+
     records = corpusio.read_manifest(args.manifest)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
     features: dict[str, np.ndarray] = {}
-    for rec in records:
-        try:
-            clip = afeat.load_audio(rec.audio_path)
-            features[rec.id] = afeat.extract_features(clip)
-        except (OSError, ValueError) as exc:
-            raise RuntimeError(f"utterance {rec.id!r}: {exc}") from exc
+    pool = ThreadPoolExecutor(max_workers=cpus or 1)
+    try:
+        futures = [pool.submit(clip_features, rec.audio_path)
+                   for rec in records]
+        for rec, future in zip(records, futures):
+            try:
+                features[rec.id] = future.result()
+            except (OSError, ValueError) as exc:
+                raise RuntimeError(f"utterance {rec.id!r}: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
     corpusio.write_features(features, args.out, order=[r.id for r in records])
     print(f"wrote {len(features)} feature vectors to {args.out}",
           file=sys.stderr)
@@ -181,6 +208,8 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import predictor
+
     records = corpusio.read_annotations(args.annotated)
     provider = _provider_from_args(args)
     config = predictor.TrainConfig(
@@ -203,6 +232,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    from . import predictor
+
     if args.window < 0:
         raise ValueError(f"--window must be at least 0 (0 = whole paragraph),"
                          f" got {args.window}")
@@ -222,7 +253,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    from . import encoder
+    from . import encoder, predictor
 
     params = encoder.init_encoder(args.init_seed)
     if args.grid:
@@ -255,6 +286,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import predictor
+
     items = predictor.predictions_from_jsonl(args.predictions)
     references = corpusio.read_annotations(args.references)
     ref_by_id = {r.id: r for r in references}
@@ -307,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", type=str, required=True)
     sub.add_argument("--trace", type=str, default="",
                      help="write the per-epoch loss trace to this file")
-    defaults = predictor.TrainConfig()
+    defaults = corpusio.TrainConfig()
     sub.add_argument("--lambda-cls", type=float, default=defaults.lambda_cls)
     sub.add_argument("--lr", type=float, default=defaults.learning_rate)
     sub.add_argument("--batch-size", type=int, default=defaults.batch_size)

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpusio import (AnnotatedRecord, EMOTIONS, ModelArtifact,
+from .corpusio import (AnnotatedRecord, EMOTIONS, ModelArtifact, TrainConfig,
                        _check_unique_ids, _read_jsonl, _require)
 
 EMBED_DIM = 768
@@ -85,36 +85,6 @@ class EmotionPrediction:
     probs: np.ndarray
     label: str
     strength: float
-
-
-@dataclass
-class TrainConfig:
-    lambda_cls: float = 0.01
-    learning_rate: float = 0.05
-    batch_size: int = 16
-    epochs: int = 200
-    seed: int = 0
-    init_scale: float = 1.0
-    momentum: float = 0.9
-    lr_decay: float = 0.999
-
-    def validate(self) -> None:
-        if not 0 <= self.lambda_cls < np.inf:
-            raise ValueError(f"lambda_cls must be nonnegative and finite, "
-                             f"got {self.lambda_cls}")
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be positive and finite, "
-                             f"got {self.learning_rate}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), "
-                             f"got {self.momentum}")
-        if not 0 < self.lr_decay <= 1:
-            raise ValueError(f"lr_decay must be in (0, 1], "
-                             f"got {self.lr_decay}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def init_params(seed: int = 0, init_scale: float = 1.0) -> PredictorParams:

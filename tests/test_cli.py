@@ -1,17 +1,19 @@
 """Command-line tests: config parsing, module start-up, and the whole
 pipeline driven in-process on a small synthetic corpus."""
 
+import concurrent.futures
 import dataclasses
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emopred import cli, corpusio, predictor, ranker
+from emopred import afeat, cli, corpusio, predictor, ranker
 from emopred.synthcorpus import generate_micro_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -296,7 +298,7 @@ def test_cli_imports_only_what_a_subcommand_runs(tmp_path):
 import sys
 from emopred import cli
 names = ("emopred.afeat", "emopred.ranker", "emopred.encoder",
-         "emopred.textembed", "secrets", "hashlib")
+         "emopred.predictor", "emopred.textembed", "secrets", "hashlib")
 print([m for m in names if m in sys.modules])
 assert cli.main(["features", "--manifest", sys.argv[1],
                  "--out", sys.argv[2]]) == 0
@@ -309,6 +311,116 @@ print([m for m in names if m in sys.modules])
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "['emopred.afeat']"]
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ({}, "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+    ({"GOTO_NUM_THREADS": "2"}, "None"),
+    ({"OMP_NUM_THREADS": "2"}, "None"),
+])
+def test_blas_runs_one_thread_unless_the_caller_chose(preset, expected):
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(preset, PYTHONPATH=str(SRC))
+    code = ("import os, emopred.cli; "
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected
+
+
+class TestFeaturesOnThreads:
+    """`features` extracts clips on one thread per usable CPU and writes
+    what extracting them one at a time writes."""
+
+    @staticmethod
+    def force_cpus(monkeypatch, n: int) -> list:
+        """Let the process see n usable CPUs; return the worker counts of
+        the thread pools then started."""
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+        started = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            Recording)
+        return started
+
+    @staticmethod
+    def features_argv(manifest, out):
+        return ["features", "--manifest", str(manifest), "--out", str(out)]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_file_equals_sequential_reference(self, tmp_path, monkeypatch,
+                                              cpus):
+        manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=2)
+        pools = self.force_cpus(monkeypatch, cpus)
+        out = tmp_path / "features.jsonl"
+        assert cli.main(self.features_argv(manifest, out)) == 0
+        assert pools == [cpus]
+
+        records = corpusio.read_manifest(manifest)
+        reference = tmp_path / "reference.jsonl"
+        corpusio.write_features(
+            {r.id: afeat.extract_features(afeat.load_audio(r.audio_path))
+             for r in records},
+            reference, order=[r.id for r in records])
+        assert out.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_first_unreadable_clip_in_manifest_order_is_named(
+            self, tmp_path, monkeypatch, capsys, cpus):
+        manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=2)
+        records = corpusio.read_manifest(manifest)
+        garbage = tmp_path / "garbage.wav"
+        garbage.write_bytes(b"not a WAV file")
+        records[1].audio_path = str(garbage)
+        records[2].audio_path = str(tmp_path / "missing.wav")
+        corpusio.write_manifest(records, manifest)
+        load_audio = afeat.load_audio
+
+        def slow_on_garbage(path):
+            # on several threads the later clip then fails first
+            if path == str(garbage):
+                time.sleep(0.2)
+            return load_audio(path)
+
+        monkeypatch.setattr(afeat, "load_audio", slow_on_garbage)
+        self.force_cpus(monkeypatch, cpus)
+        out = tmp_path / "features.jsonl"
+        assert cli.main(self.features_argv(manifest, out)) == 1
+        err = capsys.readouterr().err
+        assert f"error: utterance {records[1].id!r}: " in err
+        assert "unreadable WAV file" in err
+        assert records[2].id not in err
+        assert not out.exists()
+
+    def test_clips_queued_behind_a_failure_are_cancelled(self, tmp_path,
+                                                         monkeypatch):
+        manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=2)
+        records = corpusio.read_manifest(manifest)
+        records[0].audio_path = str(tmp_path / "missing.wav")
+        corpusio.write_manifest(records, manifest)
+        load_audio = afeat.load_audio
+        opened = []
+
+        def slow_after_first(path):
+            opened.append(path)
+            if len(opened) > 1:
+                time.sleep(0.2)
+            return load_audio(path)
+
+        monkeypatch.setattr(afeat, "load_audio", slow_after_first)
+        self.force_cpus(monkeypatch, 1)
+        assert cli.main(self.features_argv(manifest,
+                                           tmp_path / "features.jsonl")) == 1
+        assert len(opened) < len(records)
 
 
 def test_features_and_remote_provider_load_neither_scipy_nor_requests(
