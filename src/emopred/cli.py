@@ -37,15 +37,14 @@ from . import corpusio
 
 def _parse_config_file(path: str) -> dict[str, str]:
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, line in corpusio._text_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -137,9 +136,8 @@ def _read_texts(path: str) -> tuple[list[str], list[str]]:
                  corpusio._require(obj, "text", path, lineno, str))
                 for lineno, obj in corpusio._read_jsonl(path)]
     else:
-        with open(path, encoding="utf-8") as fh:
-            rows = [(f"{lineno:06d}", line.rstrip("\n"))
-                    for lineno, line in enumerate(fh, start=1) if line.strip()]
+        rows = [(f"{lineno:06d}", line.rstrip("\n"))
+                for lineno, line in corpusio._text_lines(path) if line.strip()]
     if not rows:
         raise ValueError(f"{path}: no texts found")
     ids, texts = (list(column) for column in zip(*rows))

@@ -132,20 +132,41 @@ def atomic_write(path: str | Path, binary: bool = False):
         raise
 
 
+def _is_utf8(text: str) -> bool:
+    """Whether UTF-8 can encode `text`: false when it holds a lone
+    surrogate, as a JSON \\ud800 escape or an undecodable byte under
+    errors="surrogateescape" makes."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _text_lines(path: str | Path):
+    """Yield (line number, line) of a UTF-8 text file; a line holding
+    bytes that are not valid UTF-8 is refused by file and line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not _is_utf8(line):
+                raise ValueError(
+                    f"{path}: line {lineno}: bytes that are not valid UTF-8")
+            yield lineno, line
+
+
 def _read_jsonl(path: str | Path) -> list[tuple[int, dict]]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {lineno}: expected a JSON object")
-            rows.append((lineno, obj))
+    for lineno, line in _text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: line {lineno}: expected a JSON object")
+        rows.append((lineno, obj))
     return rows
 
 
@@ -176,14 +197,16 @@ def _finite_float_array(value) -> np.ndarray | None:
 
 def _require(obj: dict, key: str, path, lineno: int, kind: type | None = None):
     """Field `key` of the object on line `lineno` of `path`. kind=str
-    requires a string; kind=float a finite number, not a bool;
-    kind=np.ndarray a flat list of such numbers, returned as a float64
-    array."""
+    requires a string without lone surrogates; kind=float a finite
+    number, not a bool; kind=np.ndarray a flat list of such numbers,
+    returned as a float64 array."""
     if key not in obj:
         raise ValueError(f"{path}: line {lineno}: missing field {key!r}")
     value = obj[key]
     if kind is str and type(value) is not str:
         expected = "a string"
+    elif kind is str and not _is_utf8(value):
+        expected = "a string without lone surrogates"
     elif kind is float and not _is_finite_number(value):
         expected = "a finite number"
     elif kind is np.ndarray:

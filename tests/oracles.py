@@ -5,7 +5,6 @@ loops over the vectorized pipelines they are checked against."""
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 
 import numpy as np
@@ -207,11 +206,22 @@ def oracle_pair_hinge(w: np.ndarray, Zs: np.ndarray, Zw: np.ndarray,
     return objective, gradient, hessian, correct / (len(Zs) * len(Zw))
 
 
-def oracle_embed_local(texts: list[str], seed: int = 0,
-                       dim: int = 768) -> np.ndarray:
-    """Hashed 1..3-gram embeddings, one keyed blake2b call per n-gram
-    occurrence, L2 normalized; the empty string maps to zero."""
-    key = int(seed).to_bytes(8, "little", signed=True)
+def _oracle_splitmix64(z: int) -> int:
+    """splitmix64's finalizer on a Python int, masked to 64 bits."""
+    mask = (1 << 64) - 1
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def oracle_embed_local(texts: list[str], seed: int = 0) -> np.ndarray:
+    """Hashed 1..3-gram embeddings, one splitmix64 call per n-gram
+    occurrence, L2 normalized; the empty string maps to zero.
+
+    An n-gram's code is its length n times 2**24 plus its bytes read
+    big-endian; the key is splitmix64's first output for the seed."""
+    dim = 768
+    key = _oracle_splitmix64((seed + 0x9E3779B97F4A7C15) % 2 ** 64)
     out = np.zeros((len(texts), dim))
     for row, text in enumerate(texts):
         data = text.encode("utf-8")
@@ -220,10 +230,8 @@ def oracle_embed_local(texts: list[str], seed: int = 0,
         vec = out[row]
         for n in (1, 2, 3):
             for start in range(max(0, len(data) - n + 1)):
-                digest = hashlib.blake2b(
-                    data[start:start + n], key=key, digest_size=8
-                ).digest()
-                value = int.from_bytes(digest, "little")
+                code = (n << 24) | int.from_bytes(data[start:start + n], "big")
+                value = _oracle_splitmix64(code ^ key)
                 sign = 1.0 if value & 1 else -1.0
                 vec[(value >> 1) % dim] += sign
         norm = np.linalg.norm(vec)

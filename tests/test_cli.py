@@ -89,6 +89,16 @@ class TestConfigFile:
         assert code == 1
         assert f"train.cfg: {expected}" in capsys.readouterr().err
 
+    def test_bytes_not_utf8_name_file_and_line(self, tmp_path, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_bytes(b"epochs = 3\nlr = 0.5\xff\n")
+        code = cli.main(["train", "--config", str(config), "--annotated",
+                         str(tmp_path / "a.jsonl"), "--out",
+                         str(tmp_path / "model.json")])
+        assert code == 1
+        assert ("train.cfg: line 2: bytes that are not valid UTF-8"
+                in capsys.readouterr().err)
+
 
 class TestOptionRanges:
     """Out-of-range options exit 1 with an error naming the option and
@@ -313,6 +323,33 @@ print([m for m in names if m in sys.modules])
     assert proc.stdout.splitlines() == ["[]", "['emopred.afeat']"]
 
 
+def test_local_embedding_and_predict_load_no_hashlib(tmp_path):
+    # the local embedder hashes with splitmix64, so no OpenSSL is loaded;
+    # `train` still loads it, through numpy.random (secrets, then hmac)
+    model = tmp_path / "model.bin"
+    corpusio.save_model(
+        predictor.params_to_artifact(predictor.init_params(0), {}), model)
+    texts = tmp_path / "texts.txt"
+    texts.write_text("one sentence\nand another\n", encoding="utf-8")
+    code = """
+import sys
+from emopred import cli, predictor, textembed
+names = ("hashlib", "_hashlib")
+textembed.embed_local(["some text"], seed=3)
+print([m for m in names if m in sys.modules])
+assert cli.main(["predict", "--model", sys.argv[1], "--texts", sys.argv[2],
+                 "--mode", "paragraph", "--out", sys.argv[3]]) == 0
+print([m for m in names if m in sys.modules])
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(model), str(texts),
+         str(tmp_path / "preds.jsonl")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
 @pytest.mark.parametrize("preset, expected", [
     ({}, "1"),
     ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
@@ -421,6 +458,18 @@ class TestFeaturesOnThreads:
         assert cli.main(self.features_argv(manifest,
                                            tmp_path / "features.jsonl")) == 1
         assert len(opened) < len(records)
+
+
+def test_features_names_manifest_line_of_bytes_not_utf8(tmp_path, capsys):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_bytes(b'{"id": "a", "text": "caf\xe9", "emotion": '
+                         b'"neutral", "audio_path": "a.wav", "split": "train"}\n')
+    out = tmp_path / "features.jsonl"
+    assert cli.main(["features", "--manifest", str(manifest),
+                     "--out", str(out)]) == 1
+    assert ("manifest.jsonl: line 1: bytes that are not valid UTF-8"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_features_and_remote_provider_load_neither_scipy_nor_requests(
@@ -627,6 +676,37 @@ class TestReadTexts:
                          str(texts), "--out", str(out)]) == 1
         assert "texts.jsonl: duplicate id 'a'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        path = tmp_path / "model.bin"
+        corpusio.save_model(
+            predictor.params_to_artifact(predictor.init_params(0), {}), path)
+        return path
+
+    @pytest.mark.parametrize("name", ["texts.txt", "texts.jsonl"])
+    def test_predict_names_line_of_bytes_not_utf8(self, tmp_path, capsys,
+                                                  model, name):
+        texts = tmp_path / name
+        texts.write_bytes(b'{"id": "a", "text": "one"}\n'
+                          b'{"id": "b", "text": "tw\xff"}\n')
+        out = tmp_path / "preds.jsonl"
+        assert cli.main(["predict", "--model", str(model), "--texts",
+                         str(texts), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{name}: line 2: bytes that are not valid UTF-8" in err
+        assert not out.exists()
+
+    def test_predict_refuses_lone_surrogate_in_text(self, tmp_path, capsys,
+                                                    model):
+        texts = tmp_path / "texts.jsonl"
+        texts.write_text('{"id": "a", "text": "bad \\ud800 text"}\n',
+                         encoding="utf-8")
+        assert cli.main(["predict", "--model", str(model), "--texts",
+                         str(texts)]) == 1
+        assert ("texts.jsonl: line 1: field 'text' must be a string without "
+                "lone surrogates, got 'bad \\ud800 text'"
+                ) in capsys.readouterr().err
 
     def test_plain_lines_numbered(self, tmp_path):
         path = tmp_path / "texts.txt"

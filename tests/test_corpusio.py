@@ -106,6 +106,18 @@ class TestAnnotations:
         with pytest.raises(ValueError, match="outside"):
             corpusio.read_annotations(path)
 
+    def test_lone_surrogate_refused_on_read(self, tmp_path):
+        # json.dumps writes the escape "\\udc80", which json.loads reads
+        # back as a lone surrogate that UTF-8 cannot encode
+        path = tmp_path / "ann.jsonl"
+        path.write_text(manifest_line("a", audio_path="a\udc80.wav",
+                                      strength=0.0) + "\n")
+        with pytest.raises(ValueError) as exc:
+            corpusio.read_annotations(path)
+        assert str(exc.value) == (
+            f"{path}: line 1: field 'audio_path' must be a string without "
+            f"lone surrogates, got 'a\\udc80.wav'")
+
     def test_empty_round_trip(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         corpusio.write_annotations([], path)
