@@ -10,8 +10,10 @@ parent first in pair 1. Each checkout runs its own perfbench copy, so both
 should hold the same perfbench files. Per pair, the script prints the
 metrics BENCHMARK.json declares as end-to-end; at the end, for every
 end-to-end metric the runs printed, each side's median and quartiles and
-the number of pairs the change won (a tie counts for neither side). A run
-that fails is reported and left out of the pairs.
+the number of pairs the change won (a tie counts for neither side). For
+each metric BENCHMARK.json declares, it then prints the verdict a change
+that claims no gain is judged on (see `verdict`). A run that fails is
+reported and left out of the pairs.
 """
 
 from __future__ import annotations
@@ -50,10 +52,37 @@ def run_once(checkout: Path, workload: str, seed: int,
     return metrics
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """[q1, median, q3]; one value stands for all three."""
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
 def summary(values: list[float]) -> str:
-    q1, median, q3 = (statistics.quantiles(values, n=4)
-                      if len(values) > 1 else values * 3)
+    q1, median, q3 = quartiles(values)
     return f"{median:.4f} [{q1:.4f}, {q3:.4f}]"
+
+
+def verdict(parent: list[float], change: list[float], better: str,
+            bound: float) -> tuple[float, str]:
+    """The no-regression verdict on one end-to-end metric.
+
+    Returns the change's median relative to the parent's, signed so that
+    a positive value is worse, and one of:
+    - "better in every run": every change run beats every parent run;
+    - "unresolved": the parent's interquartile range, relative to its
+      median, is wider than `bound`, so its runs cannot tell a change of
+      that size from noise;
+    - "regression": the change's median is worse by more than `bound`;
+    - "within bound" otherwise.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    q1, parent_median, q3 = quartiles(parent)
+    worse = sign * (statistics.median(change) - parent_median) / parent_median
+    if all(sign * (c - p) < 0 for c in change for p in parent):
+        return worse, "better in every run"
+    if (q3 - q1) / parent_median > bound:
+        return worse, "unresolved"
+    return worse, "regression" if worse > bound else "within bound"
 
 
 def main(argv=None) -> int:
@@ -67,7 +96,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with open(args.change / "BENCHMARK.json", encoding="utf-8") as fh:
-        declared = [m["name"] for m in json.load(fh)["end_to_end"]]
+        bounds = {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     pairs = []
     for index in range(args.pairs):
@@ -82,7 +111,7 @@ def main(argv=None) -> int:
         pairs.append(result)
         shown = "  ".join(
             f"{name} {result['parent'][name][0]:.4f}/"
-            f"{result['change'][name][0]:.4f}" for name in declared)
+            f"{result['change'][name][0]:.4f}" for name in bounds)
         print(f"pair {index + 1} ({order[0]} first, parent/change): {shown}",
               flush=True)
     if not pairs:
@@ -97,6 +126,14 @@ def main(argv=None) -> int:
         won = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
         print(f"{name:<24} parent {summary(parent)}  change "
               f"{summary(change)}  change won {won}/{len(pairs)}")
+    print("\nno-regression verdict: change median vs parent median "
+          "(+ is worse)")
+    for name, bound in bounds.items():
+        parent = [p["parent"][name][0] for p in pairs]
+        change = [p["change"][name][0] for p in pairs]
+        worse, word = verdict(parent, change, pairs[0]["parent"][name][1],
+                              bound)
+        print(f"{name:<24} {worse:+.1%}  bound {bound:.0%}  {word}")
     return 0
 
 

@@ -242,10 +242,10 @@ def cmd_predict(args) -> int:
     provider = _provider_from_args(args)
     ids, texts = _read_texts(args.texts)
     window = 1 if args.mode == "single" else args.window
-    predictions = predictor.predict(texts, params, provider, window=window)
-    payload = predictor.predictions_to_jsonl(ids, predictions)
-    _emit(payload, args.out)
-    print(f"predicted {len(predictions)} sentences ({args.mode} mode)",
+    probs, strengths = predictor.predict(texts, params, provider,
+                                         window=window)
+    _emit(predictor.predictions_to_jsonl(ids, probs, strengths), args.out)
+    print(f"predicted {len(ids)} sentences ({args.mode} mode)",
           file=sys.stderr)
     return 0
 
@@ -253,6 +253,8 @@ def cmd_predict(args) -> int:
 def cmd_encode(args) -> int:
     from . import encoder, predictor
 
+    if args.grid == bool(args.predictions):
+        raise ValueError("give exactly one of --grid and --predictions")
     params = encoder.init_encoder(args.init_seed)
     if args.grid:
         if args.grid_points < 1:
@@ -265,36 +267,32 @@ def cmd_encode(args) -> int:
               file=sys.stderr)
         return 0
 
-    if not args.predictions:
-        raise ValueError("either --predictions or --grid is required")
-    items = predictor.predictions_from_jsonl(args.predictions)
-    lines = []
-    for uid, pred in items:
-        h = encoder.encode(params, pred.label, pred.strength)
-        lines.append(json.dumps({
-            "id": uid,
-            "class": pred.label,
-            "strength": pred.strength,
-            "embedding": h.tolist(),
-        }))
-    payload = "\n".join(lines) + ("\n" if lines else "")
+    ids, _, labels, strengths = predictor.predictions_from_jsonl(
+        args.predictions)
+    payload = "".join(json.dumps({
+        "id": uid,
+        "class": label,
+        "strength": strength,
+        "embedding": encoder.encode(params, label, strength).tolist(),
+    }) + "\n" for uid, label, strength in zip(ids, labels, strengths))
     _emit(payload, args.out)
-    print(f"encoded {len(items)} predictions", file=sys.stderr)
+    print(f"encoded {len(ids)} predictions", file=sys.stderr)
     return 0
 
 
 def cmd_eval(args) -> int:
     from . import predictor
 
-    items = predictor.predictions_from_jsonl(args.predictions)
-    references = corpusio.read_annotations(args.references)
-    ref_by_id = {r.id: r for r in references}
-    missing = [uid for uid, _ in items if uid not in ref_by_id]
+    ids, _, labels, strengths = predictor.predictions_from_jsonl(
+        args.predictions)
+    ref_by_id = {r.id: r for r in corpusio.read_annotations(args.references)}
+    missing = [uid for uid in ids if uid not in ref_by_id]
     if missing:
         raise ValueError(f"predictions without references: {missing[:5]}")
-    preds = [pred for _, pred in items]
-    refs = [ref_by_id[uid] for uid, _ in items]
-    metrics = predictor.evaluate(preds, refs)
+    refs = [ref_by_id[uid] for uid in ids]
+    metrics = predictor.evaluate(labels, strengths,
+                                 [r.emotion for r in refs],
+                                 [r.strength for r in refs])
     text = json.dumps(metrics, indent=1, sort_keys=True) + "\n"
     _emit(text, args.out)
     print(f"macro accuracy {metrics['macro_accuracy']:.3f}, "

@@ -105,6 +105,13 @@ class TrainConfig:
             raise ValueError("batch_size and epochs must be at least 1")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _check_init_scale(self.init_scale)
+
+
+def _check_init_scale(init_scale: float) -> None:
+    if not 0 <= init_scale < np.inf:
+        raise ValueError(
+            f"init_scale must be nonnegative and finite, got {init_scale}")
 
 
 @contextmanager

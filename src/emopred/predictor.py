@@ -1,6 +1,7 @@
 """Joint emotion predictor: two fully-connected heads on frozen text
-embeddings, one for the 4-way emotion class and one for the scalar
-emotion strength.
+embeddings. For m texts they give two arrays, passed on as they are to
+predictions_to_jsonl() and evaluate(): the (m, 4) softmax over the
+emotion classes and the (m,) strengths clamped to [0, 1].
 
 Both heads read the same 768-dim embedding, so their first layers are
 one 512x768 ReLU layer W1, b1: hidden units 0-255 feed the class head,
@@ -34,7 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpusio import (AnnotatedRecord, EMOTIONS, ModelArtifact, TrainConfig,
-                       _check_unique_ids, _read_jsonl, _require)
+                       _check_init_scale, _check_unique_ids, _read_jsonl,
+                       _require)
 
 EMBED_DIM = 768
 HIDDEN_DIM = 256
@@ -78,15 +80,6 @@ class PredictorParams:
         return PredictorParams(**{k: v.copy() for k, v in self.as_dict().items()})
 
 
-@dataclass
-class EmotionPrediction:
-    """Class distribution and strength for one text."""
-
-    probs: np.ndarray
-    label: str
-    strength: float
-
-
 def init_params(seed: int = 0, init_scale: float = 1.0) -> PredictorParams:
     """Uniform [-s/sqrt(fan_in), s/sqrt(fan_in)] weights, zero biases.
 
@@ -97,9 +90,7 @@ def init_params(seed: int = 0, init_scale: float = 1.0) -> PredictorParams:
     memory is the returned parameters; the values are the doubles
     Generator.uniform(-limit, limit) gives.
     """
-    if not 0 <= init_scale < np.inf:
-        raise ValueError(
-            f"init_scale must be nonnegative and finite, got {init_scale}")
+    _check_init_scale(init_scale)
     rng = np.random.default_rng(seed)
     params = PredictorParams(**{name: np.zeros(shape)
                                 for name, shape in PARAM_SHAPES.items()})
@@ -168,24 +159,19 @@ def _flat_views(buf: np.ndarray, shapes) -> list[np.ndarray]:
 
 
 def forward(params: PredictorParams,
-            x: np.ndarray) -> EmotionPrediction | list[EmotionPrediction]:
-    """Run both heads on one (768,) embedding, returning one
-    EmotionPrediction, or on each row of an (m, 768) batch in one pass,
-    returning a list of m.
+            X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run both heads on an (m, 768) batch of embeddings in one pass.
 
-    Softmax is computed with max subtraction; argmax ties break to the
-    lowest class index; strength is the raw value clamped to [0, 1].
-    Batched rows agree with one-row calls up to matmul rounding.
+    Returns (probs, strengths): the (m, 4) class distributions, a softmax
+    computed with max subtraction, and the (m,) raw strengths clamped to
+    [0, 1]. A row agrees with the same row run as a one-row batch up to
+    matmul rounding.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != EMBED_DIM:
-        raise ValueError(f"embedding shape {x.shape}, expected ({EMBED_DIM},)"
-                         f" or (m, {EMBED_DIM})")
-    _, probs, raw = _forward_batch(params, np.atleast_2d(x))
-    preds = [EmotionPrediction(probs=p, label=EMOTIONS[int(np.argmax(p))],
-                               strength=float(np.clip(r, 0.0, 1.0)))
-             for p, r in zip(probs, raw)]
-    return preds[0] if x.ndim == 1 else preds
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != EMBED_DIM:
+        raise ValueError(f"embedding shape {X.shape}, expected (m, {EMBED_DIM})")
+    _, probs, raw = _forward_batch(params, X)
+    return probs, np.clip(raw, 0.0, 1.0)
 
 
 def batch_loss(params: PredictorParams, X: np.ndarray, class_idx: np.ndarray,
@@ -321,13 +307,14 @@ def predict(
     params: PredictorParams,
     provider,
     window: int = 1,
-) -> list[EmotionPrediction]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Predict per sentence, with preceding sentences as context.
 
     Sentence i is embedded as the space-joined sentences
     max(0, i-window+1)..i: window 1 embeds each sentence alone, and
     window 0 means the whole paragraph up to sentence i. One provider
-    call embeds every input; one prediction is emitted per sentence.
+    call embeds every input, and one forward() pass runs them all.
+    Returns forward()'s (probs, strengths), row i for sentence i.
     """
     if not texts:
         raise ValueError("texts must be nonempty")
@@ -363,45 +350,33 @@ def _spearman(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean((ra - ra.mean()) * (rb - rb.mean())) / (sa * sb))
 
 
-def _as_label_strength(item) -> tuple[str, float]:
-    if isinstance(item, EmotionPrediction):
-        return item.label, item.strength
-    if isinstance(item, AnnotatedRecord):
-        return item.emotion, item.strength
-    label, strength = item
-    return str(label), float(strength)
-
-
-def evaluate(predictions: Sequence, references: Sequence) -> dict:
-    """Classification and strength metrics against references.
-
-    Accepts EmotionPrediction objects, AnnotatedRecord objects, or
-    (label, strength) pairs on either side. Returns the 4x4 confusion
+def evaluate(labels: Sequence[str], strengths: Sequence[float],
+             ref_labels: Sequence[str],
+             ref_strengths: Sequence[float]) -> dict:
+    """Metrics of the predicted labels and strengths against the
+    reference ones, item i against item i. Returns the 4x4 confusion
     matrix indexed [reference][prediction], per-class accuracies
     (diagonal over row sum; 0 for absent classes), macro accuracy (mean
     over classes with support), strength MSE, and Spearman rank
     correlation of strengths (0 when either side is constant).
     """
-    if len(predictions) != len(references):
-        raise ValueError(
-            f"length mismatch: {len(predictions)} predictions vs "
-            f"{len(references)} references"
-        )
-    if not predictions:
+    sizes = [len(v) for v in (labels, strengths, ref_labels, ref_strengths)]
+    if len(set(sizes)) > 1:
+        raise ValueError(f"length mismatch: labels, strengths, reference "
+                         f"labels and reference strengths have {sizes}")
+    if not labels:
         raise ValueError("empty input")
-    pred = [_as_label_strength(p) for p in predictions]
-    ref = [_as_label_strength(r) for r in references]
 
     confusion = np.zeros((NUM_CLASSES, NUM_CLASSES), dtype=np.int64)
-    for (p_label, _), (r_label, _) in zip(pred, ref):
+    for p_label, r_label in zip(labels, ref_labels):
         confusion[EMOTIONS.index(r_label), EMOTIONS.index(p_label)] += 1
     support = confusion.sum(axis=1)
     per_class = np.where(support > 0, np.diag(confusion) / np.maximum(support, 1),
                          0.0)
     macro = float(per_class[support > 0].mean())
 
-    p_strength = np.array([s for _, s in pred])
-    r_strength = np.array([s for _, s in ref])
+    p_strength = np.asarray(strengths, dtype=np.float64)
+    r_strength = np.asarray(ref_strengths, dtype=np.float64)
     return {
         "confusion_matrix": confusion.tolist(),
         "per_class_accuracy": per_class.tolist(),
@@ -415,43 +390,43 @@ def evaluate(predictions: Sequence, references: Sequence) -> dict:
 # Serialization
 
 
-def predictions_to_jsonl(ids: Sequence[str],
-                         predictions: Sequence[EmotionPrediction]) -> str:
-    """Line-delimited JSON: {"id", "probs", "class", "strength"}."""
-    if len(ids) != len(predictions):
-        raise ValueError("ids and predictions must have equal lengths")
-    lines = []
-    for uid, pred in zip(ids, predictions):
-        lines.append(json.dumps({
-            "id": uid,
-            "probs": [float(p) for p in pred.probs],
-            "class": pred.label,
-            "strength": pred.strength,
-        }))
-    return "\n".join(lines) + ("\n" if lines else "")
+def predictions_to_jsonl(ids: Sequence[str], probs: np.ndarray,
+                         strengths: Sequence[float]) -> str:
+    """Line-delimited JSON, one {"id", "probs", "class", "strength"} line
+    per row of forward()'s (probs, strengths). The class is the first
+    class of largest probability."""
+    if not len(ids) == len(probs) == len(strengths):
+        raise ValueError("ids, probs and strengths must have equal lengths")
+    return "".join(json.dumps({"id": uid, "probs": p.tolist(),
+                               "class": EMOTIONS[int(np.argmax(p))],
+                               "strength": float(strength)}) + "\n"
+                   for uid, p, strength in zip(ids, probs, strengths))
 
 
-def predictions_from_jsonl(
-        path: str | Path) -> list[tuple[str, EmotionPrediction]]:
-    """Read a predictions JSONL file back into (id, prediction) pairs."""
-    out = []
+def predictions_from_jsonl(path: str | Path) -> tuple[
+        list[str], np.ndarray, list[str], list[float]]:
+    """Read a predictions JSONL file back as (ids, probs, labels,
+    strengths) in file order: probs is an (n, 4) array, the rest lists."""
+    ids, probs, labels, strengths = [], [], [], []
     for lineno, obj in _read_jsonl(path):
-        uid, probs, label, strength = (
+        uid, p, label, strength = (
             _require(obj, key, path, lineno, kind)
             for key, kind in (("id", str), ("probs", np.ndarray),
                               ("class", str), ("strength", float)))
-        if probs.shape != (NUM_CLASSES,):
+        if p.shape != (NUM_CLASSES,):
             raise ValueError(f"{path}: line {lineno}: field 'probs' must have "
-                             f"{NUM_CLASSES} entries, got {len(probs)}")
+                             f"{NUM_CLASSES} entries, got {len(p)}")
         if label not in EMOTIONS:
             raise ValueError(f"{path}: line {lineno}: unknown class {label!r}")
         if not 0.0 <= strength <= 1.0:
             raise ValueError(f"{path}: line {lineno}: field 'strength' must "
                              f"be in [0, 1], got {strength}")
-        out.append((uid, EmotionPrediction(probs=probs, label=label,
-                                           strength=strength)))
-    _check_unique_ids((uid for uid, _ in out), path)
-    return out
+        ids.append(uid)
+        probs.append(p)
+        labels.append(label)
+        strengths.append(strength)
+    _check_unique_ids(ids, path)
+    return ids, np.reshape(probs, (-1, NUM_CLASSES)), labels, strengths
 
 
 def params_to_artifact(params: PredictorParams,

@@ -235,6 +235,23 @@ class TestNonFiniteOptions:
         assert not out.exists()
 
 
+def test_train_refuses_init_scale_before_embedding(tmp_path, capsys,
+                                                   embed_server):
+    server = embed_server()
+    annotated = tmp_path / "annotated.jsonl"
+    corpusio.write_annotations([corpusio.AnnotatedRecord(
+        id=f"u{i}", text=f"text {i}", emotion="anger", audio_path="",
+        split="train", strength=0.5) for i in range(3)], annotated)
+    out = tmp_path / "model.json"
+    assert cli.main(["train", "--annotated", str(annotated), "--out",
+                     str(out), "--provider", "remote", "--endpoint",
+                     server.endpoint, "--init-scale", "nan"]) == 1
+    assert ("init_scale must be nonnegative and finite, got nan"
+            in capsys.readouterr().err)
+    assert server.posts == []
+    assert not out.exists()
+
+
 def test_paragraph_window_1_is_single_mode(tmp_path):
     model = tmp_path / "model.json"
     corpusio.save_model(
@@ -605,6 +622,31 @@ class TestEncodeOptions:
         assert "seed must be nonnegative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_grid_with_predictions_exit_1(self, tmp_path, capsys, from_file):
+        predictions = tmp_path / "preds.jsonl"
+        predictions.write_text(
+            '{"id": "a", "probs": [0.25, 0.25, 0.25, 0.25], '
+            '"class": "neutral", "strength": 0.5}\n', encoding="utf-8")
+        config = tmp_path / "encode.cfg"
+        config.write_text("grid = true\n" if from_file else "",
+                          encoding="utf-8")
+        out = tmp_path / "out.csv"
+        grid = [] if from_file else ["--grid"]
+        assert cli.main(["encode", "--config", str(config), *grid,
+                         "--predictions", str(predictions), "--out",
+                         str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--grid" in err and "--predictions" in err
+        assert not out.exists()
+
+    def test_neither_grid_nor_predictions_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert cli.main(["encode", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--grid" in err and "--predictions" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_grid_points_below_one_exit_1(self, tmp_path, capsys, points):
         out = tmp_path / "grid.csv"
@@ -747,8 +789,8 @@ def test_pipeline_end_to_end(tmp_path):
     assert all(0.0 <= r.strength <= 1.0 for r in records)
     assert all(r.strength == 0.0 for r in records if r.emotion == "neutral")
     for path in (single, paragraph):
-        items = predictor.predictions_from_jsonl(path)
-        assert [uid for uid, _ in items] == [r.id for r in records]
+        ids, *_ = predictor.predictions_from_jsonl(path)
+        assert ids == [r.id for r in records]
     lines = encoded.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 16
     assert all(len(json.loads(line)["embedding"]) > 0 for line in lines)

@@ -247,13 +247,13 @@ class TestModelArtifacts:
         path = tmp_path / "model.json"
         corpusio.save_model(artifact, path)
         loaded = predictor.params_from_artifact(corpusio.load_model(path))
-        x = np.random.default_rng(4).normal(size=768)
+        x = np.random.default_rng(4).normal(size=(1, 768))
         before = predictor.forward(params, x)
         after = predictor.forward(loaded, x)
-        np.testing.assert_array_equal(before.probs, after.probs)
+        np.testing.assert_array_equal(before[0], after[0])
         np.testing.assert_array_equal(
-            predictor._forward_batch(params, x[None])[2],
-            predictor._forward_batch(loaded, x[None])[2])
+            predictor._forward_batch(params, x)[2],
+            predictor._forward_batch(loaded, x)[2])
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="kind"):

@@ -1,6 +1,7 @@
 """Joint emotion predictor tests: forward oracle, loss closed forms,
 finite-difference gradients, training behavior, paragraph mode, metrics."""
 
+import json
 import math
 import tracemalloc
 
@@ -110,6 +111,13 @@ def raw_strength(params, x):
     return float(predictor._forward_batch(params, np.atleast_2d(x))[2][0])
 
 
+def written_classes(probs, strengths):
+    """The class predictions_to_jsonl() writes for each row."""
+    text = predictor.predictions_to_jsonl(
+        [str(i) for i in range(len(probs))], probs, strengths)
+    return [json.loads(line)["class"] for line in text.splitlines()]
+
+
 def one_row_loss(probs, raw, target_idx, strength, lam):
     """The mean loss train() minimizes, on a batch of one."""
     return predictor._mean_loss(np.atleast_2d(probs), np.array([raw]),
@@ -120,60 +128,65 @@ def one_row_loss(probs, raw, target_idx, strength, lam):
 class TestForward:
     def test_zero_network(self):
         params = predictor.init_params(0, 0.0)
-        pred = predictor.forward(params, np.ones(768))
-        np.testing.assert_allclose(pred.probs, 0.25, atol=1e-15)
-        assert pred.label == "neutral"  # lowest-index tie break
+        probs, strengths = predictor.forward(params, np.ones((1, 768)))
+        np.testing.assert_allclose(probs, 0.25, atol=1e-15)
+        # lowest-index tie break
+        assert written_classes(probs, strengths) == ["neutral"]
         assert raw_strength(params, np.ones(768)) == 0.0
-        assert pred.strength == 0.0
+        assert strengths.tolist() == [0.0]
 
     def test_closed_form_softmax(self):
         params = predictor.init_params(0, 0.0)
         params.b2c = np.array([10.0, 0.0, 0.0, 0.0])
-        pred = predictor.forward(params, np.zeros(768))
+        probs, strengths = predictor.forward(params, np.zeros((1, 768)))
         expected = math.exp(10.0) / (math.exp(10.0) + 3.0)
-        assert pred.probs[0] == pytest.approx(expected, rel=1e-12)
-        assert pred.label == "neutral"
+        assert probs[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert written_classes(probs, strengths) == ["neutral"]
 
     def test_matches_handrolled_oracle(self):
         rng = np.random.default_rng(3)
         params = predictor.init_params(3, 1.0)
         x = rng.normal(size=768)
-        pred = predictor.forward(params, x)
+        got, _ = predictor.forward(params, x[None])
         probs, raw = oracle_forward(params, x)
-        assert np.abs(pred.probs - probs).max() <= 1e-9
+        assert np.abs(got[0] - probs).max() <= 1e-9
         assert abs(raw_strength(params, x) - raw) <= 1e-9
 
     def test_dimension_mismatch(self):
         params = predictor.init_params(0, 0.0)
         with pytest.raises(ValueError, match="shape"):
-            predictor.forward(params, np.zeros(10))
+            predictor.forward(params, np.zeros((1, 10)))
 
     def test_batch_matches_row_calls(self):
         rng = np.random.default_rng(4)
         params = predictor.init_params(4, 1.0)
         X = rng.normal(size=(9, 768))
-        batch = predictor.forward(params, X)
+        probs, strengths = predictor.forward(params, X)
         raws = predictor._forward_batch(params, X)[2]
-        assert isinstance(batch, list) and len(batch) == 9
-        for x, got, raw in zip(X, batch, raws):
-            want = predictor.forward(params, x)
-            assert np.abs(got.probs - want.probs).max() <= 1e-12
+        assert probs.shape == (9, 4) and strengths.shape == (9,)
+        rows = [predictor.forward(params, x[None]) for x in X]
+        row_probs = np.vstack([p for p, _ in rows])
+        row_strengths = np.concatenate([s for _, s in rows])
+        assert np.abs(probs - row_probs).max() <= 1e-12
+        for x, raw in zip(X, raws):
             assert abs(raw - raw_strength(params, x)) <= 1e-12
-            assert got.label == want.label
-            assert got.strength == np.clip(raw, 0.0, 1.0)
+        assert written_classes(probs, strengths) == written_classes(
+            row_probs, row_strengths)
+        np.testing.assert_array_equal(strengths, np.clip(raws, 0.0, 1.0))
 
     def test_batch_dimension_mismatch(self):
+        # one (768,) vector is refused too: a batch of one is (1, 768)
         params = predictor.init_params(0, 0.0)
-        for bad in (np.zeros((3, 10)), np.zeros((2, 3, 768))):
+        for bad in (np.zeros(768), np.zeros((3, 10)), np.zeros((2, 3, 768))):
             with pytest.raises(ValueError, match="shape"):
                 predictor.forward(params, bad)
 
     def test_strength_clamped(self):
         params = predictor.init_params(0, 0.0)
         params.b2s = np.array([3.5])
-        pred = predictor.forward(params, np.zeros(768))
+        _, strengths = predictor.forward(params, np.zeros((1, 768)))
         assert raw_strength(params, np.zeros(768)) == 3.5
-        assert pred.strength == 1.0
+        assert strengths.tolist() == [1.0]
 
 
 class TestLoss:
@@ -255,11 +268,11 @@ class TestTrain:
         config = TrainConfig(epochs=120, seed=0)
         params, trace = predictor.train(records, provider, config)
         X = provider.embed([r.text for r in records])
+        labels = written_classes(*predictor.forward(params, X))
         correct = 0
         mse = 0.0
         for i, rec in enumerate(records):
-            pred = predictor.forward(params, X[i])
-            correct += pred.label == rec.emotion
+            correct += labels[i] == rec.emotion
             mse += (raw_strength(params, X[i]) - rec.strength) ** 2
         assert correct / len(records) >= 0.99
         assert mse / len(records) < 1e-3
@@ -463,27 +476,29 @@ class TestPredict:
                               window=1)
         b = predictor.predict(["only one sentence"], params, provider,
                               window=0)
-        np.testing.assert_array_equal(a[0].probs, b[0].probs)
-        assert a[0].strength == b[0].strength
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_paragraph_context_changes_prediction(self):
         params = predictor.init_params(2, 1.0)
         provider = FixedProvider()
-        single = predictor.predict(["A", "B"], params, provider, window=1)
-        para = predictor.predict(["A", "B"], params, provider, window=2)
+        single, _ = predictor.predict(["A", "B"], params, provider, window=1)
+        para, _ = predictor.predict(["A", "B"], params, provider, window=2)
         # sentence 1 has no added context; sentence 2 sees "A B"
-        np.testing.assert_array_equal(single[0].probs, para[0].probs)
-        assert not np.array_equal(single[1].probs, para[1].probs)
+        np.testing.assert_array_equal(single[0], para[0])
+        assert not np.array_equal(single[1], para[1])
 
     def test_seven_sentence_paragraph_deterministic(self):
         params = predictor.init_params(4, 1.0)
         provider = FixedProvider()
         texts = [f"sentence number {i}" for i in range(7)]
-        a = predictor.predict(texts, params, provider, window=7)
-        b = predictor.predict(texts, params, provider, window=7)
-        assert len(a) == 7
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa.probs, pb.probs)
+        a_probs, a_strengths = predictor.predict(texts, params, provider,
+                                                 window=7)
+        b_probs, b_strengths = predictor.predict(texts, params, provider,
+                                                 window=7)
+        assert a_probs.shape == (7, 4) and a_strengths.shape == (7,)
+        np.testing.assert_array_equal(a_probs, b_probs)
+        np.testing.assert_array_equal(a_strengths, b_strengths)
 
     def test_window_truncates_context(self):
         params = predictor.init_params(2, 1.0)
@@ -514,17 +529,17 @@ class TestPredict:
             return batch_forward(p, x)
 
         monkeypatch.setattr(predictor, "forward", counting_forward)
-        preds = predictor.predict(["A", "B", "C"], params, FixedProvider(),
-                                  window=0)
+        probs, strengths = predictor.predict(["A", "B", "C"], params,
+                                             FixedProvider(), window=0)
         assert shapes == [(3, 768)]
-        assert len(preds) == 3
+        assert probs.shape == (3, 4) and strengths.shape == (3,)
 
 
 class TestEvaluate:
     def test_perfect_predictions(self):
-        refs = [("neutral", 0.0), ("happiness", 0.5), ("sadness", 0.8),
-                ("anger", 0.2)]
-        metrics = predictor.evaluate(refs, refs)
+        labels = ["neutral", "happiness", "sadness", "anger"]
+        strengths = [0.0, 0.5, 0.8, 0.2]
+        metrics = predictor.evaluate(labels, strengths, labels, strengths)
         assert metrics["confusion_matrix"] == np.diag([1, 1, 1, 1]).tolist()
         assert metrics["per_class_accuracy"] == [1.0] * 4
         assert metrics["macro_accuracy"] == 1.0
@@ -532,9 +547,10 @@ class TestEvaluate:
         assert metrics["strength_spearman"] == pytest.approx(1.0)
 
     def test_all_neutral_on_balanced_refs(self):
-        refs = [(e, 0.5) for e in EMOTIONS for _ in range(3)]
-        preds = [("neutral", 0.5)] * len(refs)
-        metrics = predictor.evaluate(preds, refs)
+        ref_labels = [e for e in EMOTIONS for _ in range(3)]
+        n = len(ref_labels)
+        metrics = predictor.evaluate(["neutral"] * n, [0.5] * n, ref_labels,
+                                     [0.5] * n)
         assert metrics["macro_accuracy"] == pytest.approx(0.25)
 
     def test_random_case_matches_counting_oracle(self):
@@ -544,9 +560,8 @@ class TestEvaluate:
         pred_labels = [EMOTIONS[i] for i in rng.integers(0, 4, size=n)]
         ref_strengths = rng.uniform(0, 1, size=n)
         pred_strengths = rng.uniform(0, 1, size=n)
-        metrics = predictor.evaluate(
-            list(zip(pred_labels, pred_strengths)),
-            list(zip(ref_labels, ref_strengths)))
+        metrics = predictor.evaluate(pred_labels, pred_strengths, ref_labels,
+                                     ref_strengths)
 
         confusion = [[0] * 4 for _ in range(4)]
         for r, p in zip(ref_labels, pred_labels):
@@ -569,18 +584,19 @@ class TestEvaluate:
         rng = np.random.default_rng(24)
         a = rng.integers(0, 5, size=40).astype(float)  # many ties
         b = rng.integers(0, 5, size=40).astype(float)
-        metrics = predictor.evaluate(
-            [("neutral", v) for v in a], [("neutral", v) for v in b])
+        metrics = predictor.evaluate(["neutral"] * 40, a, ["neutral"] * 40, b)
         rho = scipy.stats.spearmanr(a, b).statistic
         assert metrics["strength_spearman"] == pytest.approx(rho, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            predictor.evaluate([("neutral", 0.0)], [])
+            predictor.evaluate(["neutral"], [0.0], [], [])
+        with pytest.raises(ValueError, match="length mismatch"):
+            predictor.evaluate(["neutral"], [0.0, 1.0], ["neutral"], [0.0])
 
     def test_empty(self):
         with pytest.raises(ValueError, match="empty|length"):
-            predictor.evaluate([], [])
+            predictor.evaluate([], [], [], [])
 
 
 class TestInvariants:
@@ -589,41 +605,40 @@ class TestInvariants:
         for seed in range(10):
             params = predictor.init_params(seed, 5.0)
             x = rng.normal(scale=10.0, size=768)
-            pred = predictor.forward(params, x)
-            assert abs(pred.probs.sum() - 1.0) <= 1e-9
-            assert np.all(pred.probs >= 0.0)
+            probs, _ = predictor.forward(params, x[None])
+            assert abs(probs.sum() - 1.0) <= 1e-9
+            assert np.all(probs >= 0.0)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(26)
         params = predictor.init_params(7, 1.0)
-        x = rng.normal(size=768)
-        base = predictor.forward(params, x)
+        X = rng.normal(size=(1, 768))
+        base = predictor.forward(params, X)
         shifted_params = params.copy()
         shifted_params.b2c = shifted_params.b2c + 123.0
-        shifted = predictor.forward(shifted_params, x)
-        np.testing.assert_allclose(shifted.probs, base.probs, atol=1e-12)
-        assert shifted.label == base.label
+        shifted = predictor.forward(shifted_params, X)
+        np.testing.assert_allclose(shifted[0], base[0], atol=1e-12)
+        assert written_classes(*shifted) == written_classes(*base)
 
     def test_clamp_identity_inside_range(self):
         params = predictor.init_params(0, 0.0)
         params.b2s = np.array([0.37])
-        pred = predictor.forward(params, np.zeros(768))
-        assert pred.strength == raw_strength(params, np.zeros(768)) == 0.37
+        _, strengths = predictor.forward(params, np.zeros((1, 768)))
+        assert strengths[0] == raw_strength(params, np.zeros(768)) == 0.37
 
 
 class TestSerialization:
     def test_predictions_jsonl_round_trip(self, tmp_path):
         params = predictor.init_params(1, 1.0)
         rng = np.random.default_rng(2)
-        preds = [predictor.forward(params, rng.normal(size=768))
-                 for _ in range(3)]
+        probs, strengths = predictor.forward(params, rng.normal(size=(3, 768)))
         ids = ["a", "b", "c"]
         path = tmp_path / "predictions.jsonl"
-        path.write_text(predictor.predictions_to_jsonl(ids, preds),
+        path.write_text(predictor.predictions_to_jsonl(ids, probs, strengths),
                         encoding="utf-8")
-        parsed = predictor.predictions_from_jsonl(path)
-        assert [uid for uid, _ in parsed] == ids
-        for (_, back), orig in zip(parsed, preds):
-            np.testing.assert_array_equal(back.probs, orig.probs)
-            assert back.label == orig.label
-            assert back.strength == orig.strength
+        back_ids, back_probs, labels, back_strengths = (
+            predictor.predictions_from_jsonl(path))
+        assert back_ids == ids
+        np.testing.assert_array_equal(back_probs, probs)
+        assert labels == [EMOTIONS[i] for i in np.argmax(probs, axis=1)]
+        assert back_strengths == strengths.tolist()

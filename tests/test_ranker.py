@@ -191,6 +191,20 @@ class TestCertifiedOptimum:
         assert _primal_minimum(Zs, Zw, c, model.w) >= (
             model.objective * (1.0 - 1e-6))
 
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3, 1e5])
+    def test_extreme_c_certifies(self, c):
+        # _terms expands the pair sums through prefix sums, which could
+        # cancel when C makes the hinge terms dominate
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            n_s, n_w = rng.integers(5, 41, size=2)
+            X = rng.normal(size=(n_s + n_w, rng.integers(2, 13)))
+            model = ranker.train_ranksvm(X[:n_s], X[n_s:], c=c)
+            assert model.gap <= ranker.GAP_TOL
+            trace = model.objective_trace
+            assert all(later <= earlier * (1.0 + 1e-6)
+                       for earlier, later in zip(trace, trace[1:]))
+
     @staticmethod
     def _synthetic_models(root, seed, per_emotion):
         manifest = generate_micro_corpus(root, seed=seed,
