@@ -274,43 +274,40 @@ def extract_lld(clip: AudioClip) -> np.ndarray:
 
 
 def delta(matrix: np.ndarray) -> np.ndarray:
-    """Two-frame regression delta per column with edge replication.
+    """Two-frame regression delta of each column of a nonempty (frames, k)
+    matrix, with edge replication; returns the same shape.
 
     d_t = (1*(c[t+1] - c[t-1]) + 2*(c[t+2] - c[t-2])) / 10
     """
     m = np.asarray(matrix, dtype=np.float64)
-    squeeze = m.ndim == 1
-    if squeeze:
-        m = m[:, None]
-    if m.shape[0] < 1:
-        raise ValueError("delta requires at least one frame")
+    if m.ndim != 2 or len(m) < 1:
+        raise ValueError("delta needs a nonempty (frames, k) matrix, "
+                         f"got shape {m.shape}")
     padded = np.vstack([m[:1], m[:1], m, m[-1:], m[-1:]])
-    out = (1.0 * (padded[3:-1] - padded[1:-3])
-           + 2.0 * (padded[4:] - padded[:-4])) / 10.0
-    return out[:, 0] if squeeze else out
+    return (1.0 * (padded[3:-1] - padded[1:-3])
+            + 2.0 * (padded[4:] - padded[:-4])) / 10.0
 
 
 def functionals(contours: np.ndarray) -> np.ndarray:
-    """The 12 statistical functionals of each contour.
+    """The 12 statistical functionals of each column of a nonempty
+    (frames, contours) matrix, shape (contours, 12).
 
-    Takes one contour (1-D) and returns its 12 values, or a (frames,
-    contours) matrix and returns one row of 12 per column, shape
-    (contours, 12). Each column gives bit for bit what the 1-D call on
-    it gives. Uses population moments; skewness is m3/m2^1.5 and
-    kurtosis is excess (m4/m2^2 - 3). Relative positions use the first
+    A column's row is, bit for bit, what the column alone gives as a
+    (frames, 1) matrix. Uses population moments; skewness is m3/m2^1.5
+    and kurtosis is excess (m4/m2^2 - 3). Relative positions use the first
     occurrence divided by len-1 (0 for length-1 contours). Constant
     contours (including length 1) take the exact degenerate values
     [c, 0, 0, 0, c, c, 0, 0, 0, c, 0, 0].
     """
     m = np.asarray(contours, dtype=np.float64)
-    if m.ndim not in (1, 2) or len(m) < 1:
-        raise ValueError("contours must be a nonempty 1-D array or a "
-                         "(frames, contours) matrix")
+    if m.ndim != 2 or len(m) < 1:
+        raise ValueError("functionals needs a nonempty (frames, contours) "
+                         f"matrix, got shape {m.shape}")
     n = len(m)
     # One contiguous row per contour: numpy then reduces each row with the
     # same pairwise summation as a 1-D array, which keeps the bits of the
     # per-contour formulas (reducing over axis 0 would not).
-    x = np.ascontiguousarray(np.atleast_2d(m.T))
+    x = np.ascontiguousarray(m.T)
     constant = np.all(x == x[:, :1], axis=1)
 
     t = np.arange(n, dtype=np.float64)
@@ -348,7 +345,7 @@ def functionals(contours: np.ndarray) -> np.ndarray:
                     pos_min, pos_max, offset, slope, mse], axis=1)
     level = np.array([1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0], dtype=bool)
     out[constant] = np.where(level, x[constant, :1], 0.0)
-    return out[0] if m.ndim == 1 else out
+    return out
 
 
 def extract_features(clip: AudioClip) -> np.ndarray:

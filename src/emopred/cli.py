@@ -36,15 +36,18 @@ from . import corpusio
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
-    values = {}
+    values, lines = {}, {}
     for lineno, line in corpusio._text_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in lines:
+            raise ValueError(f"{path}: line {lineno}: key {key!r} already "
+                             f"set on line {lines[key]}")
+        values[key], lines[key] = value, lineno
     return values
 
 
@@ -145,6 +148,14 @@ def _read_texts(path: str) -> tuple[list[str], list[str]]:
     return ids, texts
 
 
+def _records(read, path: str) -> list:
+    """read(path), refusing a file that holds no records."""
+    records = read(path)
+    if not records:
+        raise ValueError(f"{path}: no records found")
+    return records
+
+
 def _emit(text: str, out: str) -> None:
     """Write text to the file `out`, replacing it whole, or to stdout."""
     if out:
@@ -166,7 +177,7 @@ def cmd_features(args) -> int:
     def clip_features(path: str) -> np.ndarray:
         return afeat.extract_features(afeat.load_audio(path))
 
-    records = corpusio.read_manifest(args.manifest)
+    records = _records(corpusio.read_manifest, args.manifest)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
     features: dict[str, np.ndarray] = {}
@@ -190,7 +201,7 @@ def cmd_features(args) -> int:
 def cmd_annotate(args) -> int:
     from . import ranker
 
-    records = corpusio.read_manifest(args.manifest)
+    records = _records(corpusio.read_manifest, args.manifest)
     features = corpusio.read_features(args.features)
     annotated, models = ranker.annotate_corpus(records, features, c=args.C)
     corpusio.write_annotations(annotated, args.out)
@@ -208,7 +219,7 @@ def cmd_annotate(args) -> int:
 def cmd_train(args) -> int:
     from . import predictor
 
-    records = corpusio.read_annotations(args.annotated)
+    records = _records(corpusio.read_annotations, args.annotated)
     provider = _provider_from_args(args)
     config = predictor.TrainConfig(
         lambda_cls=args.lambda_cls, learning_rate=args.lr,
@@ -260,21 +271,19 @@ def cmd_encode(args) -> int:
         if args.grid_points < 1:
             raise ValueError(
                 f"--grid-points must be at least 1, got {args.grid_points}")
-        strengths = np.linspace(0.0, 1.0, args.grid_points).tolist()
-        csv_text = encoder.export_grid(params, strengths)
-        _emit(csv_text, args.out)
+        strengths = np.linspace(0.0, 1.0, args.grid_points)
+        _emit(encoder.export_grid(params, strengths), args.out)
         print(f"wrote {4 * args.grid_points}-row embedding grid",
               file=sys.stderr)
         return 0
 
     ids, _, labels, strengths = predictor.predictions_from_jsonl(
         args.predictions)
-    payload = "".join(json.dumps({
-        "id": uid,
-        "class": label,
-        "strength": strength,
-        "embedding": encoder.encode(params, label, strength).tolist(),
-    }) + "\n" for uid, label, strength in zip(ids, labels, strengths))
+    rows = zip(ids, labels, strengths,
+               encoder.encode(params, labels, strengths).tolist())
+    payload = "".join(json.dumps({"id": uid, "class": label, "strength": s,
+                                  "embedding": h}) + "\n"
+                      for uid, label, s, h in rows)
     _emit(payload, args.out)
     print(f"encoded {len(ids)} predictions", file=sys.stderr)
     return 0

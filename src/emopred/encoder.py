@@ -1,7 +1,8 @@
 """Joint emotion encoder: maps (class, strength) to a positive 32-dim
 conditioning embedding.
 
-Each class owns a 32-dim look-up-table vector u_c. The embedding is
+Each class owns a 32-dim look-up-table vector u_c. The map runs on
+batches: m (class, strength) pairs give the (m, 32) embedding rows
 
     h = softplus((W @ u_c) * (1 + w_str * strength))
 
@@ -45,57 +46,53 @@ def init_encoder(seed: int = 0) -> EncoderParams:
     return EncoderParams(lut=lut, w_emb=w_emb, w_str=1.0)
 
 
-def _class_index(emotion: str) -> int:
-    try:
-        return EMOTIONS.index(emotion)
-    except ValueError:
-        raise ValueError(f"unknown emotion label {emotion!r}") from None
-
-
-def _check_strength(strength: float) -> float:
-    strength = float(strength)
-    if not (0.0 <= strength <= 1.0):
-        raise ValueError(f"strength {strength} outside [0, 1]")
-    return strength
-
-
 def softplus(x: np.ndarray) -> np.ndarray:
     """Overflow-safe softplus: max(x, 0) + log1p(exp(-|x|))."""
     x = np.asarray(x, dtype=np.float64)
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def preactivation(params: EncoderParams, emotion: str,
-                  strength: float) -> np.ndarray:
-    """z = (W @ lut[class]) * (1 + w_str * strength)."""
-    strength = _check_strength(strength)
-    base = params.w_emb @ params.lut[_class_index(emotion)]
-    return base * (1.0 + params.w_str * strength)
+def preactivation(params: EncoderParams, labels: Sequence[str],
+                  strengths: Sequence[float]) -> np.ndarray:
+    """Pre-activations of a batch, shape (m, 32): row i is
+    (W @ lut[c_i]) * (1 + w_str * s_i) for the i-th label and strength.
+    W @ u is one mat-vec per class, so a row's bits do not depend on the
+    rest of the batch."""
+    unknown = [label for label in labels if label not in EMOTIONS]
+    if unknown:
+        raise ValueError(f"unknown emotion label {unknown[0]!r}")
+    s = np.asarray(strengths, dtype=np.float64).reshape(len(labels))
+    outside = ~((s >= 0.0) & (s <= 1.0))
+    if outside.any():
+        raise ValueError(f"strength {s[outside][0]} outside [0, 1]")
+    base = np.stack([params.w_emb @ u for u in params.lut])
+    rows = [EMOTIONS.index(label) for label in labels]
+    return base[rows] * (1.0 + params.w_str * s)[:, None]
 
 
-def encode(params: EncoderParams, emotion: str, strength: float) -> np.ndarray:
-    """Joint emotion embedding h = softplus(preactivation); every
-    component is strictly positive."""
-    return softplus(preactivation(params, emotion, strength))
+def encode(params: EncoderParams, labels: Sequence[str],
+           strengths: Sequence[float]) -> np.ndarray:
+    """Joint emotion embeddings of a batch, shape (m, 32): softplus of
+    preactivation, so every component is strictly positive."""
+    return softplus(preactivation(params, labels, strengths))
 
 
 def export_grid(params: EncoderParams, strengths: Sequence[float]) -> str:
     """CSV table of the embedding geometry.
 
-    Header: class,strength,z_0..z_31,h_0..h_31. Deterministic row order
-    (class-major, strength ascending). Every cell equals, bit for bit,
-    what preactivation and encode give for its class and strength.
-    """
-    values = sorted(_check_strength(s) for s in strengths)
-    # one mat-vec per class, as in preactivation, so each cell keeps its bits
-    base = np.stack([params.w_emb @ u for u in params.lut])
-    z = base[:, None, :] * (1.0 + params.w_str * np.array(values))[:, None]
-    cells = np.concatenate([z, softplus(z)], axis=2).reshape(-1, 2 * EMB_DIM)
-    keys = [(label, s) for label in EMOTIONS for s in values]
+    Header: class,strength,z_0..z_31,h_0..h_31. The rows, class-major
+    and strength ascending, are one preactivation batch, so every cell
+    equals, bit for bit, what preactivation and encode give for its
+    class and strength."""
+    values = sorted(map(float, strengths))
+    labels = [label for label in EMOTIONS for _ in values]
+    column = values * NUM_CLASSES
+    z = preactivation(params, labels, column)
     header = (["class", "strength"]
               + [f"z_{i}" for i in range(EMB_DIM)]
               + [f"h_{i}" for i in range(EMB_DIM)])
     lines = [",".join(header)]
+    cells = np.hstack([z, softplus(z)]).tolist()
     lines += [",".join([label, repr(s), *map(repr, row)])
-              for (label, s), row in zip(keys, cells.tolist())]
+              for label, s, row in zip(labels, column, cells)]
     return "\n".join(lines) + "\n"

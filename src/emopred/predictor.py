@@ -177,10 +177,8 @@ def forward(params: PredictorParams,
 def batch_loss(params: PredictorParams, X: np.ndarray, class_idx: np.ndarray,
                strengths: np.ndarray, lambda_cls: float = 0.01) -> float:
     """Mean joint loss over a batch, the loss train() minimizes; the log
-    is floored at probability PROB_FLOOR. Rows run ROW_BLOCK at a time."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    class_idx = np.asarray(class_idx, dtype=np.int64).ravel()
-    strengths = np.asarray(strengths, dtype=np.float64).ravel()
+    is floored at probability PROB_FLOOR. X is (m, d) and the targets
+    are m class indices and m strengths. Rows run ROW_BLOCK at a time."""
     probs, raw = np.empty((len(X), NUM_CLASSES)), np.empty(len(X))
     for r in range(0, len(X), ROW_BLOCK):
         _, probs[r:r + ROW_BLOCK], raw[r:r + ROW_BLOCK] = _forward_batch(

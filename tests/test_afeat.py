@@ -366,20 +366,21 @@ class TestDelta:
 
     def test_unit_ramp_interior(self):
         column = np.arange(10, dtype=float)
-        d = afeat.delta(column)
+        d = afeat.delta(column[:, None])
+        assert d.shape == (10, 1)
         np.testing.assert_allclose(d[2:-2], 1.0)
 
     def test_random_column_matches_hand_loop(self):
         rng = np.random.default_rng(11)
         column = rng.normal(size=10)
-        np.testing.assert_allclose(afeat.delta(column),
+        np.testing.assert_allclose(afeat.delta(column[:, None])[:, 0],
                                    oracle_delta_column(column), atol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(value=st.floats(-1e6, 1e6), frames=st.integers(1, 30),
            columns=st.integers(1, 4))
     def test_constant_contour_has_zero_delta(self, value, frames, columns):
-        assert np.all(afeat.delta(np.full(frames, value)) == 0.0)
+        assert np.all(afeat.delta(np.full((frames, 1), value)) == 0.0)
         assert np.all(afeat.delta(np.full((frames, columns), value)) == 0.0)
 
     def test_matrix_applies_per_column(self):
@@ -391,21 +392,33 @@ class TestDelta:
                                        oracle_delta_column(matrix[:, c]),
                                        atol=1e-15)
 
+    @pytest.mark.parametrize("bad", [np.zeros(5), np.zeros((0, 3)),
+                                     np.zeros((2, 2, 2)), np.float64(1.0)])
+    def test_refuses_all_but_a_nonempty_matrix(self, bad):
+        with pytest.raises(ValueError, match=r"delta needs a nonempty "
+                           r"\(frames, k\) matrix, got shape"):
+            afeat.delta(bad)
+
+
+def contour_functionals(contour) -> np.ndarray:
+    """The 12 functionals of one contour, run as a (frames, 1) matrix."""
+    return afeat.functionals(np.asarray(contour, dtype=np.float64)[:, None])[0]
+
 
 class TestFunctionals:
     def test_constant_contour_exact(self):
         for c in (0.0, 0.7, -3.25):
-            result = afeat.functionals(np.full(17, c))
+            result = contour_functionals(np.full(17, c))
             expected = np.array([c, 0, 0, 0, c, c, 0, 0, 0, c, 0, 0])
             np.testing.assert_array_equal(result, expected)
 
     def test_length_one(self):
-        result = afeat.functionals(np.array([4.5]))
+        result = contour_functionals([4.5])
         expected = np.array([4.5, 0, 0, 0, 4.5, 4.5, 0, 0, 0, 4.5, 0, 0])
         np.testing.assert_array_equal(result, expected)
 
     def test_exact_line(self):
-        f = afeat.functionals(np.array([0.0, 1.0, 2.0, 3.0]))
+        f = contour_functionals([0.0, 1.0, 2.0, 3.0])
         assert f[0] == 1.5          # mean
         assert f[4] == 0.0          # min
         assert f[5] == 3.0          # max
@@ -415,21 +428,21 @@ class TestFunctionals:
         assert f[11] < 1e-24        # mse
 
     def test_relpos_first_occurrence(self):
-        f = afeat.functionals(np.array([5.0, 1.0, 1.0, 5.0]))
+        f = contour_functionals([5.0, 1.0, 1.0, 5.0])
         assert f[7] == pytest.approx(1 / 3)  # first min at index 1
         assert f[8] == 0.0                   # first max at index 0
 
     def test_random_contour_matches_stats_oracle(self):
         rng = np.random.default_rng(13)
         contour = rng.normal(2.0, 3.0, size=100)
-        result = afeat.functionals(contour)
+        result = contour_functionals(contour)
         expected = oracle_functionals(contour)
         for got, want in zip(result, expected):
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_tiny_contour_has_finite_moments(self):
         # sd = 7e-127: m2*sd and m2*m2 underflow to 0
-        f = afeat.functionals(np.array([0.0, 1.4e-126]))
+        f = contour_functionals([0.0, 1.4e-126])
         assert np.all(np.isfinite(f))
         assert f[2] == 0.0 and f[3] == -2.0
 
@@ -462,7 +475,8 @@ class TestFunctionalsMatrix:
         assert result.shape == (m.shape[1], afeat.NUM_FUNCTIONALS)
         for c in range(m.shape[1]):
             # bit for bit, including the sign of zeros
-            assert result[c].tobytes() == afeat.functionals(m[:, c]).tobytes()
+            assert (result[c].tobytes()
+                    == contour_functionals(m[:, c]).tobytes())
             want = oracle_functionals(m[:, c])
             assert np.all(np.abs(result[c] - want)
                           <= 1e-9 * np.maximum(1.0, np.abs(want)))
@@ -474,15 +488,17 @@ class TestFunctionalsMatrix:
            n=st.integers(2, 300))
     def test_affine_contour_has_zero_residual(self, offset, slope, n):
         contour = offset + slope * np.arange(n)
-        f = afeat.functionals(contour)
+        f = contour_functionals(contour)
         scale = max(1.0, abs(offset) + abs(slope) * n)
         assert f[11] <= (1e-12 * scale) ** 2
         assert abs(f[10] - slope) <= 1e-12 * scale
         assert abs(f[9] - offset) <= 1e-12 * scale
 
     def test_rejects_empty_and_3d(self):
-        for bad in (np.zeros(0), np.zeros((0, 3)), np.zeros((2, 2, 2))):
-            with pytest.raises(ValueError, match="nonempty"):
+        for bad in (np.zeros(5), np.zeros(0), np.zeros((0, 3)),
+                    np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match=r"functionals needs a "
+                               r"nonempty \(frames, contours\) matrix"):
                 afeat.functionals(bad)
 
 
@@ -517,7 +533,7 @@ class TestExtractFeatures:
         lld = afeat.extract_lld(sine_clip)
         contours = np.hstack([lld, afeat.delta(lld)])
         expected = np.concatenate([
-            afeat.functionals(contours[:, c]) for c in range(32)
+            contour_functionals(contours[:, c]) for c in range(32)
         ])
         np.testing.assert_array_equal(vec, expected)
 

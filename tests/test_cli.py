@@ -2,6 +2,7 @@
 pipeline driven in-process on a small synthetic corpus."""
 
 import concurrent.futures
+import csv
 import dataclasses
 import json
 import os
@@ -98,6 +99,40 @@ class TestConfigFile:
         assert code == 1
         assert ("train.cfg: line 2: bytes that are not valid UTF-8"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text, line", [
+        ("epochs = 3\nepochs = 5\n", 2),
+        ("epochs = 3\n# later\n\n  epochs=5\n", 4)])
+    def test_key_given_twice_names_both_lines(self, tmp_path, capsys, text,
+                                              line):
+        config = tmp_path / "train.cfg"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "model.json"
+        code = cli.main(["train", "--config", str(config), "--annotated",
+                         str(tmp_path / "a.jsonl"), "--out", str(out)])
+        assert code == 1
+        assert (f"train.cfg: line {line}: key 'epochs' already set on line 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("content", ["", "\n\n"])
+@pytest.mark.parametrize("command", ["features", "annotate", "train"])
+def test_file_without_records_names_it_and_writes_nothing(
+        tmp_path, capsys, command, content):
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text(content, encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    argv = {
+        "features": ["--manifest", str(corpus)],
+        # the features file is never opened
+        "annotate": ["--manifest", str(corpus), "--features",
+                     str(tmp_path / "missing.jsonl")],
+        "train": ["--annotated", str(corpus)],
+    }[command]
+    assert cli.main([command, *argv, "--out", str(out)]) == 1
+    assert f"{corpus}: no records found" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestOptionRanges:
@@ -654,6 +689,32 @@ class TestEncodeOptions:
                          "--out", str(out)]) == 1
         assert "--grid-points" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_encoded_predictions_equal_the_grid_cells(tmp_path):
+    # every class at the 11 grid strengths, in a shuffled order
+    strengths = np.linspace(0.0, 1.0, 11)
+    rows = [(label, s) for label in corpusio.EMOTIONS for s in strengths]
+    order = np.random.default_rng(0).permutation(len(rows))
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text("".join(json.dumps({
+        "id": f"u{i}", "probs": [0.25] * 4, "class": rows[i][0],
+        "strength": rows[i][1]}) + "\n" for i in order), encoding="utf-8")
+    encoded, grid = tmp_path / "encoded.jsonl", tmp_path / "grid.csv"
+    assert cli.main(["encode", "--predictions", str(predictions),
+                     "--out", str(encoded)]) == 0
+    assert cli.main(["encode", "--grid", "--grid-points", "11",
+                     "--out", str(grid)]) == 0
+    with open(grid, encoding="utf-8", newline="") as fh:
+        cells = {(row["class"], float(row["strength"])):
+                 [float(row[f"h_{i}"]) for i in range(32)]
+                 for row in csv.DictReader(fh)}
+    lines = encoded.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(cells) == 44
+    for line in lines:
+        obj = json.loads(line)
+        want = np.array(cells[obj["class"], obj["strength"]])
+        assert np.array(obj["embedding"]).tobytes() == want.tobytes()
 
 
 class TestReadTexts:

@@ -1,6 +1,6 @@
 """Joint emotion encoder tests: Eq-style algebra of the fixed seeded
-map, softplus behavior, and the grid export against preactivation and
-softplus."""
+map on batches of (class, strength) pairs, softplus behavior, and the
+grid export against preactivation and softplus."""
 
 import io
 import csv
@@ -24,43 +24,70 @@ def random_params(seed, w_str=None):
 class TestPreactivation:
     def test_strength_zero(self):
         params = random_params(0)
-        z = encoder.preactivation(params, "sadness", 0.0)
-        np.testing.assert_array_equal(z, params.w_emb @ params.lut[2])
+        z = encoder.preactivation(params, ["sadness"], [0.0])
+        np.testing.assert_array_equal(z, [params.w_emb @ params.lut[2]])
 
     def test_unit_strength_doubles(self):
         params = random_params(1, w_str=1.0)
-        base = encoder.preactivation(params, "anger", 0.0)
-        z = encoder.preactivation(params, "anger", 1.0)
+        base, z = encoder.preactivation(params, ["anger"] * 2, [0.0, 1.0])
         np.testing.assert_allclose(z, 2.0 * base, rtol=1e-15)
 
     def test_colinearity_identity(self):
         params = random_params(2, w_str=0.8)
         s1, s2 = 0.25, 0.9
-        z1 = encoder.preactivation(params, "happiness", s1)
-        z2 = encoder.preactivation(params, "happiness", s2)
+        z1, z2 = encoder.preactivation(params, ["happiness"] * 2, [s1, s2])
         factor = (1.0 + params.w_str * s2) / (1.0 + params.w_str * s1)
         np.testing.assert_allclose(z2, z1 * factor, rtol=1e-12)
 
     def test_unknown_emotion(self):
-        with pytest.raises(ValueError, match="unknown emotion"):
-            encoder.preactivation(random_params(0), "joy", 0.5)
+        with pytest.raises(ValueError, match="unknown emotion label 'joy'"):
+            encoder.preactivation(random_params(0), ["joy"], [0.5])
 
     def test_strength_out_of_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            encoder.preactivation(random_params(0), "anger", 1.5)
+        with pytest.raises(ValueError, match=r"strength 1\.5 outside \[0, 1\]"):
+            encoder.preactivation(random_params(0), ["anger"], [1.5])
+
+    @pytest.mark.parametrize("strengths, shown", [
+        ([0.5, -0.25, 2.0], "-0.25"), ([0.0, np.nan], "nan")])
+    def test_first_strength_out_of_range_is_named(self, strengths, shown):
+        with pytest.raises(ValueError,
+                           match=rf"strength {shown} outside \[0, 1\]"):
+            encoder.preactivation(random_params(0), ["anger"] * len(strengths),
+                                  strengths)
+
+    @pytest.mark.parametrize("strengths", [[0.5], [0.1, 0.2, 0.3]])
+    def test_labels_and_strengths_of_unequal_length(self, strengths):
+        with pytest.raises(ValueError, match="cannot reshape"):
+            encoder.preactivation(random_params(0), ["anger", "neutral"],
+                                  strengths)
+
+    def test_batch_rows_match_one_row_batches(self):
+        # one mat-vec per class: a row's bits do not depend on the batch
+        params = random_params(3, w_str=0.7)
+        rng = np.random.default_rng(3)
+        labels = [EMOTIONS[c] for c in rng.integers(0, 4, size=50)]
+        strengths = rng.uniform(0, 1, size=50)
+        z = encoder.preactivation(params, labels, strengths)
+        assert z.shape == (50, 32)
+        for label, s, row in zip(labels, strengths, z):
+            alone = encoder.preactivation(params, [label], [s])
+            assert alone.tobytes() == row.tobytes()
+
+    def test_empty_batch(self):
+        assert encoder.preactivation(random_params(0), [], []).shape == (0, 32)
 
 
 class TestEncode:
     def test_zero_params_all_ln2(self):
         params = EncoderParams(lut=np.zeros((4, 32)), w_emb=np.zeros((32, 32)),
                                w_str=0.0)
-        h = encoder.encode(params, "neutral", 0.0)
+        h = encoder.encode(params, ["neutral"], [0.0])
         np.testing.assert_allclose(h, math.log(2.0), atol=1e-15)
 
     def test_large_preactivation_no_overflow(self):
         params = EncoderParams(lut=np.full((4, 32), 1000.0),
                                w_emb=np.eye(32), w_str=0.0)
-        h = encoder.encode(params, "anger", 0.0)
+        h = encoder.encode(params, ["anger"], [0.0])
         assert np.all(np.isfinite(h))
         np.testing.assert_allclose(h, 1000.0, atol=1e-12)
 
@@ -74,11 +101,19 @@ class TestEncode:
                                    rtol=1e-12, atol=1e-12)
 
     def test_positivity(self):
+        labels = [e for e in EMOTIONS for _ in range(3)]
         for seed in range(5):
-            params = random_params(seed)
-            for emotion in EMOTIONS:
-                for s in (0.0, 0.33, 1.0):
-                    assert np.all(encoder.encode(params, emotion, s) > 0.0)
+            h = encoder.encode(random_params(seed), labels,
+                               [0.0, 0.33, 1.0] * 4)
+            assert h.shape == (12, 32)
+            assert np.all(h > 0.0)
+
+    def test_is_softplus_of_preactivation(self):
+        params = random_params(9)
+        labels, strengths = ["sadness", "anger", "sadness"], [0.2, 1.0, 0.0]
+        h = encoder.encode(params, labels, strengths)
+        z = encoder.preactivation(params, labels, strengths)
+        assert h.tobytes() == encoder.softplus(z).tobytes()
 
 
 class TestExportGrid:
@@ -108,8 +143,8 @@ class TestExportGrid:
             assert [float(row["strength"]) for row in parsed[:6]] == sorted(
                 strengths)
             for row in parsed:
-                z = encoder.preactivation(params, row["class"],
-                                          float(row["strength"]))
+                z = encoder.preactivation(params, [row["class"]],
+                                          [float(row["strength"])])[0]
                 got_z = np.array([float(row[f"z_{i}"]) for i in range(32)])
                 got_h = np.array([float(row[f"h_{i}"]) for i in range(32)])
                 assert got_z.tobytes() == z.tobytes()
@@ -130,20 +165,14 @@ class TestExportGrid:
 
     def test_between_class_distance_scaling(self):
         params = random_params(8, w_str=1.0)
-        strengths = np.linspace(0, 1, 5)
-        base_dist = {}
-        for a in range(4):
-            for b in range(a + 1, 4):
-                za = encoder.preactivation(params, EMOTIONS[a], 0.0)
-                zb = encoder.preactivation(params, EMOTIONS[b], 0.0)
-                base_dist[a, b] = np.linalg.norm(za - zb)
-        for s in strengths:
+        z0 = encoder.preactivation(params, EMOTIONS, [0.0] * 4)
+        for s in np.linspace(0, 1, 5):
             factor = 1.0 + params.w_str * s
-            for (a, b), d0 in base_dist.items():
-                za = encoder.preactivation(params, EMOTIONS[a], s)
-                zb = encoder.preactivation(params, EMOTIONS[b], s)
-                assert np.linalg.norm(za - zb) == pytest.approx(
-                    factor * d0, rel=1e-9)
+            z = encoder.preactivation(params, EMOTIONS, [s] * 4)
+            for a in range(4):
+                for b in range(a + 1, 4):
+                    assert np.linalg.norm(z[a] - z[b]) == pytest.approx(
+                        factor * np.linalg.norm(z0[a] - z0[b]), rel=1e-9)
 
 
 class TestInvariants:
@@ -151,18 +180,16 @@ class TestInvariants:
         params_a = random_params(13, w_str=0.3)
         params_b = EncoderParams(lut=params_a.lut.copy(),
                                  w_emb=params_a.w_emb.copy(), w_str=7.7)
-        for emotion in EMOTIONS:
-            np.testing.assert_array_equal(
-                encoder.encode(params_a, emotion, 0.0),
-                encoder.encode(params_b, emotion, 0.0))
+        np.testing.assert_array_equal(
+            encoder.encode(params_a, EMOTIONS, [0.0] * 4),
+            encoder.encode(params_b, EMOTIONS, [0.0] * 4))
 
     def test_componentwise_monotonicity_direction(self):
         params = random_params(14, w_str=1.0)
         strengths = np.linspace(0, 1, 9)
         for emotion in EMOTIONS:
             base = params.w_emb @ params.lut[EMOTIONS.index(emotion)]
-            H = np.vstack([encoder.encode(params, emotion, s)
-                           for s in strengths])
+            H = encoder.encode(params, [emotion] * len(strengths), strengths)
             diffs = np.diff(H, axis=0)
             for i in range(32):
                 direction = np.sign(base[i] * params.w_str)
