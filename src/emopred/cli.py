@@ -26,6 +26,7 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -174,25 +175,21 @@ def cmd_features(args) -> int:
 
     from . import afeat
 
-    def clip_features(path: str) -> np.ndarray:
-        return afeat.extract_features(afeat.load_audio(path))
+    def clip_features(rec: corpusio.UtteranceRecord) -> np.ndarray:
+        try:
+            return afeat.extract_features(afeat.load_audio(rec.audio_path))
+        except (OSError, ValueError) as exc:
+            raise RuntimeError(f"utterance {rec.id!r}: {exc}") from exc
 
     records = _records(corpusio.read_manifest, args.manifest)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count())
-    features: dict[str, np.ndarray] = {}
-    pool = ThreadPoolExecutor(max_workers=cpus or 1)
-    try:
-        futures = [pool.submit(clip_features, rec.audio_path)
-                   for rec in records]
-        for rec, future in zip(records, futures):
-            try:
-                features[rec.id] = future.result()
-            except (OSError, ValueError) as exc:
-                raise RuntimeError(f"utterance {rec.id!r}: {exc}") from exc
-    finally:
-        pool.shutdown(cancel_futures=True)
-    corpusio.write_features(features, args.out, order=[r.id for r in records])
+    # map yields in manifest order, so the first failing clip in that order
+    # is the one named; the clips still queued behind it are cancelled
+    with ThreadPoolExecutor(max_workers=cpus or 1) as pool:
+        features = {rec.id: vec for rec, vec in
+                    zip(records, pool.map(clip_features, records))}
+    corpusio.write_features(features, args.out)
     print(f"wrote {len(features)} feature vectors to {args.out}",
           file=sys.stderr)
     return 0
@@ -226,15 +223,17 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size, epochs=args.epochs,
         seed=args.seed, init_scale=args.init_scale,
     )
-    params, trace = predictor.train(records, provider, config)
-    metadata = {k: repr(v) for k, v in dataclasses.asdict(config).items()}
-    metadata["final_loss"] = repr(trace[-1])
-    corpusio.save_model(predictor.params_to_artifact(params, metadata),
-                        args.out)
-    if args.trace:
-        with corpusio.atomic_write(args.trace) as fh:
-            for value in trace:
-                fh.write(f"{value!r}\n")
+    # the trace is opened first, so that a path it cannot be written to
+    # stops the run before any work, and replaced last, after the model
+    with (corpusio.atomic_write(args.trace) if args.trace
+          else contextlib.nullcontext()) as trace_file:
+        params, trace = predictor.train(records, provider, config)
+        metadata = {k: repr(v) for k, v in dataclasses.asdict(config).items()}
+        metadata["final_loss"] = repr(trace[-1])
+        corpusio.save_model(predictor.params_to_artifact(params, metadata),
+                            args.out)
+        if args.trace:
+            trace_file.writelines(f"{value!r}\n" for value in trace)
     print(f"trained {config.epochs} epochs, final loss {trace[-1]:.6f}",
           file=sys.stderr)
     return 0

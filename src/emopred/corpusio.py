@@ -1,4 +1,4 @@
-"""Corpus manifests, feature files, dataset splits, and model persistence.
+"""Corpus manifests, feature files, and model persistence.
 
 Manifests are line-delimited JSON (one utterance per line).
 
@@ -123,13 +123,17 @@ def atomic_write(path: str | Path, binary: bool = False):
     Writes go to a new temporary file in the target directory, which is
     flushed to disk and renamed over `path` (os.replace) when the block
     exits normally. If the block raises, the temporary file is removed
-    and any previous file at `path` is left untouched.
+    and any previous file at `path` is left untouched. When the temporary
+    file cannot be created, the OSError names `path`.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
-        with (open(tmp, "xb") if binary
-              else open(tmp, "x", encoding="utf-8")) as fh:
+        fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    try:
+        with fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
@@ -306,14 +310,12 @@ def read_features(path: str | Path) -> dict[str, np.ndarray]:
     return feats
 
 
-def write_features(features: dict[str, np.ndarray], path: str | Path,
-                   order: list[str] | None = None) -> None:
-    """Write features as JSONL, in `order` (default: insertion order)."""
-    ids = list(features) if order is None else order
+def write_features(features: dict[str, np.ndarray], path: str | Path) -> None:
+    """Write features as JSONL, in the dict's insertion order."""
     with atomic_write(path) as fh:
-        for uid in ids:
-            vec = np.asarray(features[uid], dtype=np.float64)
-            fh.write(json.dumps({"id": uid, "features": vec.tolist()}) + "\n")
+        for uid, vec in features.items():
+            values = np.asarray(vec, dtype=np.float64).tolist()
+            fh.write(json.dumps({"id": uid, "features": values}) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -419,51 +421,3 @@ def _artifact_header(doc, path):
                              f"of non-negative ints, got {reprlib.repr(shape)}")
     return (kind, {name: tuple(shapes[name]) for name in sorted(shapes)},
             {str(k): str(v) for k, v in metadata.items()})
-
-
-# ---------------------------------------------------------------------------
-# Splits
-
-
-def split_manifest(
-    records: list[UtteranceRecord],
-    ratios: tuple[float, float, float] | None = None,
-    seed: int = 0,
-) -> tuple[list[UtteranceRecord], list[UtteranceRecord], list[UtteranceRecord]]:
-    """Partition a manifest into (train, valid, test).
-
-    With ratios=None the explicit per-record split field is used. With
-    ratios, records are shuffled per emotion (stratified) with the given
-    seed and allocated by largest-remainder rounding so the three parts
-    exactly cover the input.
-    """
-    if ratios is None:
-        parts: dict[str, list[UtteranceRecord]] = {s: [] for s in SPLITS}
-        for rec in records:
-            parts[rec.split].append(rec)
-        return parts["train"], parts["valid"], parts["test"]
-
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ValueError("ratios must be three nonnegative numbers")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
-
-    rng = np.random.default_rng(seed)
-    out: tuple[list, list, list] = ([], [], [])
-    for emotion in EMOTIONS:
-        group = [r for r in records if r.emotion == emotion]
-        if not group:
-            continue
-        order = rng.permutation(len(group))
-        n = len(group)
-        exact = [n * r for r in ratios]
-        counts = [int(np.floor(e)) for e in exact]
-        remainder = n - sum(counts)
-        fracs = sorted(range(3), key=lambda i: (-(exact[i] - counts[i]), i))
-        for i in range(remainder):
-            counts[fracs[i]] += 1
-        start = 0
-        for part, count in zip(out, counts):
-            part.extend(group[i] for i in order[start:start + count])
-            start += count
-    return out

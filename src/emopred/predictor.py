@@ -404,7 +404,8 @@ def predictions_to_jsonl(ids: Sequence[str], probs: np.ndarray,
 def predictions_from_jsonl(path: str | Path) -> tuple[
         list[str], np.ndarray, list[str], list[float]]:
     """Read a predictions JSONL file back as (ids, probs, labels,
-    strengths) in file order: probs is an (n, 4) array, the rest lists."""
+    strengths) in file order: probs is an (n, 4) array, the rest lists.
+    A file that holds no records is refused by name."""
     ids, probs, labels, strengths = [], [], [], []
     for lineno, obj in _read_jsonl(path):
         uid, p, label, strength = (
@@ -423,6 +424,8 @@ def predictions_from_jsonl(path: str | Path) -> tuple[
         probs.append(p)
         labels.append(label)
         strengths.append(strength)
+    if not ids:
+        raise ValueError(f"{path}: no records found")
     _check_unique_ids(ids, path)
     return ids, np.reshape(probs, (-1, NUM_CLASSES)), labels, strengths
 

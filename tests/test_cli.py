@@ -117,7 +117,8 @@ class TestConfigFile:
 
 
 @pytest.mark.parametrize("content", ["", "\n\n"])
-@pytest.mark.parametrize("command", ["features", "annotate", "train"])
+@pytest.mark.parametrize("command", ["features", "annotate", "train",
+                                     "encode", "eval"])
 def test_file_without_records_names_it_and_writes_nothing(
         tmp_path, capsys, command, content):
     corpus = tmp_path / "empty.jsonl"
@@ -125,10 +126,13 @@ def test_file_without_records_names_it_and_writes_nothing(
     out = tmp_path / "out.jsonl"
     argv = {
         "features": ["--manifest", str(corpus)],
-        # the features file is never opened
+        # the features and references files are never opened
         "annotate": ["--manifest", str(corpus), "--features",
                      str(tmp_path / "missing.jsonl")],
         "train": ["--annotated", str(corpus)],
+        "encode": ["--predictions", str(corpus)],
+        "eval": ["--predictions", str(corpus), "--references",
+                 str(tmp_path / "missing.jsonl")],
     }[command]
     assert cli.main([command, *argv, "--out", str(out)]) == 1
     assert f"{corpus}: no records found" in capsys.readouterr().err
@@ -178,7 +182,7 @@ class TestOptionRanges:
         rng = np.random.default_rng(0)
         features = tmp_path / "features.jsonl"
         corpusio.write_features({r.id: rng.normal(size=384) for r in records},
-                                features, order=[r.id for r in records])
+                                features)
         out = tmp_path / "annotated.jsonl"
         assert cli.main(["annotate", "--manifest", str(manifest),
                          "--features", str(features), "--out", str(out),
@@ -208,7 +212,7 @@ class TestOptionRanges:
         rng = np.random.default_rng(0)
         features = tmp_path / "features.jsonl"
         corpusio.write_features({r.id: rng.normal(size=384) for r in records},
-                                features, order=[r.id for r in records])
+                                features)
         assert cli.main(["annotate", "--manifest", str(manifest),
                          "--features", str(features), "--out",
                          str(tmp_path / "annotated.jsonl")]) == 0
@@ -285,6 +289,25 @@ def test_train_refuses_init_scale_before_embedding(tmp_path, capsys,
             in capsys.readouterr().err)
     assert server.posts == []
     assert not out.exists()
+
+
+def test_train_with_unwritable_trace_stops_before_embedding(tmp_path, capsys,
+                                                           embed_server):
+    server = embed_server()
+    annotated = tmp_path / "annotated.jsonl"
+    corpusio.write_annotations([corpusio.AnnotatedRecord(
+        id=f"u{i}", text=f"text {i}", emotion="anger", audio_path="",
+        split="train", strength=0.5) for i in range(3)], annotated)
+    out, trace = tmp_path / "model.bin", tmp_path / "nodir" / "trace.txt"
+    assert cli.main(["train", "--annotated", str(annotated), "--out",
+                     str(out), "--trace", str(trace), "--provider", "remote",
+                     "--endpoint", server.endpoint]) == 1
+    err = capsys.readouterr().err
+    # the error names the file asked for, not atomic_write's temporary one
+    assert f"error: [Errno 2] No such file or directory: '{trace}'\n" in err
+    assert server.posts == []
+    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["annotated.jsonl"]
 
 
 def test_paragraph_window_1_is_single_mode(tmp_path):
@@ -459,7 +482,7 @@ class TestFeaturesOnThreads:
         corpusio.write_features(
             {r.id: afeat.extract_features(afeat.load_audio(r.audio_path))
              for r in records},
-            reference, order=[r.id for r in records])
+            reference)
         assert out.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize("cpus", [1, 3])

@@ -1,4 +1,4 @@
-"""Manifest, feature file, artifact, and split tests."""
+"""Manifest, feature file, and artifact tests."""
 
 import json
 
@@ -13,7 +13,6 @@ from emopred.corpusio import (
     MODEL_MAGIC,
     AnnotatedRecord,
     ModelArtifact,
-    UtteranceRecord,
 )
 
 from oracles import oracle_is_finite_number, oracle_save_model_v1
@@ -139,7 +138,7 @@ class TestFeaturesFile:
         rng = np.random.default_rng(1)
         feats = {"a": rng.normal(size=384), "b": rng.normal(size=384)}
         path = tmp_path / "f.jsonl"
-        corpusio.write_features(feats, path, order=["b", "a"])
+        corpusio.write_features({"b": feats["b"], "a": feats["a"]}, path)
         back = corpusio.read_features(path)
         np.testing.assert_array_equal(back["a"], feats["a"])
         np.testing.assert_array_equal(back["b"], feats["b"])
@@ -229,13 +228,22 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_missing_directory_names_the_target(self, tmp_path, binary):
+        path = tmp_path / "nodir" / "out.txt"
+        with pytest.raises(FileNotFoundError) as exc:
+            with corpusio.atomic_write(path, binary=binary):
+                pass
+        assert exc.value.filename == str(path)
+        assert str(exc.value) == (
+            f"[Errno 2] No such file or directory: '{path}'")
+
     def test_failed_features_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "features.jsonl"
         corpusio.write_features({"a": np.ones(3)}, path)
         before = path.read_bytes()
-        with pytest.raises(KeyError):
-            corpusio.write_features({"a": np.zeros(3)}, path,
-                                    order=["a", "missing"])
+        with pytest.raises(ValueError, match="could not convert"):
+            corpusio.write_features({"a": np.zeros(3), "b": ["x"]}, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["features.jsonl"]
 
@@ -444,52 +452,3 @@ class TestBinaryArtifactErrors:
         header["format_version"] = version
         saved.write_bytes(_join_artifact(header, payload))
         self._refused(saved, "unsupported version")
-
-
-class TestSplit:
-    def _records(self, spec):
-        out = []
-        for emotion, splits in spec.items():
-            for i, split in enumerate(splits):
-                out.append(UtteranceRecord(
-                    id=f"{emotion}{i}", text="t", emotion=emotion,
-                    audio_path="x.wav", split=split))
-        return out
-
-    def test_explicit_split_grouping(self):
-        records = self._records({
-            "neutral": ["train", "valid", "test"],
-            "anger": ["train", "train", "test"],
-        })
-        train, valid, test = corpusio.split_manifest(records)
-        assert {r.id for r in train} == {"neutral0", "anger0", "anger1"}
-        assert {r.id for r in valid} == {"neutral1"}
-        assert {r.id for r in test} == {"neutral2", "anger2"}
-
-    def test_stratified_ratios(self):
-        records = self._records({
-            e: ["train"] * 10
-            for e in ("neutral", "happiness", "sadness", "anger")
-        })
-        train, valid, test = corpusio.split_manifest(
-            records, ratios=(0.8, 0.1, 0.1), seed=3)
-        assert (len(train), len(valid), len(test)) == (32, 4, 4)
-        for part, expected in ((train, 8), (valid, 1), (test, 1)):
-            for emotion in ("neutral", "happiness", "sadness", "anger"):
-                assert sum(r.emotion == emotion for r in part) == expected
-        # exact partition
-        all_ids = sorted(r.id for r in train + valid + test)
-        assert all_ids == sorted(r.id for r in records)
-
-    def test_bad_ratio_sum(self):
-        records = self._records({"neutral": ["train"]})
-        with pytest.raises(ValueError, match="sum to 1"):
-            corpusio.split_manifest(records, ratios=(0.8, 0.05, 0.05))
-
-    def test_split_deterministic(self):
-        records = self._records({"neutral": ["train"] * 7,
-                                 "anger": ["train"] * 7})
-        a = corpusio.split_manifest(records, ratios=(0.6, 0.2, 0.2), seed=9)
-        b = corpusio.split_manifest(records, ratios=(0.6, 0.2, 0.2), seed=9)
-        assert [[r.id for r in part] for part in a] == \
-               [[r.id for r in part] for part in b]
