@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
-"""Generate the seeded demo micro-corpus (WAVs + manifest)."""
+"""Generate the seeded demo micro-corpus (WAVs + manifest) with the test
+bed's generator, tests/synthcorpus.py."""
 
 import argparse
+import sys
+from pathlib import Path
 
-from emopred.synthcorpus import generate_micro_corpus
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from synthcorpus import generate_micro_corpus  # noqa: E402
 
 
 def main() -> None:

@@ -27,7 +27,6 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import sys
 
@@ -157,13 +156,12 @@ def _records(read, path: str) -> list:
     return records
 
 
-def _emit(text: str, out: str) -> None:
-    """Write text to the file `out`, replacing it whole, or to stdout."""
-    if out:
-        with corpusio.atomic_write(out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _output(out: str):
+    """A context for text output: the file `out`, which replaces any file
+    there only when the block succeeds (atomic_write), or stdout when out
+    is empty."""
+    return (corpusio.atomic_write(out) if out
+            else contextlib.nullcontext(sys.stdout))
 
 
 # ---------------------------------------------------------------------------
@@ -218,23 +216,24 @@ def cmd_train(args) -> int:
 
     records = _records(corpusio.read_annotations, args.annotated)
     provider = _provider_from_args(args)
-    config = predictor.TrainConfig(
-        lambda_cls=args.lambda_cls, learning_rate=args.lr,
-        batch_size=args.batch_size, epochs=args.epochs,
-        seed=args.seed, init_scale=args.init_scale,
-    )
-    # the trace is opened first, so that a path it cannot be written to
-    # stops the run before any work, and replaced last, after the model
-    with (corpusio.atomic_write(args.trace) if args.trace
-          else contextlib.nullcontext()) as trace_file:
-        params, trace = predictor.train(records, provider, config)
-        metadata = {k: repr(v) for k, v in dataclasses.asdict(config).items()}
-        metadata["final_loss"] = repr(trace[-1])
+    # the model and the trace are opened first, so that a path that cannot
+    # be written stops the run before any work; save_model writes the
+    # finished model under the temporary name, which the block then
+    # renames to --out
+    with corpusio.atomic_write(args.out, binary=True) as model_file, (
+            corpusio.atomic_write(args.trace) if args.trace
+            else contextlib.nullcontext()) as trace_file:
+        params, trace = predictor.train(records, provider)
+        metadata = {"lambda": repr(predictor.LAMBDA),
+                    "steps": str(len(trace) - 1),
+                    "grad_norm": repr(params.grad_norm),
+                    "final_loss": repr(trace[-1])}
         corpusio.save_model(predictor.params_to_artifact(params, metadata),
-                            args.out)
+                            model_file.name)
         if args.trace:
             trace_file.writelines(f"{value!r}\n" for value in trace)
-    print(f"trained {config.epochs} epochs, final loss {trace[-1]:.6f}",
+    print(f"trained in {len(trace) - 1} Newton steps, gradient norm "
+          f"{params.grad_norm:.2e}, final objective {trace[-1]:.6f}",
           file=sys.stderr)
     return 0
 
@@ -248,13 +247,17 @@ def cmd_predict(args) -> int:
     if args.mode == "single" and args.window:
         raise ValueError(f"a context window (--window) needs paragraph mode,"
                          f" got {args.window} in single mode")
-    params = predictor.params_from_artifact(corpusio.load_model(args.model))
-    provider = _provider_from_args(args)
-    ids, texts = _read_texts(args.texts)
-    window = 1 if args.mode == "single" else args.window
-    probs, strengths = predictor.predict(texts, params, provider,
-                                         window=window)
-    _emit(predictor.predictions_to_jsonl(ids, probs, strengths), args.out)
+    # --out is opened first, so that a path that cannot be written stops
+    # the run before any text is embedded
+    with _output(args.out) as out:
+        params = predictor.params_from_artifact(
+            corpusio.load_model(args.model))
+        provider = _provider_from_args(args)
+        ids, texts = _read_texts(args.texts)
+        window = 1 if args.mode == "single" else args.window
+        probs, strengths = predictor.predict(texts, params, provider,
+                                             window=window)
+        out.write(predictor.predictions_to_jsonl(ids, probs, strengths))
     print(f"predicted {len(ids)} sentences ({args.mode} mode)",
           file=sys.stderr)
     return 0
@@ -271,7 +274,8 @@ def cmd_encode(args) -> int:
             raise ValueError(
                 f"--grid-points must be at least 1, got {args.grid_points}")
         strengths = np.linspace(0.0, 1.0, args.grid_points)
-        _emit(encoder.export_grid(params, strengths), args.out)
+        with _output(args.out) as out:
+            out.write(encoder.export_grid(params, strengths))
         print(f"wrote {4 * args.grid_points}-row embedding grid",
               file=sys.stderr)
         return 0
@@ -280,10 +284,10 @@ def cmd_encode(args) -> int:
         args.predictions)
     rows = zip(ids, labels, strengths,
                encoder.encode(params, labels, strengths).tolist())
-    payload = "".join(json.dumps({"id": uid, "class": label, "strength": s,
-                                  "embedding": h}) + "\n"
-                      for uid, label, s, h in rows)
-    _emit(payload, args.out)
+    with _output(args.out) as out:
+        out.writelines(json.dumps({"id": uid, "class": label, "strength": s,
+                                   "embedding": h}) + "\n"
+                       for uid, label, s, h in rows)
     print(f"encoded {len(ids)} predictions", file=sys.stderr)
     return 0
 
@@ -301,8 +305,8 @@ def cmd_eval(args) -> int:
     metrics = predictor.evaluate(labels, strengths,
                                  [r.emotion for r in refs],
                                  [r.strength for r in refs])
-    text = json.dumps(metrics, indent=1, sort_keys=True) + "\n"
-    _emit(text, args.out)
+    with _output(args.out) as out:
+        out.write(json.dumps(metrics, indent=1, sort_keys=True) + "\n")
     print(f"macro accuracy {metrics['macro_accuracy']:.3f}, "
           f"strength MSE {metrics['strength_mse']:.6f}", file=sys.stderr)
     return 0
@@ -343,14 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--annotated", type=str, required=True)
     sub.add_argument("--out", type=str, required=True)
     sub.add_argument("--trace", type=str, default="",
-                     help="write the per-epoch loss trace to this file")
-    defaults = corpusio.TrainConfig()
-    sub.add_argument("--lambda-cls", type=float, default=defaults.lambda_cls)
-    sub.add_argument("--lr", type=float, default=defaults.learning_rate)
-    sub.add_argument("--batch-size", type=int, default=defaults.batch_size)
-    sub.add_argument("--epochs", type=int, default=defaults.epochs)
-    sub.add_argument("--seed", type=int, default=defaults.seed)
-    sub.add_argument("--init-scale", type=float, default=defaults.init_scale)
+                     help="write the objective before and after each "
+                     "Newton step to this file")
     _add_provider_flags(sub)
 
     sub = add("predict", cmd_predict, "predict emotion class and strength")

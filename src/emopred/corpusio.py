@@ -75,45 +75,6 @@ class AnnotatedRecord(UtteranceRecord):
             )
 
 
-# Settings of `predictor.train`, kept here so that the CLI parser shows
-# their defaults without importing predictor
-@dataclass
-class TrainConfig:
-    lambda_cls: float = 0.01
-    learning_rate: float = 0.05
-    batch_size: int = 16
-    epochs: int = 200
-    seed: int = 0
-    init_scale: float = 1.0
-    momentum: float = 0.9
-    lr_decay: float = 0.999
-
-    def validate(self) -> None:
-        if not 0 <= self.lambda_cls < np.inf:
-            raise ValueError(f"lambda_cls must be nonnegative and finite, "
-                             f"got {self.lambda_cls}")
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be positive and finite, "
-                             f"got {self.learning_rate}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), "
-                             f"got {self.momentum}")
-        if not 0 < self.lr_decay <= 1:
-            raise ValueError(f"lr_decay must be in (0, 1], "
-                             f"got {self.lr_decay}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        _check_init_scale(self.init_scale)
-
-
-def _check_init_scale(init_scale: float) -> None:
-    if not 0 <= init_scale < np.inf:
-        raise ValueError(
-            f"init_scale must be nonnegative and finite, got {init_scale}")
-
-
 @contextmanager
 def atomic_write(path: str | Path, binary: bool = False):
     """Open a file whose content replaces `path` only on success.

@@ -1,28 +1,32 @@
-"""Joint emotion predictor: two fully-connected heads on frozen text
-embeddings. For m texts they give two arrays, passed on as they are to
+"""Joint emotion predictor: two linear heads on frozen text embeddings.
+For m texts they give two arrays, passed on as they are to
 predictions_to_jsonl() and evaluate(): the (m, 4) softmax over the
 emotion classes and the (m,) strengths clamped to [0, 1].
 
-Both heads read the same 768-dim embedding, so their first layers are
-one 512x768 ReLU layer W1, b1: hidden units 0-255 feed the class head,
-which ends in a softmax over (neutral, happiness, sadness, anger), and
-units 256-511 feed the strength head, which ends in a linear scalar.
-Training minimizes
+Both heads read the same 768-dim embedding x: the class head is the
+softmax over (neutral, happiness, sadness, anger) of Wc @ x + bc, and the
+strength head is the scalar ws . x + bs. Over n training rows, train()
+minimizes the joint objective (objective())
 
-    (raw strength - target_strength)^2
-        + lambda_cls * cross_entropy(probs, target_class)
+    mean cross_entropy(softmax(Wc @ x + bc), target_class)
+        + LAMBDA / 2 * (||Wc||^2 + ||bc||^2)
+    + mean (ws . x + bs - target_strength)^2
+        + LAMBDA * (||ws||^2 + bs^2)
 
-averaged over a batch, with mini-batch gradient descent and momentum.
-The embedding backbone is consumed through a provider and never updated.
+whose two heads share no parameter, so it is two convex problems solved
+to their optimum: multinomial logistic regression, the linear probe of
+what a frozen embedding carries (Alain & Bengio 2016), by truncated
+Newton steps (Lin, Weng & Keerthi, JMLR 2008), and ridge regression by
+its normal equations. The embedding backbone is consumed through a
+provider and never updated.
 
-train() runs the first layer in the row space of the n training
-embeddings X, which holds every gradient of W1. With Q an orthonormal
-basis of a space holding it (768 x min(n, 768), from one QR of the first
-min(n, 768) rows' transpose: a basis of the rows for n <= 768, an
-orthogonal 768 x 768 matrix above), W1 = W1_0 + (A - A_0) @ Q.T for
-A_0 = W1_0 @ Q, and momentum SGD on the same network with first layer
-A on the rows of G = X @ Q is momentum SGD on W1 (the representer
-argument of Schoelkopf, Herbrich & Smola, COLT 2001).
+Both optima lie in the row space of the n training embeddings X (the
+representer argument of Schoelkopf, Herbrich & Smola, COLT 2001). With Q
+an orthonormal basis of a space holding it (768 x min(n, 768), from one
+QR of the first min(n, 768) rows' transpose: a basis of the rows for n <=
+768, an orthogonal 768 x 768 matrix above), train() solves both problems
+on the bias-augmented coordinates A = [X @ Q, 1], where the penalty is
+the same, and maps the weights back through Q.T.
 """
 
 from __future__ import annotations
@@ -34,36 +38,34 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpusio import (AnnotatedRecord, EMOTIONS, ModelArtifact, TrainConfig,
-                       _check_init_scale, _check_unique_ids, _read_jsonl,
-                       _require)
+from .corpusio import (AnnotatedRecord, EMOTIONS, ModelArtifact,
+                       _check_unique_ids, _read_jsonl, _require)
 
 EMBED_DIM = 768
-HIDDEN_DIM = 256
 NUM_CLASSES = len(EMOTIONS)
-PROB_FLOOR = 1e-12
-# rows per product when batch_loss() runs a corpus and train() builds W1
-ROW_BLOCK = 64
+# penalty weight of both heads
+LAMBDA = 1e-4
+# the class head's Newton steps stop at this gradient norm, or at the cap
+GRAD_TOL = 1e-9
+MAX_NEWTON_STEPS = 50
+# sufficient decrease a step length must give, as a share of the slope
+ARMIJO = 1e-4
 
-PARAM_SHAPES = {
-    "W1": (2 * HIDDEN_DIM, EMBED_DIM), "b1": (2 * HIDDEN_DIM,),
-    "W2c": (NUM_CLASSES, HIDDEN_DIM), "b2c": (NUM_CLASSES,),
-    "w2s": (1, HIDDEN_DIM), "b2s": (1,),
-}
+PARAM_SHAPES = {"Wc": (NUM_CLASSES, EMBED_DIM), "bc": (NUM_CLASSES,),
+                "ws": (EMBED_DIM,), "bs": (1,)}
 
 
 @dataclass
 class PredictorParams:
-    """Weights of both heads: the shared first layer (W1, b1), whose rows
-    0-255 feed the class output layer (W2c, b2c) and rows 256-511 the
-    strength output layer (w2s, b2s)."""
+    """Weights of both heads: class weights Wc and biases bc, strength
+    weights ws and bias bs. grad_norm is the class objective's gradient
+    norm where train() stopped (nan for parameters it did not return)."""
 
-    W1: np.ndarray
-    b1: np.ndarray
-    W2c: np.ndarray
-    b2c: np.ndarray
-    w2s: np.ndarray
-    b2s: np.ndarray
+    Wc: np.ndarray
+    bc: np.ndarray
+    ws: np.ndarray
+    bs: np.ndarray
+    grad_norm: float = float("nan")
 
     def as_dict(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in PARAM_SHAPES}
@@ -76,86 +78,14 @@ class PredictorParams:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
 
-    def copy(self) -> "PredictorParams":
-        return PredictorParams(**{k: v.copy() for k, v in self.as_dict().items()})
 
-
-def init_params(seed: int = 0, init_scale: float = 1.0) -> PredictorParams:
-    """Uniform [-s/sqrt(fan_in), s/sqrt(fan_in)] weights, zero biases.
-
-    Weight blocks are drawn in a fixed order (class rows of W1, W2c,
-    strength rows of W1, w2s), so parameters are a pure function of
-    (seed, init_scale). Each tensor is allocated once and each block is
-    drawn straight into its slice and scaled in place, so the peak
-    memory is the returned parameters; the values are the doubles
-    Generator.uniform(-limit, limit) gives.
-    """
-    _check_init_scale(init_scale)
-    rng = np.random.default_rng(seed)
-    params = PredictorParams(**{name: np.zeros(shape)
-                                for name, shape in PARAM_SHAPES.items()})
-    for block in (params.W1[:HIDDEN_DIM], params.W2c,
-                  params.W1[HIDDEN_DIM:], params.w2s):
-        limit = init_scale / np.sqrt(block.shape[1])
-        rng.random(out=block)
-        block *= 2 * limit
-        block -= limit
-    return params
-
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _output(h: np.ndarray, W2c, b2c, w2s, b2s):
-    """Class probabilities and raw strengths from the pre-ReLU hidden
-    layers h = [h_cls | h_str] (m x 2*HIDDEN_DIM)."""
-    a = np.maximum(h, 0.0)
-    probs = _softmax_rows(a[:, :HIDDEN_DIM] @ W2c.T + b2c)
-    raw = a[:, HIDDEN_DIM:] @ w2s.T + b2s
-    return probs, raw[:, 0]
-
-
-def _forward_batch(params: PredictorParams, X: np.ndarray):
-    """Returns (pre-ReLU hidden layers [h_cls | h_str], probs, raw
-    strengths) for a batch of embeddings."""
-    h = X @ params.W1.T
-    h += params.b1
-    return (h, *_output(h, params.W2c, params.b2c, params.w2s, params.b2s))
-
-
-def _mean_loss(probs, raw, class_idx, strengths, lambda_cls) -> float:
-    picked = np.maximum(probs[np.arange(len(raw)), class_idx], PROB_FLOOR)
-    return float(np.mean((raw - strengths) ** 2)
-                 + lambda_cls * np.mean(-np.log(picked)))
-
-
-def _backward(h, probs, raw, class_idx, strengths, W2c, w2s, lambda_cls):
-    """Gradient of the mean batch loss with respect to the pre-ReLU
-    hidden layers h and the output layers.
-
-    Returns (d_h, gW2c, gb2c, gw2s, gb2s). The ReLU subgradient at
-    exactly 0 is taken as 0.
-    """
-    m = len(raw)
-    a = np.maximum(h, 0.0)
-    d_logits = probs.copy()
-    d_logits[np.arange(m), class_idx] -= 1.0
-    d_logits *= lambda_cls / m
-    d_raw = 2.0 * (raw - strengths) / m
-    d_h = np.hstack([d_logits @ W2c, d_raw[:, None] * w2s]) * (h > 0.0)
-    return (d_h, d_logits.T @ a[:, :HIDDEN_DIM], d_logits.sum(axis=0),
-            (d_raw[:, None] * a[:, HIDDEN_DIM:]).sum(axis=0)[None, :],
-            np.array([d_raw.sum()]))
-
-
-def _flat_views(buf: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive views of a flat buffer with the given shapes."""
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    parts = np.split(buf, np.cumsum(sizes)[:-1])
-    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+def _cross_entropy(log_probs: np.ndarray, class_idx: np.ndarray) -> float:
+    return float(-np.mean(log_probs[np.arange(len(log_probs)), class_idx]))
 
 
 def forward(params: PredictorParams,
@@ -170,95 +100,101 @@ def forward(params: PredictorParams,
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != EMBED_DIM:
         raise ValueError(f"embedding shape {X.shape}, expected (m, {EMBED_DIM})")
-    _, probs, raw = _forward_batch(params, X)
-    return probs, np.clip(raw, 0.0, 1.0)
+    probs = np.exp(_log_softmax(X @ params.Wc.T + params.bc))
+    return probs, np.clip(X @ params.ws + params.bs, 0.0, 1.0)
 
 
-def batch_loss(params: PredictorParams, X: np.ndarray, class_idx: np.ndarray,
-               strengths: np.ndarray, lambda_cls: float = 0.01) -> float:
-    """Mean joint loss over a batch, the loss train() minimizes; the log
-    is floored at probability PROB_FLOOR. X is (m, d) and the targets
-    are m class indices and m strengths. Rows run ROW_BLOCK at a time."""
-    probs, raw = np.empty((len(X), NUM_CLASSES)), np.empty(len(X))
-    for r in range(0, len(X), ROW_BLOCK):
-        _, probs[r:r + ROW_BLOCK], raw[r:r + ROW_BLOCK] = _forward_batch(
-            params, X[r:r + ROW_BLOCK])
-    return _mean_loss(probs, raw, class_idx, strengths, lambda_cls)
+def objective(params: PredictorParams, X: np.ndarray, class_idx: np.ndarray,
+              strengths: np.ndarray) -> float:
+    """The joint objective train() minimizes (module docstring), at params
+    on the (n, 768) embeddings X with n class indices and n strengths."""
+    log_probs = _log_softmax(X @ params.Wc.T + params.bc)
+    residual = X @ params.ws + params.bs - strengths
+    return (_cross_entropy(log_probs, class_idx)
+            + LAMBDA / 2 * float(np.sum(params.Wc ** 2)
+                                 + params.bc @ params.bc)
+            + float(np.mean(residual ** 2))
+            + LAMBDA * float(params.ws @ params.ws + params.bs @ params.bs))
 
 
-def _descend(theta, shapes, G, class_idx, strengths,
-             config: TrainConfig) -> tuple[list[float], int]:
-    """train()'s loop: momentum SGD on the flat vector theta of (A, b1,
-    W2c, b2c, w2s, b2s), the network on the coordinates G, which ends
-    holding the best epoch's values. Returns the best-so-far loss trace
-    and the best epoch. Its gradient, velocity and snapshot buffers are
-    freed on return."""
-    params = PredictorParams(*_flat_views(theta, shapes))
-    grad, velocity = np.zeros((2, theta.size))
-    gA, gb1, gW2c, gb2c, gw2s, gb2s = _flat_views(grad, shapes)
-    shuffle_rng = np.random.default_rng([config.seed, 1])
-    lr = config.learning_rate
-    best = batch_loss(params, G, class_idx, strengths, config.lambda_cls)
-    best_theta, best_epoch = theta.copy(), 0
-    trace: list[float] = [best]
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(len(G))
-        for start in range(0, len(G), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            rows = G[idx]
-            h, probs, raw = _forward_batch(params, rows)
-            d_h, gW2c[:], gb2c[:], gw2s[:], gb2s[:] = _backward(
-                h, probs, raw, class_idx[idx], strengths[idx], params.W2c,
-                params.w2s, config.lambda_cls)
-            np.matmul(d_h.T, rows, out=gA)
-            d_h.sum(axis=0, out=gb1)
-            velocity *= config.momentum
-            grad *= lr
-            velocity -= grad
-            theta += velocity
-        lr *= config.lr_decay
-        epoch_loss = batch_loss(params, G, class_idx, strengths,
-                                config.lambda_cls)
-        if epoch_loss < best:
-            best = epoch_loss
-            best_theta[:] = theta
-            best_epoch = epoch
-        trace.append(best)
+def _class_terms(V: np.ndarray, A: np.ndarray, class_idx: np.ndarray):
+    """The class head's objective at the (k, 4) weights V on the rows of
+    the (n, k) coordinates A, its gradient A.T (P - Y) / n + LAMBDA V as a
+    flat vector, and its Hessian-vector product on flat vectors: with U = A
+    D, row i of the curvature term is p_i * u_i - p_i (p_i . u_i)."""
+    log_probs = _log_softmax(A @ V)
+    P = np.exp(log_probs)
+    value = _cross_entropy(log_probs, class_idx) + LAMBDA / 2 * float(
+        np.sum(V ** 2))
+    residual = P.copy()
+    residual[np.arange(len(A)), class_idx] -= 1.0
+    grad = A.T @ residual / len(A) + LAMBDA * V
 
-    theta[:] = best_theta
-    return trace, best_epoch
+    def hessian_product(d: np.ndarray) -> np.ndarray:
+        D = d.reshape(V.shape)
+        U = P * (A @ D)
+        U -= P * U.sum(axis=1, keepdims=True)
+        return (A.T @ U / len(A) + LAMBDA * D).ravel()
+
+    return value, grad.ravel(), hessian_product
+
+
+def _fit_classes(A: np.ndarray, class_idx: np.ndarray):
+    """The class head's weights on the coordinates A, from V = 0 by
+    Newton steps: each takes its direction from conjugate gradients on
+    exact Hessian-vector products and its length from halving until the
+    Armijo condition holds, so the objective never rises. Stops once the
+    gradient norm is at most GRAD_TOL, or after MAX_NEWTON_STEPS steps.
+    Returns (V, the objective before and after each step, the final
+    gradient norm)."""
+    # imported here, so that predict does not load the ranker
+    from .ranker import _conjugate_gradient
+
+    V = np.zeros((A.shape[1], NUM_CLASSES))
+    value, grad, hessian_product = _class_terms(V, A, class_idx)
+    trace = [value]
+    for _ in range(MAX_NEWTON_STEPS):
+        step = _conjugate_gradient(hessian_product, -grad).reshape(V.shape)
+        slope, eta = float(grad @ step.ravel()), 1.0
+        while True:
+            candidate = V + eta * step
+            terms = _class_terms(candidate, A, class_idx)
+            if terms[0] <= value + ARMIJO * eta * slope:
+                break
+            eta *= 0.5
+        V = candidate
+        value, grad, hessian_product = terms
+        trace.append(value)
+        if np.linalg.norm(grad) <= GRAD_TOL:
+            break
+    return V, trace, float(np.linalg.norm(grad))
+
+
+def _fit_strengths(A: np.ndarray, strengths: np.ndarray) -> np.ndarray:
+    """The ridge solution u of (A.T A / n + LAMBDA I) u = A.T s / n."""
+    gram = A.T @ A
+    gram /= len(A)
+    gram.flat[::len(gram) + 1] += LAMBDA
+    return np.linalg.solve(gram, A.T @ strengths / len(A))
 
 
 def train(
     records: Sequence[AnnotatedRecord],
     provider,
-    config: TrainConfig | None = None,
 ) -> tuple[PredictorParams, list[float]]:
-    """Train both heads on an annotated corpus.
+    """Fit both heads on an annotated corpus to the optimum of the joint
+    objective (module docstring).
 
-    Embeds every text once up front (the backbone is frozen), then runs
-    mini-batch gradient descent with momentum and per-epoch learning
-    rate decay. Returns the parameters of the epoch with the lowest
-    training loss (the initial parameters if no epoch improves on them)
-    and a best-so-far loss trace whose first entry is the pre-training
-    loss. The entries from the best epoch on are the loss of the returned
-    parameters, so trace[-1] is exactly their batch_loss().
-    Deterministic for fixed (seed, config, provider).
-
-    The loop runs in the row space of X (see the module docstring): X =
-    G @ Q.T gives X @ W1.T = G @ A.T, and the gradient d_hidden.T @
-    X[batch] of W1 is that of A, d_hidden.T @ G[batch], applied through
-    Q.T. The velocity starts at 0, so the iterates match the plain loop in
-    exact arithmetic. A and the other five tensors are views into one
-    flat vector, updated in place (_descend).
-
-    Memory: W1_0 is dropped once A_0 is formed and drawn again after the
-    loop, and W1 is built in its buffer ROW_BLOCK rows at a time, as
-    losses are, so training holds one W1 and row blocks on top of X, G,
-    Q and the loop's buffers.
+    Embeds every text once up front (the backbone is frozen), then solves
+    the strength head's ridge regression and runs the class head's Newton
+    steps, both on the coordinates A = [X @ Q, 1], which are allocated once
+    and filled in place. Returns the parameters and the joint objective
+    trace: trace[0] is its value at zero weights, and one entry follows
+    each Newton step (the class head's value then, plus the strength
+    head's optimum). trace[-1] is exactly objective() of the returned
+    parameters, and the returned grad_norm says whether the steps reached
+    GRAD_TOL. Deterministic for a fixed provider.
     """
-    config = config or TrainConfig()
-    config.validate()
     if not records:
         raise ValueError("empty corpus")
     texts = [r.text for r in records]
@@ -268,36 +204,23 @@ def train(
     class_idx = np.array([EMOTIONS.index(r.emotion) for r in records])
     strengths = np.array([r.strength for r in records])
     Q = np.linalg.qr(X[:EMBED_DIM].T)[0]
-    G = X @ Q
+    A = np.empty((len(X), Q.shape[1] + 1))
+    np.matmul(X, Q, out=A[:, :-1])
+    A[:, -1] = 1.0
 
-    init = init_params(config.seed, config.init_scale)
-    # in this operand order BLAS keeps the product on one thread; W1 @ Q
-    # started a second one, which added 1.4 MB to the CLI train's peak RSS
-    A_0 = (Q.T @ init.W1.T).T
-    # A, the first layer on the coordinates G, stands first in place of W1
-    shapes = [A_0.shape, *list(PARAM_SHAPES.values())[1:]]
-    theta = np.concatenate([A_0.ravel(), *(
-        getattr(init, name).ravel() for name in list(PARAM_SHAPES)[1:])])
-    del init  # W1_0 is drawn again once the loop is done
-    trace, best_epoch = _descend(theta, shapes, G, class_idx, strengths,
-                                 config)
-    A, *rest = _flat_views(theta, shapes)
-    # copied, so the returned tensors own their memory and do not keep
-    # theta, A block included, alive
-    b1, W2c, b2c, w2s, b2s = (t.copy() for t in rest)
-    A -= A_0
-    del A_0
-    W1 = init_params(config.seed, config.init_scale).W1
-    for r in range(0, len(W1), ROW_BLOCK):
-        W1[r:r + ROW_BLOCK] += A[r:r + ROW_BLOCK] @ Q.T
-    best_params = PredictorParams(W1=W1, b1=b1, W2c=W2c, b2c=b2c, w2s=w2s,
-                                  b2s=b2s)
-    best_params.validate()
-    # the loss of the built W1 agrees with the loop's to rounding; report
-    # the former, the loss of what is returned
-    final = batch_loss(best_params, X, class_idx, strengths, config.lambda_cls)
-    trace[best_epoch:] = [final] * (len(trace) - best_epoch)
-    return best_params, trace
+    u = _fit_strengths(A, strengths)
+    ridge = float(np.mean((A @ u - strengths) ** 2) + LAMBDA * (u @ u))
+    V, class_trace, grad_norm = _fit_classes(A, class_idx)
+    params = PredictorParams(Wc=V[:-1].T @ Q.T, bc=V[-1].copy(),
+                             ws=Q @ u[:-1], bs=u[-1:].copy(),
+                             grad_norm=grad_norm)
+    params.validate()
+    trace = [class_trace[0] + float(np.mean(strengths ** 2)),
+             *(value + ridge for value in class_trace[1:])]
+    # the value on X agrees with the one on A to rounding; report the
+    # former, the objective of what is returned
+    trace[-1] = objective(params, X, class_idx, strengths)
+    return params, trace
 
 
 def predict(

@@ -1,5 +1,5 @@
-"""Shared fixtures: tone clips, mock embedding providers, and a mock
-embedding HTTP server."""
+"""Shared fixtures: tone clips, mock embedding providers, seeded
+predictor parameters, and a mock embedding HTTP server."""
 
 from __future__ import annotations
 
@@ -41,6 +41,18 @@ class FixedProvider:
     def embed(self, texts: list[str]) -> np.ndarray:
         self.calls.append(list(texts))
         return np.vstack([self._vector(t) for t in texts])
+
+
+def random_params(seed: int = 0, scale: float = 1.0):
+    """Predictor parameters, every weight and bias drawn uniformly from
+    [-scale / sqrt(768), scale / sqrt(768)] by a generator seeded with
+    `seed`; scale 0 gives all zeros."""
+    from emopred.predictor import EMBED_DIM, PARAM_SHAPES, PredictorParams
+
+    rng = np.random.default_rng(seed)
+    limit = scale / np.sqrt(EMBED_DIM)
+    return PredictorParams(**{name: rng.uniform(-limit, limit, size=shape)
+                              for name, shape in PARAM_SHAPES.items()})
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):

@@ -152,30 +152,23 @@ def oracle_delta_column(column: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def oracle_forward(params, x: np.ndarray):
-    """Per-unit loop evaluation of both predictor heads.
+def oracle_heads(params, x: np.ndarray):
+    """Per-unit loop evaluation of both predictor heads on one embedding.
 
     Returns (probs, raw strength).
     """
-    def affine(W, b, v):
-        out = np.zeros(W.shape[0])
-        for i in range(W.shape[0]):
-            acc = b[i]
-            for j in range(W.shape[1]):
-                acc += W[i, j] * v[j]
-            out[i] = acc
-        return out
-
-    hidden_c = affine(params.W1[:256], params.b1[:256], x)
-    hidden_c = np.array([max(v, 0.0) for v in hidden_c])
-    logits = affine(params.W2c, params.b2c, hidden_c)
-    shift = logits - max(logits)
+    logits = []
+    for k in range(len(params.bc)):
+        acc = params.bc[k]
+        for j in range(len(x)):
+            acc += params.Wc[k, j] * x[j]
+        logits.append(acc)
+    shift = np.array(logits) - max(logits)
     exp = np.exp(shift)
-    probs = exp / exp.sum()
-    hidden_s = affine(params.W1[256:], params.b1[256:], x)
-    hidden_s = np.array([max(v, 0.0) for v in hidden_s])
-    raw = affine(params.w2s, params.b2s, hidden_s)[0]
-    return probs, raw
+    raw = params.bs[0]
+    for j in range(len(x)):
+        raw += params.ws[j] * x[j]
+    return exp / exp.sum(), raw
 
 
 def oracle_pair_hinge(w: np.ndarray, Zs: np.ndarray, Zw: np.ndarray,
@@ -240,79 +233,41 @@ def oracle_embed_local(texts: list[str], seed: int = 0) -> np.ndarray:
     return out
 
 
-def oracle_gradients(params, X, class_idx, strengths, lambda_cls=0.01):
-    """Mean gradient of the joint loss over a batch, as PredictorParams,
-    from the production forward and backward passes.
+def oracle_fit(X, class_idx, strengths, lam):
+    """The predictor's two objectives minimized by scipy's L-BFGS-B from
+    zero, each on the full weights over the bias-augmented rows [x, 1]:
+    mean cross-entropy of the softmax plus lam / 2 times the squared norm
+    of the 4 x 769 class weights, and mean squared error plus lam times
+    the squared norm of the 769 strength weights.
 
-    The ReLU subgradient at exactly 0 is taken as 0.
+    Returns (Wc, bc, ws, bs, joint objective, class gradient norm).
     """
-    from emopred.predictor import PredictorParams, _backward, _forward_batch
+    from scipy.optimize import minimize
 
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    class_idx = np.asarray(class_idx, dtype=np.int64).ravel()
-    strengths = np.asarray(strengths, dtype=np.float64).ravel()
-    m = X.shape[0]
-    if m == 0:
-        raise ValueError("empty batch")
-    if len(class_idx) != m or len(strengths) != m:
-        raise ValueError("batch components must have equal lengths")
+    n = len(X)
+    A = np.hstack([X, np.ones((n, 1))])
+    Y = np.eye(4)[class_idx]
 
-    h, probs, raw = _forward_batch(params, X)
-    d_h, gW2c, gb2c, gw2s, gb2s = _backward(h, probs, raw, class_idx,
-                                            strengths, params.W2c, params.w2s,
-                                            lambda_cls)
-    return PredictorParams(W1=d_h.T @ X, b1=d_h.sum(axis=0), W2c=gW2c,
-                           b2c=gb2c, w2s=gw2s, b2s=gb2s)
+    def class_head(v):
+        V = v.reshape(4, -1)
+        Z = A @ V.T
+        Z -= Z.max(axis=1, keepdims=True)
+        log_p = Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
+        grad = (np.exp(log_p) - Y).T @ A / n + lam * V
+        return -np.sum(Y * log_p) / n + lam / 2 * v @ v, grad.ravel()
 
+    def strength_head(u):
+        r = A @ u - strengths
+        return r @ r / n + lam * u @ u, 2.0 * (A.T @ r / n + lam * u)
 
-def oracle_train(records, provider, config=None):
-    """predictor.train as a per-tensor loop: oracle_gradients() and
-    batch_loss() on the full 768-dim first layers, and a momentum update
-    that allocates new arrays for each of the six tensors every step.
-
-    Returns (parameters of the best epoch, best-so-far loss trace).
-    """
-    from emopred.corpusio import EMOTIONS
-    from emopred.predictor import (EMBED_DIM, TrainConfig, batch_loss,
-                                   init_params)
-
-    config = config or TrainConfig()
-    config.validate()
-    if not records:
-        raise ValueError("empty corpus")
-    texts = [r.text for r in records]
-    X = np.asarray(provider.embed(texts), dtype=np.float64)
-    if X.shape != (len(records), EMBED_DIM):
-        raise ValueError(f"provider returned shape {X.shape}")
-    class_idx = np.array([EMOTIONS.index(r.emotion) for r in records])
-    strengths = np.array([r.strength for r in records])
-
-    params = init_params(config.seed, config.init_scale)
-    velocity = {k: np.zeros_like(v) for k, v in params.as_dict().items()}
-    shuffle_rng = np.random.default_rng([config.seed, 1])
-    n = len(records)
-    lr = config.learning_rate
-    best = batch_loss(params, X, class_idx, strengths, config.lambda_cls)
-    best_params = params.copy()
-    trace: list[float] = [best]
-    for _ in range(config.epochs):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            grads = oracle_gradients(params, X[idx], class_idx[idx],
-                                     strengths[idx], config.lambda_cls)
-            for name, g in grads.as_dict().items():
-                velocity[name] = config.momentum * velocity[name] - lr * g
-                setattr(params, name, getattr(params, name) + velocity[name])
-        lr *= config.lr_decay
-        epoch_loss = batch_loss(params, X, class_idx, strengths,
-                                config.lambda_cls)
-        if epoch_loss < best:
-            best = epoch_loss
-            best_params = params.copy()
-        trace.append(best)
-    best_params.validate()
-    return best_params, trace
+    options = {"ftol": 0.0, "gtol": 1e-12, "maxiter": 20000}
+    cls = minimize(class_head, np.zeros(4 * A.shape[1]), jac=True,
+                   method="L-BFGS-B", options=options)
+    strength = minimize(strength_head, np.zeros(A.shape[1]), jac=True,
+                        method="L-BFGS-B", options=options)
+    V = cls.x.reshape(4, -1)
+    return (V[:, :-1], V[:, -1], strength.x[:-1], strength.x[-1:],
+            cls.fun + strength.fun, float(np.linalg.norm(cls.jac)))
 
 
 def relative_error(actual: float, expected: float, floor: float = 1e-6) -> float:

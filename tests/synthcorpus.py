@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpusio import UtteranceRecord, write_manifest
+from emopred.corpusio import UtteranceRecord, write_manifest
 
 SAMPLE_RATE = 16000
 

@@ -15,7 +15,6 @@ from scipy.io import wavfile
 from emopred import afeat
 from emopred.afeat import AudioClip
 from emopred.corpusio import read_manifest
-from emopred.synthcorpus import generate_micro_corpus
 
 from conftest import make_tone
 from oracles import (
@@ -25,6 +24,7 @@ from oracles import (
     oracle_functionals,
     oracle_mfcc_frame,
 )
+from synthcorpus import generate_micro_corpus
 
 
 class TestLoadAudio:

@@ -3,7 +3,6 @@ pipeline driven in-process on a small synthetic corpus."""
 
 import concurrent.futures
 import csv
-import dataclasses
 import json
 import os
 import subprocess
@@ -15,7 +14,9 @@ import numpy as np
 import pytest
 
 from emopred import afeat, cli, corpusio, predictor, ranker
-from emopred.synthcorpus import generate_micro_corpus
+
+from conftest import random_params
+from synthcorpus import generate_micro_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -75,8 +76,8 @@ class TestConfigFile:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("line, expected", [
-        ("epochs = abc", "epochs = 'abc': expected int"),
-        ("lr = fast", "lr = 'fast': expected float"),
+        ("embed_seed = abc", "embed_seed = 'abc': expected int"),
+        ("timeout = fast", "timeout = 'fast': expected float"),
         ("provider = cloud", "provider = 'cloud': expected one of local, "
                              "remote"),
     ])
@@ -92,7 +93,7 @@ class TestConfigFile:
 
     def test_bytes_not_utf8_name_file_and_line(self, tmp_path, capsys):
         config = tmp_path / "train.cfg"
-        config.write_bytes(b"epochs = 3\nlr = 0.5\xff\n")
+        config.write_bytes(b"embed_seed = 3\ntimeout = 0.5\xff\n")
         code = cli.main(["train", "--config", str(config), "--annotated",
                          str(tmp_path / "a.jsonl"), "--out",
                          str(tmp_path / "model.json")])
@@ -146,7 +147,7 @@ class TestOptionRanges:
     def test_negative_window(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         corpusio.save_model(
-            predictor.params_to_artifact(predictor.init_params(0), {}), model)
+            predictor.params_to_artifact(random_params(0), {}), model)
         texts = tmp_path / "texts.txt"
         texts.write_text("one\ntwo\n", encoding="utf-8")
         out = tmp_path / "preds.jsonl"
@@ -159,7 +160,7 @@ class TestOptionRanges:
     def test_window_in_single_mode(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         corpusio.save_model(
-            predictor.params_to_artifact(predictor.init_params(0), {}), model)
+            predictor.params_to_artifact(random_params(0), {}), model)
         texts = tmp_path / "texts.txt"
         texts.write_text("one\ntwo\n", encoding="utf-8")
         out = tmp_path / "preds.jsonl"
@@ -237,25 +238,12 @@ class TestOptionRanges:
 
 
 class TestNonFiniteOptions:
-    """NaN and infinite train options, and seeds out of range, exit 1
+    """A NaN train option, and embedding seeds out of range, exit 1
     naming the option, before the model is written (annotate --C inf is
     in TestOptionRanges)."""
 
     @pytest.mark.parametrize("flags, message", [
-        (["--lr", "nan"],
-         "learning_rate must be positive and finite, got nan"),
-        (["--lr", "inf"],
-         "learning_rate must be positive and finite, got inf"),
-        (["--lambda-cls", "inf"],
-         "lambda_cls must be nonnegative and finite, got inf"),
-        (["--lambda-cls", "nan"],
-         "lambda_cls must be nonnegative and finite, got nan"),
-        (["--init-scale", "nan"],
-         "init_scale must be nonnegative and finite, got nan"),
-        (["--init-scale", "inf"],
-         "init_scale must be nonnegative and finite, got inf"),
         (["--timeout", "nan"], "timeout must be positive and finite, got nan"),
-        (["--seed", "-1"], "seed must be nonnegative, got -1"),
         (["--embed-seed", str(2 ** 63)],
          f"embedding seed must be a signed 64-bit integer, got {2 ** 63}"),
         (["--embed-seed", str(-2 ** 63 - 1)],
@@ -269,26 +257,35 @@ class TestNonFiniteOptions:
             split="train", strength=0.5) for i in range(3)], annotated)
         out = tmp_path / "model.json"
         assert cli.main(["train", "--annotated", str(annotated), "--out",
-                         str(out), "--epochs", "2", *flags]) == 1
+                         str(out), *flags]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
 
 
-def test_train_refuses_init_scale_before_embedding(tmp_path, capsys,
-                                                   embed_server):
-    server = embed_server()
-    annotated = tmp_path / "annotated.jsonl"
-    corpusio.write_annotations([corpusio.AnnotatedRecord(
-        id=f"u{i}", text=f"text {i}", emotion="anger", audio_path="",
-        split="train", strength=0.5) for i in range(3)], annotated)
-    out = tmp_path / "model.json"
-    assert cli.main(["train", "--annotated", str(annotated), "--out",
-                     str(out), "--provider", "remote", "--endpoint",
-                     server.endpoint, "--init-scale", "nan"]) == 1
-    assert ("init_scale must be nonnegative and finite, got nan"
-            in capsys.readouterr().err)
-    assert server.posts == []
-    assert not out.exists()
+class TestRemovedTrainOptions:
+    """train has no training knobs: both heads are solved to their
+    optimum with a fixed penalty, so the flags and config keys of an
+    iterative trainer are refused."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda-cls", "0.01"), ("--lr", "0.05"), ("--batch-size", "16"),
+        ("--epochs", "5"), ("--seed", "0"), ("--init-scale", "1.0")])
+    def test_flag_exits_2(self, tmp_path, flag, value):
+        out = tmp_path / "model.bin"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--annotated", str(tmp_path / "a.jsonl"),
+                      "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_config_key_is_unknown(self, tmp_path, capsys):
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 5\n", encoding="utf-8")
+        out = tmp_path / "model.bin"
+        assert cli.main(["train", "--config", str(config), "--annotated",
+                         str(tmp_path / "a.jsonl"), "--out", str(out)]) == 1
+        assert "unknown config keys: ['epochs']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_train_with_unwritable_trace_stops_before_embedding(tmp_path, capsys,
@@ -310,10 +307,33 @@ def test_train_with_unwritable_trace_stops_before_embedding(tmp_path, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["annotated.jsonl"]
 
 
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_unwritable_out_stops_before_embedding(tmp_path, capsys,
+                                               embed_server, command):
+    server = embed_server()
+    annotated = tmp_path / "annotated.jsonl"
+    corpusio.write_annotations([corpusio.AnnotatedRecord(
+        id=f"u{i}", text=f"text {i}", emotion="anger", audio_path="",
+        split="train", strength=0.5) for i in range(3)], annotated)
+    model = tmp_path / "model.bin"
+    corpusio.save_model(predictor.params_to_artifact(random_params(0)), model)
+    out = tmp_path / "nodir" / "out"
+    inputs = {"train": ["--annotated", str(annotated)],
+              "predict": ["--model", str(model), "--texts", str(annotated)]}
+    assert cli.main([command, *inputs[command], "--out", str(out),
+                     "--provider", "remote", "--endpoint",
+                     server.endpoint]) == 1
+    err = capsys.readouterr().err
+    assert f"error: [Errno 2] No such file or directory: '{out}'\n" in err
+    assert server.posts == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "annotated.jsonl", "model.bin"]
+
+
 def test_paragraph_window_1_is_single_mode(tmp_path):
     model = tmp_path / "model.json"
     corpusio.save_model(
-        predictor.params_to_artifact(predictor.init_params(3), {}), model)
+        predictor.params_to_artifact(random_params(3), {}), model)
     texts = tmp_path / "texts.txt"
     texts.write_text("I am so happy today.\nThen it rained.\n\n"
                      "We went home, angry.\nAnd slept.\n", encoding="utf-8")
@@ -329,7 +349,7 @@ def test_paragraph_window_1_is_single_mode(tmp_path):
 def test_predict_refuses_out_of_range_embed_seed(tmp_path, capsys):
     model = tmp_path / "model.json"
     corpusio.save_model(
-        predictor.params_to_artifact(predictor.init_params(0)), model)
+        predictor.params_to_artifact(random_params(0)), model)
     texts = tmp_path / "texts.txt"
     texts.write_text("one\n", encoding="utf-8")
     out = tmp_path / "preds.jsonl"
@@ -348,7 +368,7 @@ def test_remote_provider_posts_to_the_echoed_endpoint(tmp_path, capsys,
     monkeypatch.setenv("EMOPRED_ENDPOINT", other.endpoint)
     model = tmp_path / "model.json"
     corpusio.save_model(
-        predictor.params_to_artifact(predictor.init_params(0), {}), model)
+        predictor.params_to_artifact(random_params(0), {}), model)
     texts = tmp_path / "texts.txt"
     texts.write_text("one\ntwo\n", encoding="utf-8")
     assert cli.main(["predict", "--model", str(model), "--texts", str(texts),
@@ -399,11 +419,14 @@ print([m for m in names if m in sys.modules])
 
 
 def test_local_embedding_and_predict_load_no_hashlib(tmp_path):
-    # the local embedder hashes with splitmix64, so no OpenSSL is loaded;
-    # `train` still loads it, through numpy.random (secrets, then hmac)
-    model = tmp_path / "model.bin"
-    corpusio.save_model(
-        predictor.params_to_artifact(predictor.init_params(0), {}), model)
+    # the local embedder hashes with splitmix64, and training draws no
+    # random numbers (numpy.random would load OpenSSL through secrets), so
+    # neither `train` nor `predict` loads it
+    annotated = tmp_path / "annotated.jsonl"
+    corpusio.write_annotations([corpusio.AnnotatedRecord(
+        id=f"u{i}", text=f"text {i}", emotion=emotion, audio_path="",
+        split="train", strength=0.0 if emotion == "neutral" else 0.5)
+        for i, emotion in enumerate(corpusio.EMOTIONS)], annotated)
     texts = tmp_path / "texts.txt"
     texts.write_text("one sentence\nand another\n", encoding="utf-8")
     code = """
@@ -412,17 +435,21 @@ from emopred import cli, predictor, textembed
 names = ("hashlib", "_hashlib")
 textembed.embed_local(["some text"], seed=3)
 print([m for m in names if m in sys.modules])
-assert cli.main(["predict", "--model", sys.argv[1], "--texts", sys.argv[2],
-                 "--mode", "paragraph", "--out", sys.argv[3]]) == 0
+assert cli.main(["train", "--annotated", sys.argv[1],
+                 "--out", sys.argv[2]]) == 0
+print([m for m in names if m in sys.modules])
+assert cli.main(["predict", "--model", sys.argv[2], "--texts", sys.argv[3],
+                 "--mode", "paragraph", "--out", sys.argv[4]]) == 0
 print([m for m in names if m in sys.modules])
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(model), str(texts),
+        [sys.executable, "-c", code, str(annotated),
+         str(tmp_path / "model.bin"), str(texts),
          str(tmp_path / "preds.jsonl")],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert proc.stdout.splitlines() == ["[]", "[]", "[]"]
 
 
 @pytest.mark.parametrize("preset, expected", [
@@ -781,7 +808,7 @@ class TestReadTexts:
                                                              capsys):
         model = tmp_path / "model.json"
         corpusio.save_model(
-            predictor.params_to_artifact(predictor.init_params(0), {}), model)
+            predictor.params_to_artifact(random_params(0), {}), model)
         texts = tmp_path / "texts.jsonl"
         texts.write_text('{"text": "no id here"}\n', encoding="utf-8")
         code = cli.main(["predict", "--model", str(model), "--texts",
@@ -792,7 +819,7 @@ class TestReadTexts:
     def test_predict_refuses_repeated_id(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         corpusio.save_model(
-            predictor.params_to_artifact(predictor.init_params(0), {}), model)
+            predictor.params_to_artifact(random_params(0), {}), model)
         texts = tmp_path / "texts.jsonl"
         texts.write_text('{"id": "a", "text": "one"}\n'
                          '{"id": "b", "text": "two"}\n'
@@ -807,7 +834,7 @@ class TestReadTexts:
     def model(self, tmp_path):
         path = tmp_path / "model.bin"
         corpusio.save_model(
-            predictor.params_to_artifact(predictor.init_params(0), {}), path)
+            predictor.params_to_artifact(random_params(0), {}), path)
         return path
 
     @pytest.mark.parametrize("name", ["texts.txt", "texts.jsonl"])
@@ -855,8 +882,7 @@ def test_pipeline_end_to_end(tmp_path):
         ["features", "--manifest", str(manifest), "--out", str(features)],
         ["annotate", "--manifest", str(manifest), "--features", str(features),
          "--out", str(annotated)],
-        ["train", "--annotated", str(annotated), "--out", str(model),
-         "--epochs", "5"],
+        ["train", "--annotated", str(annotated), "--out", str(model)],
         ["predict", "--model", str(model), "--texts", str(annotated),
          "--out", str(single)],
         ["predict", "--model", str(model), "--texts", str(annotated),
@@ -881,14 +907,12 @@ def test_pipeline_end_to_end(tmp_path):
     scores = json.loads(metrics.read_text(encoding="utf-8"))
     assert 0.0 <= scores["macro_accuracy"] <= 1.0
 
-    # the saved metadata holds every TrainConfig field
+    # the saved metadata holds the penalty and how the solver ended
     metadata = corpusio.load_model(model).metadata
-    assert set(metadata) == {f.name for f in dataclasses.fields(
-        predictor.TrainConfig)} | {"final_loss"}
-    assert {k: metadata[k] for k in ("batch_size", "epochs", "momentum",
-                                     "lr_decay")} == {
-        "batch_size": "16", "epochs": "5", "momentum": "0.9",
-        "lr_decay": "0.999"}
+    assert set(metadata) == {"lambda", "steps", "grad_norm", "final_loss"}
+    assert metadata["lambda"] == "0.0001"
+    assert 1 <= int(metadata["steps"]) <= predictor.MAX_NEWTON_STEPS
+    assert float(metadata["grad_norm"]) <= predictor.GRAD_TOL
 
     # every pair is used, so the pair cap and its subsample seed are gone,
     # and the rankers are not saved

@@ -15,6 +15,7 @@ from emopred.corpusio import (
     ModelArtifact,
 )
 
+from conftest import random_params
 from oracles import oracle_is_finite_number, oracle_save_model_v1
 
 
@@ -250,7 +251,7 @@ class TestAtomicWrite:
 
 class TestModelArtifacts:
     def test_predictor_round_trip_bit_identical_outputs(self, tmp_path):
-        params = predictor.init_params(3, 1.0)
+        params = random_params(3, 1.0)
         artifact = predictor.params_to_artifact(params, {"seed": "3"})
         path = tmp_path / "model.json"
         corpusio.save_model(artifact, path)
@@ -259,9 +260,8 @@ class TestModelArtifacts:
         before = predictor.forward(params, x)
         after = predictor.forward(loaded, x)
         np.testing.assert_array_equal(before[0], after[0])
-        np.testing.assert_array_equal(
-            predictor._forward_batch(params, x)[2],
-            predictor._forward_batch(loaded, x)[2])
+        np.testing.assert_array_equal(x @ params.ws + params.bs,
+                                      x @ loaded.ws + loaded.bs)
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="kind"):
@@ -319,7 +319,7 @@ class TestModelArtifacts:
             assert got.flags.writeable and got.flags.owndata
 
     def test_v1_file_refused(self, tmp_path, capsys):
-        params = predictor.init_params(7, 1.0)
+        params = random_params(7, 1.0)
         path = tmp_path / "v1.json"
         oracle_save_model_v1(predictor.params_to_artifact(params), path)
         with pytest.raises(ValueError, match="not a model artifact") as exc:
@@ -332,17 +332,32 @@ class TestModelArtifacts:
         assert "not a model artifact" in capsys.readouterr().err
 
     def test_per_head_predictor_artifact_refused(self):
-        # the layout before the two first layers were fused: each head's
-        # half of W1 and b1 as its own tensor
-        params = predictor.init_params(3, 1.0)
-        tensors = {name: arr for name, arr in params.as_dict().items()
-                   if name not in ("W1", "b1")}
-        tensors.update(W1c=params.W1[:256], W1s=params.W1[256:],
-                       b1c=params.b1[:256], b1s=params.b1[256:])
-        artifact = ModelArtifact(kind="predictor", tensors=tensors)
-        with pytest.raises(ValueError,
-                           match=r"missing tensors: \['W1', 'b1'\]"):
+        # the two-layer network's layout before its first layers were
+        # fused: each head's half of W1 and b1 as its own tensor
+        shapes = {"W1c": (256, 768), "W1s": (256, 768), "b1c": (256,),
+                  "b1s": (256,), "W2c": (4, 256), "b2c": (4,),
+                  "w2s": (1, 256), "b2s": (1,)}
+        artifact = ModelArtifact(kind="predictor", tensors={
+            name: np.zeros(shape) for name, shape in shapes.items()})
+        with pytest.raises(ValueError, match=r"missing tensors: "
+                           r"\['Wc', 'bc', 'bs', 'ws'\]"):
             predictor.params_from_artifact(artifact)
+
+    def test_mlp_artifact_refused(self, tmp_path, capsys):
+        # the two-layer network the linear heads replaced
+        shapes = {"W1": (512, 768), "b1": (512,), "W2c": (4, 256),
+                  "b2c": (4,), "w2s": (1, 256), "b2s": (1,)}
+        path = tmp_path / "mlp.bin"
+        corpusio.save_model(ModelArtifact(kind="predictor", tensors={
+            name: np.zeros(shape) for name, shape in shapes.items()}), path)
+        texts = tmp_path / "texts.txt"
+        texts.write_text("I am so happy today\n", encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        assert cli.main(["predict", "--model", str(path), "--texts",
+                         str(texts), "--out", str(out)]) == 1
+        assert ("artifact missing tensors: ['Wc', 'bc', 'bs', 'ws']"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 def _split_artifact(path):

@@ -10,8 +10,9 @@ from scipy.optimize import minimize
 
 from emopred import afeat, corpusio, ranker
 from emopred.corpusio import UtteranceRecord
-from emopred.synthcorpus import generate_micro_corpus
+
 from oracles import oracle_pair_hinge, relative_error
+from synthcorpus import generate_micro_corpus
 
 
 def make_records(labels):

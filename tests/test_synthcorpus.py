@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from emopred import afeat, corpusio, synthcorpus
+from emopred import afeat, corpusio
+
+import synthcorpus
 
 
 @pytest.fixture
