@@ -232,8 +232,10 @@ def cmd_train(args) -> int:
                             model_file.name)
         if args.trace:
             trace_file.writelines(f"{value!r}\n" for value in trace)
+    capped = (f" (stopped at the {predictor.MAX_NEWTON_STEPS}-step cap)"
+              if params.grad_norm > predictor.GRAD_TOL else "")
     print(f"trained in {len(trace) - 1} Newton steps, gradient norm "
-          f"{params.grad_norm:.2e}, final objective {trace[-1]:.6f}",
+          f"{params.grad_norm:.2e}, final objective {trace[-1]:.6f}{capped}",
           file=sys.stderr)
     return 0
 
@@ -300,7 +302,8 @@ def cmd_eval(args) -> int:
     ref_by_id = {r.id: r for r in corpusio.read_annotations(args.references)}
     missing = [uid for uid in ids if uid not in ref_by_id]
     if missing:
-        raise ValueError(f"predictions without references: {missing[:5]}")
+        raise ValueError(f"predictions without references in "
+                         f"{args.references}: {missing[:5]}")
     refs = [ref_by_id[uid] for uid in ids]
     metrics = predictor.evaluate(labels, strengths,
                                  [r.emotion for r in refs],

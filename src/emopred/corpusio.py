@@ -23,7 +23,7 @@ import math
 import os
 import reprlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -217,26 +217,9 @@ def _read_records(path: str | Path, cls) -> list:
     return records
 
 
-def _write_records(records, path: str | Path, cls) -> None:
-    """Write the `cls` fields of each validated record, one JSON per line."""
-    _check_unique_ids((rec.id for rec in records), path)
-    for rec in records:
-        rec.validate()
-    names = [f.name for f in fields(cls)]
-    with atomic_write(path) as fh:
-        for rec in records:
-            fh.write(json.dumps({name: getattr(rec, name) for name in names},
-                                ensure_ascii=False) + "\n")
-
-
 def read_manifest(path: str | Path) -> list[UtteranceRecord]:
     """Read and validate a corpus manifest (JSONL, one utterance per line)."""
     return _read_records(path, UtteranceRecord)
-
-
-def write_manifest(records: list[UtteranceRecord], path: str | Path) -> None:
-    """Write a manifest in input order, one JSON object per line."""
-    _write_records(records, path, UtteranceRecord)
 
 
 def read_annotations(path: str | Path) -> list[AnnotatedRecord]:
@@ -245,8 +228,14 @@ def read_annotations(path: str | Path) -> list[AnnotatedRecord]:
 
 
 def write_annotations(records: list[AnnotatedRecord], path: str | Path) -> None:
-    """Write an annotated manifest; refuses records violating invariants."""
-    _write_records(records, path, AnnotatedRecord)
+    """Write an annotated manifest, one JSON object per line with the
+    fields in order; refuses records violating invariants."""
+    _check_unique_ids((rec.id for rec in records), path)
+    for rec in records:
+        rec.validate()
+    with atomic_write(path) as fh:
+        for rec in records:
+            fh.write(json.dumps(asdict(rec), ensure_ascii=False) + "\n")
 
 
 def read_features(path: str | Path) -> dict[str, np.ndarray]:

@@ -15,9 +15,10 @@ minimizes the joint objective (objective())
 
 whose two heads share no parameter, so it is two convex problems solved
 to their optimum: multinomial logistic regression, the linear probe of
-what a frozen embedding carries (Alain & Bengio 2016), by truncated
-Newton steps (Lin, Weng & Keerthi, JMLR 2008), and ridge regression by
-its normal equations. The embedding backbone is consumed through a
+what a frozen embedding carries (Alain & Bengio 2016), by the truncated
+Newton steps of ranker.newton_minimize (Lin, Weng & Keerthi, JMLR 2008)
+with an exact line search, not Armijo backtracking, and ridge regression
+by its normal equations. The embedding backbone is consumed through a
 provider and never updated.
 
 Both optima lie in the row space of the n training embeddings X (the
@@ -48,8 +49,6 @@ LAMBDA = 1e-4
 # the class head's Newton steps stop at this gradient norm, or at the cap
 GRAD_TOL = 1e-9
 MAX_NEWTON_STEPS = 50
-# sufficient decrease a step length must give, as a share of the slope
-ARMIJO = 1e-4
 
 PARAM_SHAPES = {"Wc": (NUM_CLASSES, EMBED_DIM), "bc": (NUM_CLASSES,),
                 "ws": (EMBED_DIM,), "bs": (1,)}
@@ -117,18 +116,20 @@ def objective(params: PredictorParams, X: np.ndarray, class_idx: np.ndarray,
             + LAMBDA * float(params.ws @ params.ws + params.bs @ params.bs))
 
 
-def _class_terms(V: np.ndarray, A: np.ndarray, class_idx: np.ndarray):
-    """The class head's objective at the (k, 4) weights V on the rows of
-    the (n, k) coordinates A, its gradient A.T (P - Y) / n + LAMBDA V as a
-    flat vector, and its Hessian-vector product on flat vectors: with U = A
-    D, row i of the curvature term is p_i * u_i - p_i (p_i . u_i)."""
+def _class_terms(v: np.ndarray, A: np.ndarray, class_idx: np.ndarray):
+    """The class head's objective at the weights v, flat or (k, 4), on the
+    rows of the (n, k) coordinates A; its gradient A.T (P - Y) / n + LAMBDA
+    V as a flat vector; the gradient's norm, which certifies the optimum;
+    and its Hessian-vector product on flat vectors: with U = A D, row i of
+    the curvature term is p_i * u_i - p_i (p_i . u_i)."""
+    V = np.reshape(v, (A.shape[1], NUM_CLASSES))
     log_probs = _log_softmax(A @ V)
     P = np.exp(log_probs)
     value = _cross_entropy(log_probs, class_idx) + LAMBDA / 2 * float(
         np.sum(V ** 2))
     residual = P.copy()
     residual[np.arange(len(A)), class_idx] -= 1.0
-    grad = A.T @ residual / len(A) + LAMBDA * V
+    grad = (A.T @ residual / len(A) + LAMBDA * V).ravel()
 
     def hessian_product(d: np.ndarray) -> np.ndarray:
         D = d.reshape(V.shape)
@@ -136,38 +137,7 @@ def _class_terms(V: np.ndarray, A: np.ndarray, class_idx: np.ndarray):
         U -= P * U.sum(axis=1, keepdims=True)
         return (A.T @ U / len(A) + LAMBDA * D).ravel()
 
-    return value, grad.ravel(), hessian_product
-
-
-def _fit_classes(A: np.ndarray, class_idx: np.ndarray):
-    """The class head's weights on the coordinates A, from V = 0 by
-    Newton steps: each takes its direction from conjugate gradients on
-    exact Hessian-vector products and its length from halving until the
-    Armijo condition holds, so the objective never rises. Stops once the
-    gradient norm is at most GRAD_TOL, or after MAX_NEWTON_STEPS steps.
-    Returns (V, the objective before and after each step, the final
-    gradient norm)."""
-    # imported here, so that predict does not load the ranker
-    from .ranker import _conjugate_gradient
-
-    V = np.zeros((A.shape[1], NUM_CLASSES))
-    value, grad, hessian_product = _class_terms(V, A, class_idx)
-    trace = [value]
-    for _ in range(MAX_NEWTON_STEPS):
-        step = _conjugate_gradient(hessian_product, -grad).reshape(V.shape)
-        slope, eta = float(grad @ step.ravel()), 1.0
-        while True:
-            candidate = V + eta * step
-            terms = _class_terms(candidate, A, class_idx)
-            if terms[0] <= value + ARMIJO * eta * slope:
-                break
-            eta *= 0.5
-        V = candidate
-        value, grad, hessian_product = terms
-        trace.append(value)
-        if np.linalg.norm(grad) <= GRAD_TOL:
-            break
-    return V, trace, float(np.linalg.norm(grad))
+    return value, grad, float(np.linalg.norm(grad)), hessian_product
 
 
 def _fit_strengths(A: np.ndarray, strengths: np.ndarray) -> np.ndarray:
@@ -187,13 +157,17 @@ def train(
 
     Embeds every text once up front (the backbone is frozen), then solves
     the strength head's ridge regression and runs the class head's Newton
-    steps, both on the coordinates A = [X @ Q, 1], which are allocated once
-    and filled in place. Returns the parameters and the joint objective
-    trace: trace[0] is its value at zero weights, and one entry follows
-    each Newton step (the class head's value then, plus the strength
-    head's optimum). trace[-1] is exactly objective() of the returned
-    parameters, and the returned grad_norm says whether the steps reached
-    GRAD_TOL. Deterministic for a fixed provider.
+    steps from zero weights (newton_minimize: exact line search, not
+    Armijo), both on the coordinates A = [X @ Q, 1], which are allocated
+    once and filled in place. Returns the parameters and the joint
+    objective trace: trace[0] is its value at zero weights, and one entry
+    follows each Newton step (the class head's value then, plus the
+    strength head's optimum). trace[-1] is exactly objective() of the
+    returned parameters, and the returned grad_norm says whether the
+    steps reached GRAD_TOL. Where zero class weights already reach it, no
+    step is taken: the trace is the one entry objective() of the returned
+    parameters, and the model's `steps` metadata is 0. Deterministic for
+    a fixed provider.
     """
     if not records:
         raise ValueError("empty corpus")
@@ -208,9 +182,15 @@ def train(
     np.matmul(X, Q, out=A[:, :-1])
     A[:, -1] = 1.0
 
+    # imported here, so that predict does not load the ranker
+    from .ranker import newton_minimize
+
     u = _fit_strengths(A, strengths)
     ridge = float(np.mean((A @ u - strengths) ** 2) + LAMBDA * (u @ u))
-    V, class_trace, grad_norm = _fit_classes(A, class_idx)
+    v, _, grad_norm, class_trace = newton_minimize(
+        lambda v: _class_terms(v, A, class_idx),
+        np.zeros(A.shape[1] * NUM_CLASSES), GRAD_TOL, MAX_NEWTON_STEPS)
+    V = v.reshape(A.shape[1], NUM_CLASSES)
     params = PredictorParams(Wc=V[:-1].T @ Q.T, bc=V[-1].copy(),
                              ws=Q @ u[:-1], bs=u[-1:].copy(),
                              grad_norm=grad_norm)

@@ -9,9 +9,11 @@ objective of relative-attribute rankers (Parikh & Grauman 2011)
 over per-dimension standardized features z, i strong and j weak. Sums
 over the active pairs (margin > 0) come from one sort of the scores and
 prefix sums, and Newton's method minimizes J in the primal until its
-dual gap certifies the optimum (train_ranksvm). Rank scores are min-max
-normalized per emotion to [0, 1] strengths; neutral ones get 0. The
-rankers only label the corpus, so they live in memory and are not saved.
+dual gap certifies the optimum (train_ranksvm). Its truncated Newton
+loop, newton_minimize, also fits the predictor's class head. Rank scores
+are min-max normalized per emotion to [0, 1] strengths; neutral ones get
+0. The rankers only label the corpus, so they live in memory and are not
+saved.
 """
 
 from __future__ import annotations
@@ -96,6 +98,41 @@ def _conjugate_gradient(hessian_product, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def newton_minimize(terms, x: np.ndarray, tol: float, max_steps: int):
+    """Minimize a smooth, strictly convex function from x by truncated
+    Newton steps (Lin, Weng & Keerthi 2008; Lee & Lin 2014). terms(x)
+    returns the value, the gradient, a certificate that is small near the
+    optimum, and a Hessian-vector product at x. Each step takes its
+    direction from conjugate gradients and its length from an exact 1-D
+    Newton search, which ends once the slope is at most GAP_TOL of its
+    start, so the value falls up to rounding. Stops once the certificate
+    is at most tol, tested before every step, or after max_steps steps.
+    Returns (x, value, certificate, trace): trace[0] is the value at the
+    start, and one entry follows each step."""
+    value, grad, certificate, hess = terms(x)
+    trace = [value]
+    while certificate > tol and len(trace) <= max_steps:
+        p = _conjugate_gradient(hess, -grad)
+        # Newton on phi'(eta) = grad f(x + eta p).p, increasing; bisect
+        # the root's bracket [lo, hi] where a Newton step would leave it,
+        # and stop if the bracket collapses
+        slope_0, lo, hi, eta = float(grad @ p), 0.0, np.inf, 1.0
+        while True:
+            value, grad, certificate, hess = terms(x + eta * p)
+            slope = float(grad @ p)
+            if abs(slope) <= -GAP_TOL * slope_0:
+                break
+            lo, hi = (eta, hi) if slope < 0.0 else (lo, eta)
+            newton = eta - slope / float(p @ hess(p))
+            eta_next = newton if lo < newton < hi else 0.5 * (lo + hi)
+            if eta_next in (lo, hi):
+                break
+            eta = eta_next
+        x = x + eta * p
+        trace.append(value)
+    return x, value, certificate, trace
+
+
 def train_ranksvm(
     strong: np.ndarray,
     weak: np.ndarray,
@@ -105,16 +142,15 @@ def train_ranksvm(
 
     Every row of `strong` should rank above every row of `weak`. Features
     are standardized per dimension over both sides (std floored at 1e-8)
-    into the rows z of Z. From w = 0, each truncated Newton step (Lee &
-    Lin 2014) takes its direction from conjugate gradients and its length
-    from a 1-D Newton search, so J falls up to rounding; it is traced.
-    The dual of J, max over alpha >= 0 of sum(alpha) - ||alpha||^2 / (4C)
-    - 0.5 * ||sum_ij alpha_ij (z_i - z_j)||^2, taken at alpha = 2C * max(0,
-    margin), bounds the optimum from below. Training stops when J's gap
-    to that bound is at most GAP_TOL of J, or after MAX_ITERATIONS steps;
-    `gap` says which. Memory is O((n_s + n_w) * d): no pair-sized or
-    d x d array is formed. Refuses C that is not positive and finite, an
-    empty side and non-finite features.
+    into the rows z of Z. newton_minimize runs from w = 0, so J falls up
+    to rounding; it is traced. The dual of J, max over alpha >= 0 of
+    sum(alpha) - ||alpha||^2 / (4C) - 0.5 * ||sum_ij alpha_ij (z_i -
+    z_j)||^2, taken at alpha = 2C * max(0, margin), bounds the optimum
+    from below. Training stops when J's gap to that bound is at most
+    GAP_TOL of J, or after MAX_ITERATIONS steps; `gap` says which.
+    Memory is O((n_s + n_w) * d): no pair-sized or d x d array is formed.
+    Refuses C that is not positive and finite, an empty side and
+    non-finite features.
     """
     if not c > 0:
         raise ValueError(f"C must be positive, got {c}")
@@ -133,28 +169,9 @@ def train_ranksvm(
     Z = (X - mean) / std
     n_s = len(Xs)
 
-    w = np.zeros(X.shape[1])
-    objective, grad, gap, hess = _terms(w, Z, n_s, c)
-    trace = [objective]
-    while gap > GAP_TOL and len(trace) <= MAX_ITERATIONS:
-        p = _conjugate_gradient(hess, -grad)
-        # Newton on phi'(eta) = grad J(w + eta p).p, piecewise linear and
-        # increasing; bisect the root's bracket [lo, hi] where a Newton
-        # step would leave it, and stop if the bracket collapses
-        slope_0, lo, hi, eta = float(grad @ p), 0.0, np.inf, 1.0
-        while True:
-            objective, grad, gap, hess = _terms(w + eta * p, Z, n_s, c)
-            slope = float(grad @ p)
-            if abs(slope) <= -GAP_TOL * slope_0:
-                break
-            lo, hi = (eta, hi) if slope < 0.0 else (lo, eta)
-            newton = eta - slope / float(p @ hess(p))
-            eta_next = newton if lo < newton < hi else 0.5 * (lo + hi)
-            if eta_next in (lo, hi):
-                break
-            eta = eta_next
-        w = w + eta * p
-        trace.append(objective)
+    w, objective, gap, trace = newton_minimize(
+        lambda w: _terms(w, Z, n_s, c), np.zeros(X.shape[1]), GAP_TOL,
+        MAX_ITERATIONS)
 
     s, t = np.split(Z @ w, [n_s])
     # pair accuracy: the share of pairs with s_i > t_j, i.e. -t_j > -s_i

@@ -10,12 +10,14 @@ size, so every tone stays inside the 60-500 Hz F0 search range.
 
 from __future__ import annotations
 
+import json
 import wave
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from emopred.corpusio import UtteranceRecord, write_manifest
+from emopred.corpusio import UtteranceRecord
 
 SAMPLE_RATE = 16000
 
@@ -66,6 +68,14 @@ def _tone(emotion: str, intensity: float, duration: float,
     signal += 0.3 * level * np.sin(2 * phase)
     signal += noise * intensity * rng.standard_normal(len(t))
     return np.clip(signal, -0.99, 0.99)
+
+
+def write_manifest(records: list[UtteranceRecord], path: str | Path) -> None:
+    """Write records as a manifest: one JSON object per line, its fields
+    in UtteranceRecord's order."""
+    Path(path).write_text("".join(
+        json.dumps(asdict(rec), ensure_ascii=False) + "\n" for rec in records),
+        encoding="utf-8")
 
 
 def generate_micro_corpus(root: str | Path, seed: int = 0,

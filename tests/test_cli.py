@@ -16,7 +16,7 @@ import pytest
 from emopred import afeat, cli, corpusio, predictor, ranker
 
 from conftest import random_params
-from synthcorpus import generate_micro_corpus
+from synthcorpus import generate_micro_corpus, write_manifest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -225,6 +225,22 @@ class TestOptionRanges:
             steps = int(line.split(" steps=")[1].split()[0])
             assert 1 <= steps <= cap
             assert ("(stopped at the 1-step cap)" in line) is marked
+
+    @pytest.mark.parametrize("cap, marked", [(50, False), (2, True)])
+    def test_train_reports_steps_and_step_cap(self, tmp_path, capsys,
+                                              monkeypatch, cap, marked):
+        monkeypatch.setattr(predictor, "MAX_NEWTON_STEPS", cap)
+        annotated = tmp_path / "annotated.jsonl"
+        corpusio.write_annotations([corpusio.AnnotatedRecord(
+            id=f"u{i}", text=f"text {i}", emotion=corpusio.EMOTIONS[i % 4],
+            audio_path="", split="train", strength=0.1 * (i % 4))
+            for i in range(12)], annotated)
+        assert cli.main(["train", "--annotated", str(annotated), "--out",
+                         str(tmp_path / "model.bin")]) == 0
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith("trained in ")
+        assert 1 <= int(line.split()[2]) <= cap
+        assert ("(stopped at the 2-step cap)" in line) is marked
 
     @pytest.mark.parametrize("epochs", ["5", "-1", "0"])
     def test_annotate_has_no_epochs_option(self, tmp_path, epochs):
@@ -521,7 +537,7 @@ class TestFeaturesOnThreads:
         garbage.write_bytes(b"not a WAV file")
         records[1].audio_path = str(garbage)
         records[2].audio_path = str(tmp_path / "missing.wav")
-        corpusio.write_manifest(records, manifest)
+        write_manifest(records, manifest)
         load_audio = afeat.load_audio
 
         def slow_on_garbage(path):
@@ -545,7 +561,7 @@ class TestFeaturesOnThreads:
         manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=2)
         records = corpusio.read_manifest(manifest)
         records[0].audio_path = str(tmp_path / "missing.wav")
-        corpusio.write_manifest(records, manifest)
+        write_manifest(records, manifest)
         load_audio = afeat.load_audio
         opened = []
 
@@ -670,6 +686,19 @@ class TestBadPredictionsFile:
         path.write_text(content, encoding="utf-8")
         assert cli.main(argv[command](str(path))) == 1
         assert f"preds.jsonl: {message}" in capsys.readouterr().err
+
+    def test_eval_names_references_without_a_prediction_id(self, tmp_path,
+                                                           capsys, argv):
+        predictions = tmp_path / "preds.jsonl"
+        predictions.write_text(self.GOOD.replace('"a"', '"000001"'),
+                               encoding="utf-8")
+        out = tmp_path / "metrics.json"
+        assert cli.main([*argv["eval"](str(predictions)),
+                         "--out", str(out)]) == 1
+        references = tmp_path / "references.jsonl"
+        assert (f"error: predictions without references in {references}: "
+                f"['000001']\n") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_reports_null_reference_strength(self, tmp_path, capsys):
         predictions = tmp_path / "preds.jsonl"

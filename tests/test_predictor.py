@@ -180,12 +180,13 @@ class TestGradients:
         A = np.tile(np.append(np.random.default_rng(1).normal(size=6), 1.0),
                     (8, 1))
         class_idx = np.array([0, 1, 2, 3, 3, 2, 1, 0])
-        _, grad, _ = predictor._class_terms(np.zeros((7, 4)), A, class_idx)
+        _, grad, _, _ = predictor._class_terms(np.zeros((7, 4)), A,
+                                               class_idx)
         assert np.linalg.norm(grad) < 1e-15
 
     def test_finite_differences(self):
         A, class_idx, V = class_problem(5)
-        _, grad, _ = predictor._class_terms(V, A, class_idx)
+        _, grad, _, _ = predictor._class_terms(V, A, class_idx)
         h = 1e-5
         for index in np.ndindex(V.shape):
             step = np.zeros_like(V)
@@ -198,7 +199,7 @@ class TestGradients:
 
     def test_hessian_product_finite_differences(self):
         A, class_idx, V = class_problem(6)
-        _, _, hessian_product = predictor._class_terms(V, A, class_idx)
+        _, _, _, hessian_product = predictor._class_terms(V, A, class_idx)
         rng = np.random.default_rng(7)
         h = 1e-5
         for _ in range(5):
@@ -219,7 +220,7 @@ class TestGradients:
         assert batch[0] == pytest.approx(single[0], rel=1e-14)
         np.testing.assert_allclose(batch[1], single[1], atol=1e-12)
         d = np.random.default_rng(10).normal(size=V.size)
-        np.testing.assert_allclose(batch[2](d), single[2](d), atol=1e-12)
+        np.testing.assert_allclose(batch[3](d), single[3](d), atol=1e-12)
 
 
 class TestTrain:
@@ -311,6 +312,25 @@ class TestTrain:
         params, trace = predictor.train(records, provider)
         X = provider.embed([r.text for r in records])
         assert predictor.objective(params, X, *targets(records)) == trace[-1]
+
+    def test_optimal_zero_class_weights_take_no_step(self):
+        # identical rows and balanced classes: zero class weights are
+        # optimal, so the trace is the one objective of what is returned
+        x = np.random.default_rng(1).normal(size=768)
+        texts = [f"text {k}" for k in range(8)]
+        records = make_annotated(
+            texts, [EMOTIONS[i] for i in (0, 1, 2, 3, 3, 2, 1, 0)],
+            [0.0, 0.9, 0.5, 0.7, 0.6, 0.4, 0.8, 0.0])
+        provider = ArrayProvider({text: x for text in texts})
+        params, trace = predictor.train(records, provider)
+        assert params.grad_norm <= predictor.GRAD_TOL
+        assert not params.Wc.any() and not params.bc.any()
+        X = provider.embed(texts)
+        assert trace == [predictor.objective(params, X, *targets(records))]
+        _, strengths = targets(records)
+        # the strength head is still solved: its optimum lies below the
+        # value at zero weights
+        assert trace[0] < math.log(4.0) + float(np.mean(strengths ** 2))
 
     def test_empty_corpus_error(self):
         with pytest.raises(ValueError, match="empty"):

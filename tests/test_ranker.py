@@ -229,6 +229,57 @@ class TestCertifiedOptimum:
             assert 0.0 <= model.gap <= 1e-6, emotion
 
 
+class TestNewtonMinimize:
+    """The truncated Newton loop both convex fits run, on a seeded strictly
+    convex quadratic 0.5 x.Hx - b.x, certified by its gradient norm."""
+
+    @staticmethod
+    def quadratic(seed, dim=12):
+        """terms() of the quadratic, and its minimizer."""
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(dim, dim))
+        H = M @ M.T + np.eye(dim)
+        b = rng.normal(size=dim)
+
+        def terms(x):
+            grad = H @ x - b
+            return (0.5 * float(x @ H @ x) - float(b @ x), grad,
+                    float(np.linalg.norm(grad)), lambda p: H @ p)
+
+        return terms, np.linalg.solve(H, b)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stops_certified_at_the_minimizer(self, seed):
+        terms, x_star = self.quadratic(seed)
+        x, value, certificate, trace = ranker.newton_minimize(
+            terms, np.zeros_like(x_star), 1e-10, 50)
+        assert certificate <= 1e-10
+        # H >= I, so the distance to the minimizer is at most the gradient
+        # norm
+        np.testing.assert_allclose(x, x_star, rtol=0.0, atol=1e-10)
+        assert value == trace[-1]
+        assert all(later <= earlier + 1e-12
+                   for earlier, later in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_a_cap_of_k_steps_gives_k_plus_one_entries(self, cap):
+        terms, x_star = self.quadratic(0)
+        *_, certificate, trace = ranker.newton_minimize(
+            terms, np.zeros_like(x_star), 0.0, cap)
+        assert certificate > 0.0
+        assert len(trace) == cap + 1
+
+    def test_a_start_at_the_optimum_is_returned_unchanged(self):
+        terms, x_star = self.quadratic(1)
+        value, _, certificate, _ = terms(x_star)
+        assert certificate <= 1e-10
+        x, got_value, got_certificate, trace = ranker.newton_minimize(
+            terms, x_star, 1e-10, 50)
+        np.testing.assert_array_equal(x, x_star)
+        assert (got_value, got_certificate, trace) == (
+            value, certificate, [value])
+
+
 class TestRankScore:
     """Scores of one-row feature matrices."""
 
