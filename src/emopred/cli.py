@@ -2,10 +2,9 @@
 
 Each subcommand reads and writes the package's file formats so every
 stage's output is an inspectable fixture for the next. `annotate`
-writes strengths only: its rankers are not used after labelling. A
-plain `key = value` config file can supply any of a subcommand's
-options, required ones too (flags win); the fully resolved
-configuration is echoed to stderr on every run.
+writes strengths only: its rankers are not used after labelling. Every
+option is set by its flag, and the fully resolved configuration is
+echoed to stderr on every run.
 
 CPUs: each process runs BLAS on one thread, since the products here are
 small enough that a second BLAS thread only burns CPU; a caller who sets
@@ -35,74 +34,10 @@ import numpy as np
 from . import corpusio
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    values, lines = {}, {}
-    for lineno, line in corpusio._text_lines(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected key = value")
-        key, _, value = (part.strip() for part in line.partition("="))
-        if key in lines:
-            raise ValueError(f"{path}: line {lineno}: key {key!r} already "
-                             f"set on line {lines[key]}")
-        values[key], lines[key] = value, lineno
-    return values
-
-
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
-    """Make the values of the file named by --config the defaults of the
-    subcommand in argv: flags still win, and the file may supply a
-    required option. A value is converted and checked as its flag's."""
-    subcommands = next(a.choices for a in parser._actions
-                       if isinstance(a, argparse._SubParsersAction))
-    if not argv or argv[0] not in subcommands:
-        return
-    pre = argparse.ArgumentParser(prog=f"emopred {argv[0]}", add_help=False)
-    pre.add_argument("--config", default="")
-    path = pre.parse_known_args(argv[1:])[0].config
-    if not path:
-        return
-    sub = subcommands[argv[0]]
-    actions = {a.dest: a for a in sub._actions
-               if a.dest not in ("help", "config")}
-    file_values = _parse_config_file(path)
-    unknown = set(file_values) - set(actions)
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
-    defaults = {}
-    for key, raw in file_values.items():
-        action = actions[key]
-        if action.nargs == 0:  # store_true: the file gives the value itself
-            value = {"true": True, "false": False}.get(raw.lower())
-            expected = "true or false"
-        else:
-            try:
-                value = action.type(raw)
-            except ValueError:
-                value = None
-            expected = action.type.__name__
-            if action.choices:
-                value = value if value in action.choices else None
-                expected = "one of " + ", ".join(action.choices)
-        if value is None:
-            raise ValueError(f"{path}: {key} = {raw!r}: expected {expected}")
-        defaults[key] = value
-        action.required = False
-    sub.set_defaults(**defaults)
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    parser = build_parser()
-    _apply_config(parser, argv)
-    return parser.parse_args(argv)
-
-
 def _echo_config(args: argparse.Namespace, command: str) -> None:
     print(f"[{command}] resolved configuration:", file=sys.stderr)
     for key in sorted(vars(args)):
-        if key in ("func", "config", "command"):
+        if key in ("func", "command"):
             continue
         print(f"  {key} = {getattr(args, key)}", file=sys.stderr)
 
@@ -118,16 +53,26 @@ def _provider_from_args(args: argparse.Namespace):
     return config
 
 
+def _embedding(args: argparse.Namespace) -> str:
+    """The embedding a model is trained on, as `train` records it and
+    `predict` checks it: a model applied to other embeddings predicts
+    wrongly, not with an error. The endpoint is a deployment setting."""
+    return ("remote" if args.provider == "remote"
+            else f"local seed {args.embed_seed}")
+
+
 def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--provider", type=str, default="local",
                      choices=("local", "remote"),
-                     help="embedding provider (default: local)")
+                     help="embedding provider (default: local); predict "
+                     "must use the one the model was trained with")
     sub.add_argument("--endpoint", type=str, default="",
                      help="URL of the remote embedding endpoint")
     sub.add_argument("--timeout", type=float, default=10.0,
                      help="remote request timeout in seconds")
     sub.add_argument("--embed-seed", type=int, default=0,
-                     help="seed for the local provider")
+                     help="seed for the local provider; predict must use "
+                     "the seed the model was trained with")
 
 
 def _read_texts(path: str) -> tuple[list[str], list[str]]:
@@ -224,7 +169,8 @@ def cmd_train(args) -> int:
             corpusio.atomic_write(args.trace) if args.trace
             else contextlib.nullcontext()) as trace_file:
         params, trace = predictor.train(records, provider)
-        metadata = {"lambda": repr(predictor.LAMBDA),
+        metadata = {"embedding": _embedding(args),
+                    "lambda": repr(predictor.LAMBDA),
                     "steps": str(len(trace) - 1),
                     "grad_norm": repr(params.grad_norm),
                     "final_loss": repr(trace[-1])}
@@ -252,9 +198,16 @@ def cmd_predict(args) -> int:
     # --out is opened first, so that a path that cannot be written stops
     # the run before any text is embedded
     with _output(args.out) as out:
-        params = predictor.params_from_artifact(
-            corpusio.load_model(args.model))
+        artifact = corpusio.load_model(args.model)
+        params = predictor.params_from_artifact(artifact)
         provider = _provider_from_args(args)
+        trained, used = artifact.metadata.get("embedding"), _embedding(args)
+        if trained is None:
+            raise ValueError(f"{args.model}: the model does not record the "
+                             f"embedding it was trained on; retrain it")
+        if trained != used:
+            raise ValueError(f"{args.model} was trained on the {trained!r} "
+                             f"embedding, but predict would use {used!r}")
         ids, texts = _read_texts(args.texts)
         window = 1 if args.mode == "single" else args.window
         probs, strengths = predictor.predict(texts, params, provider,
@@ -328,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument("--config", type=str, default="",
-                         help="key = value config file; flags override it")
         sub.set_defaults(func=func)
         return sub
 
@@ -385,9 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parse_args(argv)
+        args = build_parser().parse_args(argv)
         _echo_config(args, args.command)
         return args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:

@@ -1,6 +1,7 @@
-"""Command-line tests: config parsing, module start-up, and the whole
-pipeline driven in-process on a small synthetic corpus."""
+"""Command-line tests: the option inventory, module start-up, and the
+whole pipeline driven in-process on a small synthetic corpus."""
 
+import argparse
 import concurrent.futures
 import csv
 import json
@@ -19,102 +20,61 @@ from conftest import random_params
 from synthcorpus import generate_micro_corpus, write_manifest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# the embedding metadata `train` records, for models built by hand
+LOCAL, REMOTE = {"embedding": "local seed 0"}, {"embedding": "remote"}
 
 
-def _encode_args(tmp_path, config_text, *flags):
-    config = tmp_path / "encode.cfg"
-    config.write_text(config_text, encoding="utf-8")
-    return cli._parse_args(["encode", "--config", str(config), *flags])
+# every option of every subcommand, each set by its flag alone: a new
+# option is added here
+OPTIONS = {
+    "features": ["--manifest", "--out"],
+    "annotate": ["--manifest", "--features", "--out", "--C"],
+    "train": ["--annotated", "--out", "--trace", "--provider", "--endpoint",
+              "--timeout", "--embed-seed"],
+    "predict": ["--model", "--texts", "--mode", "--window", "--out",
+                "--provider", "--endpoint", "--timeout", "--embed-seed"],
+    "encode": ["--init-seed", "--predictions", "--grid", "--grid-points",
+               "--out"],
+    "eval": ["--predictions", "--references", "--out"],
+}
+REQUIRED = {"features": ["--manifest", "--out"],
+            "annotate": ["--manifest", "--features", "--out"],
+            "train": ["--annotated", "--out"],
+            "predict": ["--model", "--texts"],
+            "encode": [],
+            "eval": ["--predictions", "--references"]}
 
 
-class TestConfigBooleans:
-    @pytest.mark.parametrize("raw, expected", [
-        ("false", False), ("False", False), ("true", True), ("TRUE", True)])
-    def test_store_true_parsed_strictly(self, tmp_path, raw, expected):
-        args = _encode_args(tmp_path, f"grid = {raw}\n")
-        assert args.grid is expected
+def test_options_are_the_inventory_and_set_by_flags_only(tmp_path, capsys):
+    parser = cli.build_parser()
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert {name: [flag for a in sub._actions for flag in a.option_strings
+                   if flag not in ("-h", "--help")]
+            for name, sub in commands.items()} == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 30
 
-    @pytest.mark.parametrize("raw", ["yes", "0", ""])
-    def test_other_values_rejected(self, tmp_path, raw):
-        with pytest.raises(ValueError, match=r"encode\.cfg.*grid"):
-            _encode_args(tmp_path, f"grid = {raw}\n")
-
-    def test_flag_overrides_false_in_file(self, tmp_path):
-        assert _encode_args(tmp_path, "grid = false\n", "--grid").grid is True
-
-
-class TestConfigFile:
-    """A config file supplies any option, required ones too; flags win,
-    and a bad value names the file and the key."""
-
-    def _features_argv(self, tmp_path, config_text, *flags):
-        manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=1)
-        config = tmp_path / "features.cfg"
-        config.write_text(config_text.format(manifest=manifest,
-                                             tmp=tmp_path), encoding="utf-8")
-        return ["features", "--config", str(config), *flags]
-
-    def test_file_supplies_required_options(self, tmp_path):
-        argv = self._features_argv(
-            tmp_path, "manifest = {manifest}\nout = {tmp}/from_file.jsonl\n")
-        assert cli.main(argv) == 0
-        assert len(corpusio.read_features(tmp_path / "from_file.jsonl")) == 4
-
-    def test_flag_overrides_required_option_in_file(self, tmp_path):
-        flag_out = tmp_path / "from_flag.jsonl"
-        argv = self._features_argv(
-            tmp_path, "manifest = {manifest}\nout = {tmp}/from_file.jsonl\n",
-            "--out", str(flag_out))
-        assert cli.main(argv) == 0
-        assert flag_out.exists()
-        assert not (tmp_path / "from_file.jsonl").exists()
-
-    def test_required_option_in_neither_exits_2(self, tmp_path):
-        argv = self._features_argv(tmp_path, "manifest = {manifest}\n")
+    def exits_2(argv, message):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line, expected", [
-        ("embed_seed = abc", "embed_seed = 'abc': expected int"),
-        ("timeout = fast", "timeout = 'fast': expected float"),
-        ("provider = cloud", "provider = 'cloud': expected one of local, "
-                             "remote"),
-    ])
-    def test_bad_value_names_file_and_key(self, tmp_path, capsys, line,
-                                          expected):
-        config = tmp_path / "train.cfg"
-        config.write_text(line + "\n", encoding="utf-8")
-        code = cli.main(["train", "--config", str(config), "--annotated",
-                         str(tmp_path / "a.jsonl"), "--out",
-                         str(tmp_path / "model.json")])
-        assert code == 1
-        assert f"train.cfg: {expected}" in capsys.readouterr().err
+    for command, required in REQUIRED.items():
+        # argparse exits before any of these paths is opened
+        paths = {flag: str(tmp_path / flag[2:]) for flag in
+                 ["--out", *required]}
 
-    def test_bytes_not_utf8_name_file_and_line(self, tmp_path, capsys):
-        config = tmp_path / "train.cfg"
-        config.write_bytes(b"embed_seed = 3\ntimeout = 0.5\xff\n")
-        code = cli.main(["train", "--config", str(config), "--annotated",
-                         str(tmp_path / "a.jsonl"), "--out",
-                         str(tmp_path / "model.json")])
-        assert code == 1
-        assert ("train.cfg: line 2: bytes that are not valid UTF-8"
-                in capsys.readouterr().err)
+        def argv(without=None):
+            return [command, *(arg for flag, path in paths.items()
+                               if flag != without for arg in (flag, path))]
 
-    @pytest.mark.parametrize("text, line", [
-        ("epochs = 3\nepochs = 5\n", 2),
-        ("epochs = 3\n# later\n\n  epochs=5\n", 4)])
-    def test_key_given_twice_names_both_lines(self, tmp_path, capsys, text,
-                                              line):
-        config = tmp_path / "train.cfg"
-        config.write_text(text, encoding="utf-8")
-        out = tmp_path / "model.json"
-        code = cli.main(["train", "--config", str(config), "--annotated",
-                         str(tmp_path / "a.jsonl"), "--out", str(out)])
-        assert code == 1
-        assert (f"train.cfg: line {line}: key 'epochs' already set on line 1"
-                in capsys.readouterr().err)
-        assert not out.exists()
+        exits_2([*argv(), "--config", "x"],
+                "unrecognized arguments: --config x")
+        for flag in required:
+            exits_2(argv(without=flag),
+                    f"the following arguments are required: {flag}")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("content", ["", "\n\n"])
@@ -147,7 +107,7 @@ class TestOptionRanges:
     def test_negative_window(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         corpusio.save_model(
-            predictor.params_to_artifact(random_params(0), {}), model)
+            predictor.params_to_artifact(random_params(0), LOCAL), model)
         texts = tmp_path / "texts.txt"
         texts.write_text("one\ntwo\n", encoding="utf-8")
         out = tmp_path / "preds.jsonl"
@@ -160,7 +120,7 @@ class TestOptionRanges:
     def test_window_in_single_mode(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         corpusio.save_model(
-            predictor.params_to_artifact(random_params(0), {}), model)
+            predictor.params_to_artifact(random_params(0), LOCAL), model)
         texts = tmp_path / "texts.txt"
         texts.write_text("one\ntwo\n", encoding="utf-8")
         out = tmp_path / "preds.jsonl"
@@ -280,8 +240,8 @@ class TestNonFiniteOptions:
 
 class TestRemovedTrainOptions:
     """train has no training knobs: both heads are solved to their
-    optimum with a fixed penalty, so the flags and config keys of an
-    iterative trainer are refused."""
+    optimum with a fixed penalty, so the flags of an iterative trainer
+    are refused."""
 
     @pytest.mark.parametrize("flag, value", [
         ("--lambda-cls", "0.01"), ("--lr", "0.05"), ("--batch-size", "16"),
@@ -292,15 +252,6 @@ class TestRemovedTrainOptions:
             cli.main(["train", "--annotated", str(tmp_path / "a.jsonl"),
                       "--out", str(out), flag, value])
         assert exc.value.code == 2
-        assert not out.exists()
-
-    def test_config_key_is_unknown(self, tmp_path, capsys):
-        config = tmp_path / "train.cfg"
-        config.write_text("epochs = 5\n", encoding="utf-8")
-        out = tmp_path / "model.bin"
-        assert cli.main(["train", "--config", str(config), "--annotated",
-                         str(tmp_path / "a.jsonl"), "--out", str(out)]) == 1
-        assert "unknown config keys: ['epochs']" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -332,7 +283,8 @@ def test_unwritable_out_stops_before_embedding(tmp_path, capsys,
         id=f"u{i}", text=f"text {i}", emotion="anger", audio_path="",
         split="train", strength=0.5) for i in range(3)], annotated)
     model = tmp_path / "model.bin"
-    corpusio.save_model(predictor.params_to_artifact(random_params(0)), model)
+    corpusio.save_model(predictor.params_to_artifact(random_params(0),
+                                                     REMOTE), model)
     out = tmp_path / "nodir" / "out"
     inputs = {"train": ["--annotated", str(annotated)],
               "predict": ["--model", str(model), "--texts", str(annotated)]}
@@ -349,7 +301,7 @@ def test_unwritable_out_stops_before_embedding(tmp_path, capsys,
 def test_paragraph_window_1_is_single_mode(tmp_path):
     model = tmp_path / "model.json"
     corpusio.save_model(
-        predictor.params_to_artifact(random_params(3), {}), model)
+        predictor.params_to_artifact(random_params(3), LOCAL), model)
     texts = tmp_path / "texts.txt"
     texts.write_text("I am so happy today.\nThen it rained.\n\n"
                      "We went home, angry.\nAnd slept.\n", encoding="utf-8")
@@ -365,7 +317,7 @@ def test_paragraph_window_1_is_single_mode(tmp_path):
 def test_predict_refuses_out_of_range_embed_seed(tmp_path, capsys):
     model = tmp_path / "model.json"
     corpusio.save_model(
-        predictor.params_to_artifact(random_params(0)), model)
+        predictor.params_to_artifact(random_params(0), LOCAL), model)
     texts = tmp_path / "texts.txt"
     texts.write_text("one\n", encoding="utf-8")
     out = tmp_path / "preds.jsonl"
@@ -376,6 +328,57 @@ def test_predict_refuses_out_of_range_embed_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+class TestEmbeddingMatch:
+    """predict applies a model only to the embedding `train` recorded in
+    it: other embeddings would give wrong predictions, not an error."""
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        annotated = tmp_path / "annotated.jsonl"
+        corpusio.write_annotations([corpusio.AnnotatedRecord(
+            id=f"u{i}", text=f"text {i}", emotion=corpusio.EMOTIONS[i % 4],
+            audio_path="", split="train", strength=0.1 * (i % 4))
+            for i in range(12)], annotated)
+        texts = tmp_path / "texts.txt"
+        texts.write_text("one\ntwo\n", encoding="utf-8")
+        model = tmp_path / "model.bin"
+        return {"train": ["train", "--annotated", str(annotated), "--out",
+                          str(model)],
+                "predict": ["predict", "--model", str(model), "--texts",
+                            str(texts), "--out", str(tmp_path / "p.jsonl")]}
+
+    @pytest.mark.parametrize("trained, used, flags", [
+        ("local seed 3", "local seed 0", (["--embed-seed", "3"], [])),
+        ("local seed 0", "remote", ([], ["--provider", "remote"])),
+        ("remote", "local seed 0", (["--provider", "remote"], [])),
+    ], ids=["seed", "local-model-remote-predict",
+            "remote-model-local-predict"])
+    def test_mismatch_exits_1_before_embedding(self, tmp_path, capsys, argv,
+                                               embed_server, trained, used,
+                                               flags):
+        server = embed_server()
+        endpoint = ["--endpoint", server.endpoint]
+        assert cli.main([*argv["train"], *flags[0], *endpoint]) == 0
+        posts = len(server.posts)
+        capsys.readouterr()
+        assert cli.main([*argv["predict"], *flags[1], *endpoint]) == 1
+        assert (f"error: {tmp_path / 'model.bin'} was trained on the "
+                f"{trained!r} embedding, but predict would use {used!r}\n"
+                ) in capsys.readouterr().err
+        assert len(server.posts) == posts
+        assert not (tmp_path / "p.jsonl").exists()
+        assert cli.main([*argv["predict"], *flags[0], *endpoint]) == 0
+
+    def test_model_without_embedding_refused(self, tmp_path, capsys, argv):
+        corpusio.save_model(predictor.params_to_artifact(random_params(0)),
+                            tmp_path / "model.bin")
+        assert cli.main(argv["predict"]) == 1
+        assert (f"{tmp_path / 'model.bin'}: the model does not record the "
+                f"embedding it was trained on; retrain it"
+                ) in capsys.readouterr().err
+        assert not (tmp_path / "p.jsonl").exists()
+
+
 def test_remote_provider_posts_to_the_echoed_endpoint(tmp_path, capsys,
                                                       embed_server,
                                                       monkeypatch):
@@ -384,7 +387,7 @@ def test_remote_provider_posts_to_the_echoed_endpoint(tmp_path, capsys,
     monkeypatch.setenv("EMOPRED_ENDPOINT", other.endpoint)
     model = tmp_path / "model.json"
     corpusio.save_model(
-        predictor.params_to_artifact(random_params(0), {}), model)
+        predictor.params_to_artifact(random_params(0), REMOTE), model)
     texts = tmp_path / "texts.txt"
     texts.write_text("one\ntwo\n", encoding="utf-8")
     assert cli.main(["predict", "--model", str(model), "--texts", str(texts),
@@ -723,12 +726,6 @@ class TestEncodeOptions:
             cli.main(["encode", "--grid", flag, str(tmp_path / "enc.json")])
         assert exc.value.code == 2
 
-    def test_encoder_config_key_is_unknown(self, tmp_path, capsys):
-        config = tmp_path / "encode.cfg"
-        config.write_text("encoder = enc.json\n", encoding="utf-8")
-        assert cli.main(["encode", "--config", str(config), "--grid"]) == 1
-        assert "unknown config keys: ['encoder']" in capsys.readouterr().err
-
     def test_negative_init_seed_exit_1(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         assert cli.main(["encode", "--grid", "--init-seed", "-1",
@@ -736,20 +733,14 @@ class TestEncodeOptions:
         assert "seed must be nonnegative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("from_file", [False, True])
-    def test_grid_with_predictions_exit_1(self, tmp_path, capsys, from_file):
+    def test_grid_with_predictions_exit_1(self, tmp_path, capsys):
         predictions = tmp_path / "preds.jsonl"
         predictions.write_text(
             '{"id": "a", "probs": [0.25, 0.25, 0.25, 0.25], '
             '"class": "neutral", "strength": 0.5}\n', encoding="utf-8")
-        config = tmp_path / "encode.cfg"
-        config.write_text("grid = true\n" if from_file else "",
-                          encoding="utf-8")
         out = tmp_path / "out.csv"
-        grid = [] if from_file else ["--grid"]
-        assert cli.main(["encode", "--config", str(config), *grid,
-                         "--predictions", str(predictions), "--out",
-                         str(out)]) == 1
+        assert cli.main(["encode", "--grid", "--predictions",
+                         str(predictions), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "--grid" in err and "--predictions" in err
         assert not out.exists()
@@ -837,7 +828,7 @@ class TestReadTexts:
                                                              capsys):
         model = tmp_path / "model.json"
         corpusio.save_model(
-            predictor.params_to_artifact(random_params(0), {}), model)
+            predictor.params_to_artifact(random_params(0), LOCAL), model)
         texts = tmp_path / "texts.jsonl"
         texts.write_text('{"text": "no id here"}\n', encoding="utf-8")
         code = cli.main(["predict", "--model", str(model), "--texts",
@@ -848,7 +839,7 @@ class TestReadTexts:
     def test_predict_refuses_repeated_id(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         corpusio.save_model(
-            predictor.params_to_artifact(random_params(0), {}), model)
+            predictor.params_to_artifact(random_params(0), LOCAL), model)
         texts = tmp_path / "texts.jsonl"
         texts.write_text('{"id": "a", "text": "one"}\n'
                          '{"id": "b", "text": "two"}\n'
@@ -863,7 +854,7 @@ class TestReadTexts:
     def model(self, tmp_path):
         path = tmp_path / "model.bin"
         corpusio.save_model(
-            predictor.params_to_artifact(random_params(0), {}), path)
+            predictor.params_to_artifact(random_params(0), LOCAL), path)
         return path
 
     @pytest.mark.parametrize("name", ["texts.txt", "texts.jsonl"])
@@ -936,9 +927,12 @@ def test_pipeline_end_to_end(tmp_path):
     scores = json.loads(metrics.read_text(encoding="utf-8"))
     assert 0.0 <= scores["macro_accuracy"] <= 1.0
 
-    # the saved metadata holds the penalty and how the solver ended
+    # the saved metadata holds the embedding, the penalty and how the
+    # solver ended
     metadata = corpusio.load_model(model).metadata
-    assert set(metadata) == {"lambda", "steps", "grad_norm", "final_loss"}
+    assert set(metadata) == {"embedding", "lambda", "steps", "grad_norm",
+                             "final_loss"}
+    assert metadata["embedding"] == "local seed 0"
     assert metadata["lambda"] == "0.0001"
     assert 1 <= int(metadata["steps"]) <= predictor.MAX_NEWTON_STEPS
     assert float(metadata["grad_norm"]) <= predictor.GRAD_TOL

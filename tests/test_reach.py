@@ -43,20 +43,23 @@ def package_functions() -> dict[tuple[str, int, str], str]:
 
 
 def run_every_feature(tmp: Path, manifest: Path, endpoint: str) -> None:
-    """features, annotate, train (with --config and --trace), predict on
-    plain and JSONL texts in single and paragraph mode with both
-    providers, encode of predictions and of the grid, and eval, on the
-    corpus of `manifest`."""
+    """features, annotate, train with each provider (once with --trace),
+    predict on plain and JSONL texts in single and paragraph mode with
+    both providers, encode of predictions and of the grid, and eval, on
+    the corpus of `manifest`."""
     def run(*argv) -> None:
         assert cli.main([str(a) for a in argv]) == 0, argv
 
     run("features", "--manifest", manifest, "--out", tmp / "features.jsonl")
     run("annotate", "--manifest", manifest, "--features",
         tmp / "features.jsonl", "--out", tmp / "annotated.jsonl")
-    config = tmp / "train.cfg"
-    config.write_text("embed_seed = 0\n", encoding="utf-8")
-    run("train", "--config", config, "--annotated", tmp / "annotated.jsonl",
-        "--out", tmp / "model.bin", "--trace", tmp / "trace.txt")
+    providers = {"local.bin": ["--provider", "local"],
+                 "remote.bin": ["--provider", "remote", "--endpoint",
+                                endpoint]}
+    run("train", "--annotated", tmp / "annotated.jsonl", "--out",
+        tmp / "local.bin", "--trace", tmp / "trace.txt")
+    run("train", "--annotated", tmp / "annotated.jsonl", "--out",
+        tmp / "remote.bin", *providers["remote.bin"])
 
     plain = tmp / "texts.txt"
     plain.write_text("What a day.\nI am so glad.\n\nIt rained.\n",
@@ -66,13 +69,11 @@ def run_every_feature(tmp: Path, manifest: Path, endpoint: str) -> None:
     jsonl = tmp / "texts.jsonl"
     jsonl.write_text("".join(json.dumps({"id": r["id"], "text": r["text"]})
                              + "\n" for r in records), encoding="utf-8")
-    providers = (["--provider", "local"],
-                 ["--provider", "remote", "--endpoint", endpoint])
     for texts in (plain, jsonl):
         for mode in (["--mode", "single"], ["--mode", "paragraph"],
                      ["--mode", "paragraph", "--window", "2"]):
-            for provider in providers:
-                run("predict", "--model", tmp / "model.bin", "--texts", texts,
+            for model, provider in providers.items():
+                run("predict", "--model", tmp / model, "--texts", texts,
                     *mode, *provider, "--out", tmp / "preds.jsonl")
 
     run("encode", "--predictions", tmp / "preds.jsonl",
