@@ -27,6 +27,7 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
 import argparse
 import contextlib
 import json
+import signal
 import sys
 
 import numpy as np
@@ -143,7 +144,9 @@ def cmd_annotate(args) -> int:
 
     records = _records(corpusio.read_manifest, args.manifest)
     features = corpusio.read_features(args.features)
-    annotated, models = ranker.annotate_corpus(records, features, c=args.C)
+    annotated, models = ranker.annotate_corpus(
+        records, features, c=args.C, manifest=args.manifest,
+        features_file=args.features)
     corpusio.write_annotations(annotated, args.out)
     for emotion, model in sorted(models.items()):
         capped = (f" (stopped at the {ranker.MAX_ITERATIONS}-step cap)"
@@ -335,7 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _terminate(signum: int, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    # SIGTERM exits through the stack as SystemExit(143), the code of its
+    # default action, so that atomic_write removes its temporary file
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         args = build_parser().parse_args(argv)
         _echo_config(args, args.command)
@@ -343,6 +353,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def entry() -> None:

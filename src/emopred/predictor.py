@@ -16,10 +16,11 @@ minimizes the joint objective (objective())
 whose two heads share no parameter, so it is two convex problems solved
 to their optimum: multinomial logistic regression, the linear probe of
 what a frozen embedding carries (Alain & Bengio 2016), by the truncated
-Newton steps of ranker.newton_minimize (Lin, Weng & Keerthi, JMLR 2008)
-with an exact line search, not Armijo backtracking, and ridge regression
-by its normal equations. The embedding backbone is consumed through a
-provider and never updated.
+Newton steps of ranker.newton_minimize, whose directions here come from
+conjugate gradients (Lin, Weng & Keerthi, JMLR 2008; the ranker takes
+exact Newton directions in the row space), with an exact line search,
+and ridge regression by its normal equations. The embedding backbone is
+consumed through a provider and never updated.
 
 Both optima lie in the row space of the n training embeddings X (the
 representer argument of Schoelkopf, Herbrich & Smola, COLT 2001). With Q
@@ -140,6 +141,22 @@ def _class_terms(v: np.ndarray, A: np.ndarray, class_idx: np.ndarray):
     return value, grad, float(np.linalg.norm(grad)), hessian_product
 
 
+def _conjugate_gradient(product, b: np.ndarray, tol: float) -> np.ndarray:
+    """Solve H x = b, H d = product(d), from x = 0 to a residual of tol *
+    ||b||, or for len(b) steps; each iterate descends for b = -gradient."""
+    x, r, d = np.zeros_like(b), b.copy(), b.copy()
+    rr = float(r @ r)
+    for _ in range(len(b)):
+        if rr <= tol * tol * float(b @ b):
+            break
+        Hd = product(d)
+        step = rr / float(d @ Hd)
+        x, r = x + step * d, r - step * Hd
+        rr, rr_last = float(r @ r), rr
+        d = r + (rr / rr_last) * d
+    return x
+
+
 def _fit_strengths(A: np.ndarray, strengths: np.ndarray) -> np.ndarray:
     """The ridge solution u of (A.T A / n + LAMBDA I) u = A.T s / n."""
     gram = A.T @ A
@@ -183,13 +200,18 @@ def train(
     A[:, -1] = 1.0
 
     # imported here, so that predict does not load the ranker
-    from .ranker import newton_minimize
+    from .ranker import GAP_TOL, newton_minimize
+
+    def terms(v):
+        *head, product = _class_terms(v, A, class_idx)
+        return (*head, lambda g: _conjugate_gradient(product, g, GAP_TOL),
+                lambda p: float(p @ product(p)))
 
     u = _fit_strengths(A, strengths)
     ridge = float(np.mean((A @ u - strengths) ** 2) + LAMBDA * (u @ u))
     v, _, grad_norm, class_trace = newton_minimize(
-        lambda v: _class_terms(v, A, class_idx),
-        np.zeros(A.shape[1] * NUM_CLASSES), GRAD_TOL, MAX_NEWTON_STEPS)
+        terms, np.zeros(A.shape[1] * NUM_CLASSES), GRAD_TOL,
+        MAX_NEWTON_STEPS)
     V = v.reshape(A.shape[1], NUM_CLASSES)
     params = PredictorParams(Wc=V[:-1].T @ Q.T, bc=V[-1].copy(),
                              ws=Q @ u[:-1], bs=u[-1:].copy(),

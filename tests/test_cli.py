@@ -6,6 +6,7 @@ import concurrent.futures
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -100,6 +101,69 @@ def test_file_without_records_names_it_and_writes_nothing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("defect", ["no neutral", "only neutral",
+                                    "missing features"])
+def test_annotate_refusal_of_the_corpus_names_its_file(tmp_path, capsys,
+                                                       defect):
+    manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=1)
+    records = corpusio.read_manifest(manifest)
+    rng = np.random.default_rng(0)
+    vectors = {r.id: rng.normal(size=384) for r in records}
+    if defect == "missing features":
+        del vectors[records[0].id]
+    else:
+        write_manifest([r for r in records if (r.emotion == "neutral")
+                        == (defect == "only neutral")], manifest)
+    features = tmp_path / "features.jsonl"
+    corpusio.write_features(vectors, features)
+    named, message = {
+        "no neutral": (manifest, "no neutral utterances"),
+        "only neutral": (manifest, "no utterances labelled with an emotion"),
+        "missing features": (
+            features, f"missing features for ids: ['{records[0].id}']"),
+    }[defect]
+    out = tmp_path / "annotated.jsonl"
+    assert cli.main(["annotate", "--manifest", str(manifest), "--features",
+                     str(features), "--out", str(out)]) == 1
+    assert f"error: {named}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sigterm_during_train_leaves_no_file(tmp_path):
+    annotated = tmp_path / "annotated.jsonl"
+    corpusio.write_annotations([corpusio.AnnotatedRecord(
+        id=f"u{i}", text=f"text number {i}", emotion=corpusio.EMOTIONS[i % 4],
+        audio_path="", split="train", strength=0.1 * (i % 4))
+        for i in range(4000)], annotated)
+    out = tmp_path / "model.bin"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "emopred.cli", "train", "--annotated",
+         str(annotated), "--out", str(out)], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        # train opens its temporary --out file before it embeds a text
+        while not list(tmp_path.glob(".*.tmp")):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.terminate()
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 143, stderr
+    assert not out.exists()
+    assert list(tmp_path.glob(".*.tmp")) == []
+
+
+def test_main_restores_the_sigterm_handler(tmp_path):
+    before = signal.getsignal(signal.SIGTERM)
+    assert cli.main(["train", "--annotated", str(tmp_path / "missing.jsonl"),
+                     "--out", str(tmp_path / "model.bin")]) == 1
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
 class TestOptionRanges:
     """Out-of-range options exit 1 with an error naming the option and
     write nothing."""
@@ -171,9 +235,13 @@ class TestOptionRanges:
         manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=6)
         records = corpusio.read_manifest(manifest)
         rng = np.random.default_rng(0)
+        # emotional rows shifted by 0.8 k: pairs far apart next to pairs
+        # that overlap, so the first exact Newton step cannot certify
         features = tmp_path / "features.jsonl"
-        corpusio.write_features({r.id: rng.normal(size=384) for r in records},
-                                features)
+        corpusio.write_features(
+            {r.id: rng.normal(size=384)
+             + (r.emotion != "neutral") * 0.8 * int(r.id[-2:])
+             for r in records}, features)
         assert cli.main(["annotate", "--manifest", str(manifest),
                          "--features", str(features), "--out",
                          str(tmp_path / "annotated.jsonl")]) == 0

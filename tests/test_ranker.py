@@ -56,13 +56,15 @@ class TestBuildPairs:
         c = data.draw(st.sampled_from([0.5, 1.0, 3.0]))
         objective, gradient, hessian, accuracy = oracle_pair_hinge(
             w, Zs, Zw, c)
-        got_objective, got_gradient, _, hessian_product = ranker._terms(
+        # A = Z: the identity coordinates, where u is w
+        got_objective, got_gradient, _, solve, curvature = ranker._terms(
             w, np.vstack([Zs, Zw]), len(Zs), c)
         assert relative_error(got_objective, objective) <= 1e-9
         np.testing.assert_allclose(got_gradient, gradient, rtol=1e-9,
                                    atol=1e-9)
-        np.testing.assert_allclose(hessian_product(p), hessian @ p,
+        np.testing.assert_allclose(solve(p), np.linalg.solve(hessian, p),
                                    rtol=1e-9, atol=1e-9)
+        assert relative_error(curvature(p), p @ hessian @ p) <= 1e-9
         # the count train_ranksvm reports as pair accuracy
         correct, _ = ranker._active_sums(-(Zs @ w), -(Zw @ w))
         assert relative_error(correct.sum() / (len(Zs) * len(Zw)),
@@ -206,6 +208,18 @@ class TestCertifiedOptimum:
             assert all(later <= earlier * (1.0 + 1e-6)
                        for earlier, later in zip(trace, trace[1:]))
 
+    @pytest.mark.parametrize("c", [0.01, 1.0, 20.0])
+    def test_fewer_rows_than_dimensions(self, c):
+        # annotate's regime: the Newton steps run in the span of the rows
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(15, 60))
+        X[:7] += 0.3
+        model = ranker.train_ranksvm(X[:7], X[7:], c=c)
+        Z = (X - model.feat_mean) / model.feat_std
+        assert model.gap <= ranker.GAP_TOL
+        assert abs(model.objective - _primal_minimum(
+            Z[:7], Z[7:], c, np.zeros(60))) <= 1e-6
+
     @staticmethod
     def _synthetic_models(root, seed, per_emotion):
         manifest = generate_micro_corpus(root, seed=seed,
@@ -230,8 +244,8 @@ class TestCertifiedOptimum:
 
 
 class TestNewtonMinimize:
-    """The truncated Newton loop both convex fits run, on a seeded strictly
-    convex quadratic 0.5 x.Hx - b.x, certified by its gradient norm."""
+    """The Newton loop both convex fits run, on a seeded strictly convex
+    quadratic 0.5 x.Hx - b.x, certified by its gradient norm."""
 
     @staticmethod
     def quadratic(seed, dim=12):
@@ -244,7 +258,9 @@ class TestNewtonMinimize:
         def terms(x):
             grad = H @ x - b
             return (0.5 * float(x @ H @ x) - float(b @ x), grad,
-                    float(np.linalg.norm(grad)), lambda p: H @ p)
+                    float(np.linalg.norm(grad)),
+                    lambda g: np.linalg.solve(H, g),
+                    lambda p: float(p @ H @ p))
 
         return terms, np.linalg.solve(H, b)
 
@@ -271,7 +287,7 @@ class TestNewtonMinimize:
 
     def test_a_start_at_the_optimum_is_returned_unchanged(self):
         terms, x_star = self.quadratic(1)
-        value, _, certificate, _ = terms(x_star)
+        value, _, certificate, *_ = terms(x_star)
         assert certificate <= 1e-10
         x, got_value, got_certificate, trace = ranker.newton_minimize(
             terms, x_star, 1e-10, 50)

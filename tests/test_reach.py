@@ -4,11 +4,16 @@ and lambda under src/emopred but the one named in UNREACHED."""
 
 import ast
 import json
+import os
+import signal
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
-from emopred import afeat, cli
+import pytest
+
+from emopred import afeat, cli, corpusio
 
 from synthcorpus import generate_micro_corpus
 
@@ -44,9 +49,9 @@ def package_functions() -> dict[tuple[str, int, str], str]:
 
 def run_every_feature(tmp: Path, manifest: Path, endpoint: str) -> None:
     """features, annotate, train with each provider (once with --trace),
-    predict on plain and JSONL texts in single and paragraph mode with
-    both providers, encode of predictions and of the grid, and eval, on
-    the corpus of `manifest`."""
+    a train ended by SIGTERM, predict on plain and JSONL texts in single
+    and paragraph mode with both providers, encode of predictions and of
+    the grid, and eval, on the corpus of `manifest`."""
     def run(*argv) -> None:
         assert cli.main([str(a) for a in argv]) == 0, argv
 
@@ -60,6 +65,11 @@ def run_every_feature(tmp: Path, manifest: Path, endpoint: str) -> None:
         tmp / "local.bin", "--trace", tmp / "trace.txt")
     run("train", "--annotated", tmp / "annotated.jsonl", "--out",
         tmp / "remote.bin", *providers["remote.bin"])
+    with mock.patch.object(corpusio, "save_model", lambda *_: os.kill(
+            os.getpid(), signal.SIGTERM)), pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--annotated", str(tmp / "annotated.jsonl"),
+                  "--out", str(tmp / "stopped.bin")])
+    assert exc.value.code == 143
 
     plain = tmp / "texts.txt"
     plain.write_text("What a day.\nI am so glad.\n\nIt rained.\n",
