@@ -162,6 +162,10 @@ def cmd_annotate(args) -> int:
 def cmd_train(args) -> int:
     from . import predictor
 
+    # the trace is renamed into place first, and the model would replace it
+    if args.trace and (os.path.realpath(args.trace)
+                       == os.path.realpath(args.out)):
+        raise ValueError(f"--trace and --out name the same file: {args.out}")
     records = _records(corpusio.read_annotations, args.annotated)
     provider = _provider_from_args(args)
     # the model and the trace are opened first, so that a path that cannot
@@ -224,24 +228,11 @@ def cmd_predict(args) -> int:
 def cmd_encode(args) -> int:
     from . import encoder, predictor
 
-    if args.grid == bool(args.predictions):
-        raise ValueError("give exactly one of --grid and --predictions")
-    params = encoder.init_encoder(args.init_seed)
-    if args.grid:
-        if args.grid_points < 1:
-            raise ValueError(
-                f"--grid-points must be at least 1, got {args.grid_points}")
-        strengths = np.linspace(0.0, 1.0, args.grid_points)
-        with _output(args.out) as out:
-            out.write(encoder.export_grid(params, strengths))
-        print(f"wrote {4 * args.grid_points}-row embedding grid",
-              file=sys.stderr)
-        return 0
-
     ids, _, labels, strengths = predictor.predictions_from_jsonl(
         args.predictions)
     rows = zip(ids, labels, strengths,
-               encoder.encode(params, labels, strengths).tolist())
+               encoder.encode(encoder.init_encoder(), labels,
+                              strengths).tolist())
     with _output(args.out) as out:
         out.writelines(json.dumps({"id": uid, "class": label, "strength": s,
                                    "embedding": h}) + "\n"
@@ -322,12 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("encode", cmd_encode,
               "encode predictions into conditioning embeddings")
-    sub.add_argument("--init-seed", type=int, default=0,
-                     help="seed of the fixed encoder map (default: 0)")
-    sub.add_argument("--predictions", type=str, default="")
-    sub.add_argument("--grid", action="store_true",
-                     help="export the class x strength geometry grid as CSV")
-    sub.add_argument("--grid-points", type=int, default=11)
+    sub.add_argument("--predictions", type=str, required=True)
     sub.add_argument("--out", type=str, default="")
 
     sub = add("eval", cmd_eval, "score predictions against references")

@@ -8,9 +8,11 @@ batches: m (class, strength) pairs give the (m, 32) embedding rows
 
 so within a class all pre-activations are colinear, the strength scales
 the class direction linearly, and softplus keeps every component
-positive. The parameters are a fixed seeded conditioning (init_encoder):
-the paper trains this map jointly with the TTS model, and until a TTS
-loss exists to train it against, nothing here fits it.
+positive. The parameters are a fixed seeded conditioning (init_encoder).
+`emopred encode` runs the map of seed 0 on predictions only, so every
+embedding file it writes comes from one map. The paper trains this map
+jointly with the TTS model; until a TTS loss exists to train it
+against, nothing here fits it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ class EncoderParams:
 def init_encoder(seed: int = 0) -> EncoderParams:
     """LUT uniform in [-0.5, 0.5], projection = identity plus uniform
     [-0.05, 0.05] noise, strength scale 1.0."""
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     lut = rng.uniform(-0.5, 0.5, size=(NUM_CLASSES, EMB_DIM))
     w_emb = np.eye(EMB_DIM) + rng.uniform(-0.05, 0.05, size=(EMB_DIM, EMB_DIM))
@@ -75,24 +75,3 @@ def encode(params: EncoderParams, labels: Sequence[str],
     """Joint emotion embeddings of a batch, shape (m, 32): softplus of
     preactivation, so every component is strictly positive."""
     return softplus(preactivation(params, labels, strengths))
-
-
-def export_grid(params: EncoderParams, strengths: Sequence[float]) -> str:
-    """CSV table of the embedding geometry.
-
-    Header: class,strength,z_0..z_31,h_0..h_31. The rows, class-major
-    and strength ascending, are one preactivation batch, so every cell
-    equals, bit for bit, what preactivation and encode give for its
-    class and strength."""
-    values = sorted(map(float, strengths))
-    labels = [label for label in EMOTIONS for _ in values]
-    column = values * NUM_CLASSES
-    z = preactivation(params, labels, column)
-    header = (["class", "strength"]
-              + [f"z_{i}" for i in range(EMB_DIM)]
-              + [f"h_{i}" for i in range(EMB_DIM)])
-    lines = [",".join(header)]
-    cells = np.hstack([z, softplus(z)]).tolist()
-    lines += [",".join([label, repr(s), *map(repr, row)])
-              for label, s, row in zip(labels, column, cells)]
-    return "\n".join(lines) + "\n"

@@ -3,7 +3,6 @@ whole pipeline driven in-process on a small synthetic corpus."""
 
 import argparse
 import concurrent.futures
-import csv
 import json
 import os
 import signal
@@ -15,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emopred import afeat, cli, corpusio, predictor, ranker
+from emopred import afeat, cli, corpusio, encoder, predictor, ranker
 
 from conftest import random_params
 from synthcorpus import generate_micro_corpus, write_manifest
@@ -34,15 +33,14 @@ OPTIONS = {
               "--timeout", "--embed-seed"],
     "predict": ["--model", "--texts", "--mode", "--window", "--out",
                 "--provider", "--endpoint", "--timeout", "--embed-seed"],
-    "encode": ["--init-seed", "--predictions", "--grid", "--grid-points",
-               "--out"],
+    "encode": ["--predictions", "--out"],
     "eval": ["--predictions", "--references", "--out"],
 }
 REQUIRED = {"features": ["--manifest", "--out"],
             "annotate": ["--manifest", "--features", "--out"],
             "train": ["--annotated", "--out"],
             "predict": ["--model", "--texts"],
-            "encode": [],
+            "encode": ["--predictions"],
             "eval": ["--predictions", "--references"]}
 
 
@@ -53,7 +51,7 @@ def test_options_are_the_inventory_and_set_by_flags_only(tmp_path, capsys):
     assert {name: [flag for a in sub._actions for flag in a.option_strings
                    if flag not in ("-h", "--help")]
             for name, sub in commands.items()} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 30
+    assert sum(map(len, OPTIONS.values())) == 27
 
     def exits_2(argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -129,32 +127,72 @@ def test_annotate_refusal_of_the_corpus_names_its_file(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_sigterm_during_train_leaves_no_file(tmp_path):
-    annotated = tmp_path / "annotated.jsonl"
-    corpusio.write_annotations([corpusio.AnnotatedRecord(
-        id=f"u{i}", text=f"text number {i}", emotion=corpusio.EMOTIONS[i % 4],
-        audio_path="", split="train", strength=0.1 * (i % 4))
-        for i in range(4000)], annotated)
-    out = tmp_path / "model.bin"
+def exit_status_after_signal(tmp_path: Path, argv: list[str], out: Path,
+                             signum: int) -> int:
+    """Run the CLI on argv in a subprocess, send it signum once its
+    temporary --out file exists, and return its exit status after
+    checking that neither `out` nor a temporary file is left."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "emopred.cli", "train", "--annotated",
-         str(annotated), "--out", str(out)], env=env,
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        [sys.executable, "-m", "emopred.cli", *argv], env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        # a shell may start a background job with SIGINT ignored
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     try:
         deadline = time.monotonic() + 60
-        # train opens its temporary --out file before it embeds a text
+        # train and predict open their temporary --out file before they
+        # embed a text
         while not list(tmp_path.glob(".*.tmp")):
             assert proc.poll() is None, proc.stderr.read()
             assert time.monotonic() < deadline
             time.sleep(0.005)
-        proc.terminate()
+        proc.send_signal(signum)
         _, stderr = proc.communicate(timeout=60)
     finally:
         proc.kill()
-    assert proc.returncode == 143, stderr
-    assert not out.exists()
-    assert list(tmp_path.glob(".*.tmp")) == []
+    assert not out.exists(), stderr
+    assert list(tmp_path.glob(".*.tmp")) == [], stderr
+    return proc.returncode
+
+
+def write_train_annotations(path: Path) -> None:
+    corpusio.write_annotations([corpusio.AnnotatedRecord(
+        id=f"u{i}", text=f"text number {i}", emotion=corpusio.EMOTIONS[i % 4],
+        audio_path="", split="train", strength=0.1 * (i % 4))
+        for i in range(4000)], path)
+
+
+def test_sigterm_during_train_leaves_no_file(tmp_path):
+    annotated, out = tmp_path / "annotated.jsonl", tmp_path / "model.bin"
+    write_train_annotations(annotated)
+    assert exit_status_after_signal(
+        tmp_path, ["train", "--annotated", str(annotated), "--out", str(out)],
+        out, signal.SIGTERM) == 143
+
+
+def test_sigint_during_train_leaves_no_file(tmp_path):
+    annotated, out = tmp_path / "annotated.jsonl", tmp_path / "model.bin"
+    write_train_annotations(annotated)
+    # KeyboardInterrupt unwinds atomic_write, then the interpreter ends
+    # itself with SIGINT
+    assert exit_status_after_signal(
+        tmp_path, ["train", "--annotated", str(annotated), "--out", str(out)],
+        out, signal.SIGINT) == -signal.SIGINT
+
+
+def test_sigterm_during_predict_leaves_no_file(tmp_path):
+    model, out = tmp_path / "model.bin", tmp_path / "preds.jsonl"
+    corpusio.save_model(
+        predictor.params_to_artifact(random_params(0), LOCAL), model)
+    # one 2000-sentence paragraph at window 0 embeds every sentence with
+    # the whole paragraph as its context
+    texts = tmp_path / "texts.txt"
+    texts.write_text("".join(f"sentence number {i}.\n" for i in range(2000)),
+                     encoding="utf-8")
+    assert exit_status_after_signal(
+        tmp_path, ["predict", "--model", str(model), "--texts", str(texts),
+                   "--mode", "paragraph", "--window", "0", "--out", str(out)],
+        out, signal.SIGTERM) == 143
 
 
 def test_main_restores_the_sigterm_handler(tmp_path):
@@ -339,6 +377,24 @@ def test_train_with_unwritable_trace_stops_before_embedding(tmp_path, capsys,
     assert f"error: [Errno 2] No such file or directory: '{trace}'\n" in err
     assert server.posts == []
     assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["annotated.jsonl"]
+
+
+@pytest.mark.parametrize("trace", ["model.bin", "./model.bin",
+                                   "{tmp}/model.bin"])
+def test_train_with_trace_at_out_path_writes_nothing(tmp_path, capsys,
+                                                     monkeypatch, trace):
+    # the trace is renamed into place first, so the model would replace it
+    monkeypatch.chdir(tmp_path)
+    corpusio.write_annotations([corpusio.AnnotatedRecord(
+        id=f"u{i}", text=f"text {i}", emotion="anger", audio_path="",
+        split="train", strength=0.5) for i in range(3)], "annotated.jsonl")
+    # the refusal comes before any training
+    monkeypatch.setattr(predictor, "train", None)
+    assert cli.main(["train", "--annotated", "annotated.jsonl", "--out",
+                     "model.bin", "--trace", trace.format(tmp=tmp_path)]) == 1
+    assert ("error: --trace and --out name the same file: model.bin\n"
+            in capsys.readouterr().err)
     assert [p.name for p in tmp_path.iterdir()] == ["annotated.jsonl"]
 
 
@@ -785,52 +841,31 @@ class TestBadPredictionsFile:
 
 
 class TestEncodeOptions:
-    """encode runs the fixed seeded map: there is no encoder artifact to
-    read or write, and the grid needs at least one strength point."""
+    """encode runs the map of seed 0 on predictions: no option reads or
+    writes an encoder artifact, sets the map's seed or exports its grid."""
 
-    @pytest.mark.parametrize("flag", ["--encoder", "--save-encoder"])
-    def test_removed_artifact_flags_exit_2(self, tmp_path, flag):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["encode", "--grid", flag, str(tmp_path / "enc.json")])
-        assert exc.value.code == 2
-
-    def test_negative_init_seed_exit_1(self, tmp_path, capsys):
-        out = tmp_path / "grid.csv"
-        assert cli.main(["encode", "--grid", "--init-seed", "-1",
-                         "--out", str(out)]) == 1
-        assert "seed must be nonnegative, got -1" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_grid_with_predictions_exit_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--encoder", "--save-encoder",
+                                      "--init-seed", "--grid-points",
+                                      "--grid"])
+    def test_removed_artifact_flags_exit_2(self, tmp_path, capsys, flag):
         predictions = tmp_path / "preds.jsonl"
         predictions.write_text(
             '{"id": "a", "probs": [0.25, 0.25, 0.25, 0.25], '
             '"class": "neutral", "strength": 0.5}\n', encoding="utf-8")
-        out = tmp_path / "out.csv"
-        assert cli.main(["encode", "--grid", "--predictions",
-                         str(predictions), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "--grid" in err and "--predictions" in err
+        out = tmp_path / "encoded.jsonl"
+        argv = ["encode", "--predictions", str(predictions), "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_neither_grid_nor_predictions_exit_1(self, tmp_path, capsys):
-        out = tmp_path / "out.csv"
-        assert cli.main(["encode", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "--grid" in err and "--predictions" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("points", ["0", "-1"])
-    def test_grid_points_below_one_exit_1(self, tmp_path, capsys, points):
-        out = tmp_path / "grid.csv"
-        assert cli.main(["encode", "--grid", "--grid-points", points,
-                         "--out", str(out)]) == 1
-        assert "--grid-points" in capsys.readouterr().err
-        assert not out.exists()
+        # the same run without the flag succeeds
+        assert cli.main(argv) == 0
 
 
 def test_encoded_predictions_equal_the_grid_cells(tmp_path):
-    # every class at the 11 grid strengths, in a shuffled order
+    # every class at 11 grid strengths, in a shuffled order: each row
+    # encode writes is the seed-0 map of its own class and strength
     strengths = np.linspace(0.0, 1.0, 11)
     rows = [(label, s) for label in corpusio.EMOTIONS for s in strengths]
     order = np.random.default_rng(0).permutation(len(rows))
@@ -838,20 +873,16 @@ def test_encoded_predictions_equal_the_grid_cells(tmp_path):
     predictions.write_text("".join(json.dumps({
         "id": f"u{i}", "probs": [0.25] * 4, "class": rows[i][0],
         "strength": rows[i][1]}) + "\n" for i in order), encoding="utf-8")
-    encoded, grid = tmp_path / "encoded.jsonl", tmp_path / "grid.csv"
+    encoded = tmp_path / "encoded.jsonl"
     assert cli.main(["encode", "--predictions", str(predictions),
                      "--out", str(encoded)]) == 0
-    assert cli.main(["encode", "--grid", "--grid-points", "11",
-                     "--out", str(grid)]) == 0
-    with open(grid, encoding="utf-8", newline="") as fh:
-        cells = {(row["class"], float(row["strength"])):
-                 [float(row[f"h_{i}"]) for i in range(32)]
-                 for row in csv.DictReader(fh)}
     lines = encoded.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(cells) == 44
+    assert [json.loads(line)["id"] for line in lines] == [
+        f"u{i}" for i in order]
+    params = encoder.init_encoder(0)
     for line in lines:
         obj = json.loads(line)
-        want = np.array(cells[obj["class"], obj["strength"]])
+        want = encoder.encode(params, [obj["class"]], [obj["strength"]])[0]
         assert np.array(obj["embedding"]).tobytes() == want.tobytes()
 
 

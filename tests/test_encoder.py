@@ -1,9 +1,7 @@
 """Joint emotion encoder tests: Eq-style algebra of the fixed seeded
-map on batches of (class, strength) pairs, softplus behavior, and the
-grid export against preactivation and softplus."""
+map on batches of (class, strength) pairs, at several seeds, and
+softplus behavior."""
 
-import io
-import csv
 import math
 
 import numpy as np
@@ -76,6 +74,17 @@ class TestPreactivation:
     def test_empty_batch(self):
         assert encoder.preactivation(random_params(0), [], []).shape == (0, 32)
 
+    def test_between_class_distance_scaling(self):
+        params = random_params(8, w_str=1.0)
+        z0 = encoder.preactivation(params, EMOTIONS, [0.0] * 4)
+        for s in np.linspace(0, 1, 5):
+            factor = 1.0 + params.w_str * s
+            z = encoder.preactivation(params, EMOTIONS, [s] * 4)
+            for a in range(4):
+                for b in range(a + 1, 4):
+                    assert np.linalg.norm(z[a] - z[b]) == pytest.approx(
+                        factor * np.linalg.norm(z0[a] - z0[b]), rel=1e-9)
+
 
 class TestEncode:
     def test_zero_params_all_ln2(self):
@@ -114,65 +123,6 @@ class TestEncode:
         h = encoder.encode(params, labels, strengths)
         z = encoder.preactivation(params, labels, strengths)
         assert h.tobytes() == encoder.softplus(z).tobytes()
-
-
-class TestExportGrid:
-    def test_cardinality(self):
-        params = random_params(5)
-        csv_text = encoder.export_grid(params, np.linspace(0, 1, 11))
-        assert len(list(csv.DictReader(io.StringIO(csv_text)))) == 44
-        lines = csv_text.strip().split("\n")
-        assert len(lines) == 45  # header + rows
-
-    def test_header_format(self):
-        params = random_params(5)
-        header = encoder.export_grid(params, [0.0]).split("\n", 1)[0].split(",")
-        assert header[:2] == ["class", "strength"]
-        assert header[2] == "z_0" and header[33] == "z_31"
-        assert header[34] == "h_0" and header[65] == "h_31"
-
-    def test_rows_parse_back_to_exact_values(self):
-        # unsorted strengths with a repeat; every z_* and h_* cell must
-        # carry the exact bits of preactivation and softplus
-        strengths = [0.7, 0.0, 1.0, 0.3, 0.7, 1 / 3]
-        for seed in (6, 21):
-            params = random_params(seed)
-            text = encoder.export_grid(params, strengths)
-            parsed = list(csv.DictReader(io.StringIO(text)))
-            assert len(parsed) == 24
-            assert [float(row["strength"]) for row in parsed[:6]] == sorted(
-                strengths)
-            for row in parsed:
-                z = encoder.preactivation(params, [row["class"]],
-                                          [float(row["strength"])])[0]
-                got_z = np.array([float(row[f"z_{i}"]) for i in range(32)])
-                got_h = np.array([float(row[f"h_{i}"]) for i in range(32)])
-                assert got_z.tobytes() == z.tobytes()
-                assert got_h.tobytes() == encoder.softplus(z).tobytes()
-
-    def test_within_class_colinearity(self):
-        params = random_params(7, w_str=0.9)
-        text = encoder.export_grid(params, np.linspace(0, 1, 11))
-        by_class = {}
-        for row in csv.DictReader(io.StringIO(text)):
-            z = np.array([float(row[f"z_{i}"]) for i in range(32)])
-            by_class.setdefault(row["class"], []).append(z)
-        for vectors in by_class.values():
-            base = vectors[0] / np.linalg.norm(vectors[0])
-            for z in vectors[1:]:
-                cosine = float(z @ base) / np.linalg.norm(z)
-                assert 1.0 - cosine < 1e-12
-
-    def test_between_class_distance_scaling(self):
-        params = random_params(8, w_str=1.0)
-        z0 = encoder.preactivation(params, EMOTIONS, [0.0] * 4)
-        for s in np.linspace(0, 1, 5):
-            factor = 1.0 + params.w_str * s
-            z = encoder.preactivation(params, EMOTIONS, [s] * 4)
-            for a in range(4):
-                for b in range(a + 1, 4):
-                    assert np.linalg.norm(z[a] - z[b]) == pytest.approx(
-                        factor * np.linalg.norm(z0[a] - z0[b]), rel=1e-9)
 
 
 class TestInvariants:

@@ -50,8 +50,8 @@ def package_functions() -> dict[tuple[str, int, str], str]:
 def run_every_feature(tmp: Path, manifest: Path, endpoint: str) -> None:
     """features, annotate, train with each provider (once with --trace),
     a train ended by SIGTERM, predict on plain and JSONL texts in single
-    and paragraph mode with both providers, encode of predictions and of
-    the grid, and eval, on the corpus of `manifest`."""
+    and paragraph mode with both providers, encode of the predictions,
+    and eval, on the corpus of `manifest`."""
     def run(*argv) -> None:
         assert cli.main([str(a) for a in argv]) == 0, argv
 
@@ -88,7 +88,6 @@ def run_every_feature(tmp: Path, manifest: Path, endpoint: str) -> None:
 
     run("encode", "--predictions", tmp / "preds.jsonl",
         "--out", tmp / "encoded.jsonl")
-    run("encode", "--grid", "--grid-points", "3", "--out", tmp / "grid.csv")
     run("eval", "--predictions", tmp / "preds.jsonl",
         "--references", tmp / "annotated.jsonl", "--out", tmp / "eval.json")
 
