@@ -40,6 +40,9 @@ FRAME_MS = 25.0
 HOP_MS = 10.0
 
 MIN_SAMPLE_RATE = 16000
+# the highest common audio rate: a frame's samples and its mel bank grow
+# with the rate, so a header's rate is bounded before anything is sized
+MAX_SAMPLE_RATE = 384000
 F0_MIN_HZ = 60.0
 F0_MAX_HZ = 500.0
 VOICING_PEAK_THRESHOLD = 0.3
@@ -120,8 +123,9 @@ def load_audio(path: str | Path) -> AudioClip:
     """Load a mono WAV file: 16-bit PCM, 32-bit or 64-bit float.
 
     Raises ValueError for an unreadable or truncated file, multi-channel
-    audio, sample rates below 16 kHz (no silent resampling), and any
-    other encoding (8-, 24- or 32-bit PCM, compressed formats).
+    audio, sample rates below 16 kHz (no silent resampling) or above
+    384 kHz, and any other encoding (8-, 24- or 32-bit PCM, compressed
+    formats).
     """
     try:
         tag, channels, rate, bits, data = _read_wav(path)
@@ -133,6 +137,8 @@ def load_audio(path: str | Path) -> AudioClip:
         raise ValueError(f"{path}: multi-channel unsupported ({channels} channels)")
     if rate < MIN_SAMPLE_RATE:
         raise ValueError(f"{path}: sample rate below {MIN_SAMPLE_RATE} ({rate})")
+    if rate > MAX_SAMPLE_RATE:
+        raise ValueError(f"{path}: sample rate above {MAX_SAMPLE_RATE} ({rate})")
     if (tag, bits) not in _ENCODINGS:
         name = _FORMAT_NAMES.get(tag, f"format {tag:#06x}")
         raise ValueError(f"{path}: unsupported sample encoding {bits}-bit {name}")

@@ -4,7 +4,9 @@ Each subcommand reads and writes the package's file formats so every
 stage's output is an inspectable fixture for the next. `annotate`
 writes strengths only: its rankers are not used after labelling. Every
 option is set by its flag, and the fully resolved configuration is
-echoed to stderr on every run.
+echoed to stderr on every run. `train` and `predict` embed their texts
+with the remote service at `--endpoint`, or with the local embedder
+when no endpoint is given.
 
 CPUs: each process runs BLAS on one thread, since the products here are
 small enough that a second BLAS thread only burns CPU; a caller who sets
@@ -46,34 +48,25 @@ def _echo_config(args: argparse.Namespace, command: str) -> None:
 def _provider_from_args(args: argparse.Namespace):
     from . import textembed
 
-    config = textembed.ProviderConfig(
-        mode=args.provider, endpoint=args.endpoint,
-        timeout=args.timeout, seed=args.embed_seed,
-    )
-    config.validate()
-    return config
+    return textembed.ProviderConfig(endpoint=args.endpoint,
+                                    timeout=args.timeout)
 
 
 def _embedding(args: argparse.Namespace) -> str:
     """The embedding a model is trained on, as `train` records it and
     `predict` checks it: a model applied to other embeddings predicts
-    wrongly, not with an error. The endpoint is a deployment setting."""
-    return ("remote" if args.provider == "remote"
-            else f"local seed {args.embed_seed}")
+    wrongly, not with an error. Which remote endpoint serves it is a
+    deployment setting."""
+    return "remote" if args.endpoint else "local seed 0"
 
 
 def _add_provider_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--provider", type=str, default="local",
-                     choices=("local", "remote"),
-                     help="embedding provider (default: local); predict "
-                     "must use the one the model was trained with")
     sub.add_argument("--endpoint", type=str, default="",
-                     help="URL of the remote embedding endpoint")
+                     help="URL of the remote embedding service (default: "
+                     "none, which embeds locally); predict must embed as "
+                     "the model's train did")
     sub.add_argument("--timeout", type=float, default=10.0,
                      help="remote request timeout in seconds")
-    sub.add_argument("--embed-seed", type=int, default=0,
-                     help="seed for the local provider; predict must use "
-                     "the seed the model was trained with")
 
 
 def _read_texts(path: str) -> tuple[list[str], list[str]]:

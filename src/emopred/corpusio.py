@@ -29,6 +29,8 @@ from pathlib import Path
 import numpy as np
 
 EMOTIONS = ("neutral", "happiness", "sadness", "anger")
+# width of the text embeddings, remote and local alike
+EMBED_DIM = 768
 # RankSVM trade-off C of `annotate`: ranker's default, kept here so that
 # the CLI parser shows it without importing ranker
 DEFAULT_C = 1.0

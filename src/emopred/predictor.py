@@ -40,10 +40,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpusio import (AnnotatedRecord, EMOTIONS, ModelArtifact,
+from .corpusio import (AnnotatedRecord, EMBED_DIM, EMOTIONS, ModelArtifact,
                        _check_unique_ids, _read_jsonl, _require)
 
-EMBED_DIM = 768
 NUM_CLASSES = len(EMOTIONS)
 # penalty weight of both heads
 LAMBDA = 1e-4

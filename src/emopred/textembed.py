@@ -1,15 +1,16 @@
 """Text embedding providers.
 
 ProviderConfig is the one provider type: its embed() asks the remote
-service or the local embedder, as its mode says. The remote service
-serves a frozen pre-trained language model over HTTP: POST
-{endpoint}/embed with {"texts": [...]} returns {"embeddings": [[...768
-floats...], ...]}. The local embedder is a deterministic offline
-stand-in for development and tests: signed feature hashing (Weinberger
-et al., ICML 2009) of UTF-8 byte n-grams. Each n-gram occurrence is
-hashed by the splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014)
-of its code XOR a key drawn from the seed, in one uint64 array pass per
-text, and one bincount sums the signs per bin.
+service when it has an endpoint, and the local embedder at seed 0
+otherwise. The remote service serves a frozen pre-trained language
+model over HTTP: POST {endpoint}/embed with {"texts": [...]} returns
+{"embeddings": [[...768 floats...], ...]}. The local embedder is a
+deterministic offline stand-in for development and tests: signed
+feature hashing (Weinberger et al., ICML 2009) of UTF-8 byte n-grams.
+Each n-gram occurrence is hashed by the splitmix64 finalizer (Steele,
+Lea & Flood, OOPSLA 2014) of its code XOR a key drawn from the seed, in
+one uint64 array pass per text, and one bincount sums the signs per
+bin.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpusio import _finite_float_array
+from .corpusio import EMBED_DIM, _finite_float_array
 
-EMBED_DIM = 768
 NGRAM_SIZES = (1, 2, 3)
 # An n-gram's code holds its bytes big-endian in the low 8*max(n) bits and
 # its length n above them, so codes of different lengths never collide.
@@ -35,35 +35,22 @@ class ProviderError(RuntimeError):
     """Embedding provider failure: network, protocol, or shape."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProviderConfig:
-    mode: str = "local"
     endpoint: str = ""
     timeout: float = 10.0
-    seed: int = 0
 
-    def validate(self) -> None:
-        if self.mode not in ("remote", "local"):
-            raise ValueError(f"unknown provider mode {self.mode!r}")
-        if self.mode == "remote" and not self.endpoint:
-            raise ValueError("remote mode requires an endpoint")
+    def __post_init__(self) -> None:
         if not 0 < self.timeout < np.inf:
             raise ValueError(
                 f"timeout must be positive and finite, got {self.timeout}")
-        _check_seed(self.seed)
 
     def embed(self, texts: list[str]) -> np.ndarray:
-        """One embedding row per text, from the provider of this mode."""
-        self.validate()
-        if self.mode == "remote":
+        """One embedding row per text: the remote service's if there is an
+        endpoint, the local embedder's at seed 0 if not."""
+        if self.endpoint:
             return embed_remote(texts, self)
-        return embed_local(texts, seed=self.seed)
-
-
-def _check_seed(seed: int) -> None:
-    if not -2 ** 63 <= seed < 2 ** 63:
-        raise ValueError(
-            f"embedding seed must be a signed 64-bit integer, got {seed}")
+        return embed_local(texts)
 
 
 def _ngram_codes(data: np.ndarray) -> np.ndarray:
@@ -106,7 +93,6 @@ def embed_local(texts: list[str], seed: int = 0) -> np.ndarray:
     together, the window-0 inputs of an 80-sentence paragraph hold about
     0.7 M codes (5.6 MB per int64 array).
     """
-    _check_seed(seed)
     key = _mix(np.array([(seed + _GAMMA) % 2 ** 64], dtype=np.uint64))
     out = np.zeros((len(texts), EMBED_DIM))
     for row, text in enumerate(texts):
@@ -133,9 +119,6 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
     finite JSON numbers, and on any dimension mismatch (never silently
     truncates or pads).
     """
-    config.validate()
-    if config.mode != "remote":
-        raise ValueError("embed_remote requires a remote-mode config")
     if not texts:
         raise ValueError("texts must be nonempty")
     import http.client

@@ -97,8 +97,10 @@ class MockEmbedServer:
         self.httpd.raw_body = raw_body
         self.httpd.delay_s = delay_s
         self.httpd.posts = []
+        # shutdown() waits for the serving loop to poll its flag, which
+        # at the default interval of 0.5 s dominates a short test
         self.thread = threading.Thread(target=self.httpd.serve_forever,
-                                       daemon=True)
+                                       args=(0.01,), daemon=True)
         self.thread.start()
 
     @property

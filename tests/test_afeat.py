@@ -57,6 +57,18 @@ class TestLoadAudio:
         with pytest.raises(ValueError, match="sample rate below 16000"):
             afeat.load_audio(path)
 
+    @pytest.mark.parametrize("rate", [384001, 2 ** 32 - 1])
+    def test_high_sample_rate_rejected(self, tmp_path, rate):
+        # at 2**32 - 1 Hz one frame would take gigabytes
+        path = tmp_path / "high.wav"
+        wavfile.write(path, 16000, np.zeros(1000, dtype=np.int16))
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 24, rate)  # the fmt chunk's rate field
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"{path}: sample rate above "
+                           f"384000 \\({rate}\\)"):
+            afeat.load_audio(path)
+
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "junk.wav"
         path.write_bytes(b"not a wav file at all")

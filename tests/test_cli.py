@@ -29,10 +29,9 @@ LOCAL, REMOTE = {"embedding": "local seed 0"}, {"embedding": "remote"}
 OPTIONS = {
     "features": ["--manifest", "--out"],
     "annotate": ["--manifest", "--features", "--out", "--C"],
-    "train": ["--annotated", "--out", "--trace", "--provider", "--endpoint",
-              "--timeout", "--embed-seed"],
+    "train": ["--annotated", "--out", "--trace", "--endpoint", "--timeout"],
     "predict": ["--model", "--texts", "--mode", "--window", "--out",
-                "--provider", "--endpoint", "--timeout", "--embed-seed"],
+                "--endpoint", "--timeout"],
     "encode": ["--predictions", "--out"],
     "eval": ["--predictions", "--references", "--out"],
 }
@@ -51,7 +50,7 @@ def test_options_are_the_inventory_and_set_by_flags_only(tmp_path, capsys):
     assert {name: [flag for a in sub._actions for flag in a.option_strings
                    if flag not in ("-h", "--help")]
             for name, sub in commands.items()} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 27
+    assert sum(map(len, OPTIONS.values())) == 23
 
     def exits_2(argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -320,17 +319,11 @@ class TestOptionRanges:
 
 
 class TestNonFiniteOptions:
-    """A NaN train option, and embedding seeds out of range, exit 1
-    naming the option, before the model is written (annotate --C inf is
-    in TestOptionRanges)."""
+    """A NaN train option exits 1 naming the option, before the model is
+    written (annotate --C inf is in TestOptionRanges)."""
 
     @pytest.mark.parametrize("flags, message", [
         (["--timeout", "nan"], "timeout must be positive and finite, got nan"),
-        (["--embed-seed", str(2 ** 63)],
-         f"embedding seed must be a signed 64-bit integer, got {2 ** 63}"),
-        (["--embed-seed", str(-2 ** 63 - 1)],
-         f"embedding seed must be a signed 64-bit integer, "
-         f"got {-2 ** 63 - 1}"),
     ])
     def test_train(self, tmp_path, capsys, flags, message):
         annotated = tmp_path / "annotated.jsonl"
@@ -370,8 +363,8 @@ def test_train_with_unwritable_trace_stops_before_embedding(tmp_path, capsys,
         split="train", strength=0.5) for i in range(3)], annotated)
     out, trace = tmp_path / "model.bin", tmp_path / "nodir" / "trace.txt"
     assert cli.main(["train", "--annotated", str(annotated), "--out",
-                     str(out), "--trace", str(trace), "--provider", "remote",
-                     "--endpoint", server.endpoint]) == 1
+                     str(out), "--trace", str(trace), "--endpoint",
+                     server.endpoint]) == 1
     err = capsys.readouterr().err
     # the error names the file asked for, not atomic_write's temporary one
     assert f"error: [Errno 2] No such file or directory: '{trace}'\n" in err
@@ -413,8 +406,7 @@ def test_unwritable_out_stops_before_embedding(tmp_path, capsys,
     inputs = {"train": ["--annotated", str(annotated)],
               "predict": ["--model", str(model), "--texts", str(annotated)]}
     assert cli.main([command, *inputs[command], "--out", str(out),
-                     "--provider", "remote", "--endpoint",
-                     server.endpoint]) == 1
+                     "--endpoint", server.endpoint]) == 1
     err = capsys.readouterr().err
     assert f"error: [Errno 2] No such file or directory: '{out}'\n" in err
     assert server.posts == []
@@ -438,20 +430,6 @@ def test_paragraph_window_1_is_single_mode(tmp_path):
     assert len(single.read_text(encoding="utf-8").splitlines()) == 4
 
 
-def test_predict_refuses_out_of_range_embed_seed(tmp_path, capsys):
-    model = tmp_path / "model.json"
-    corpusio.save_model(
-        predictor.params_to_artifact(random_params(0), LOCAL), model)
-    texts = tmp_path / "texts.txt"
-    texts.write_text("one\n", encoding="utf-8")
-    out = tmp_path / "preds.jsonl"
-    assert cli.main(["predict", "--model", str(model), "--texts", str(texts),
-                     "--embed-seed", str(2 ** 63), "--out", str(out)]) == 1
-    assert (f"embedding seed must be a signed 64-bit integer, got {2 ** 63}"
-            in capsys.readouterr().err)
-    assert not out.exists()
-
-
 class TestEmbeddingMatch:
     """predict applies a model only to the embedding `train` recorded in
     it: other embeddings would give wrong predictions, not an error."""
@@ -471,27 +449,69 @@ class TestEmbeddingMatch:
                 "predict": ["predict", "--model", str(model), "--texts",
                             str(texts), "--out", str(tmp_path / "p.jsonl")]}
 
-    @pytest.mark.parametrize("trained, used, flags", [
-        ("local seed 3", "local seed 0", (["--embed-seed", "3"], [])),
-        ("local seed 0", "remote", ([], ["--provider", "remote"])),
-        ("remote", "local seed 0", (["--provider", "remote"], [])),
+    @pytest.mark.parametrize("trained, used", [
+        ("local seed 3", "local seed 0"),
+        ("local seed 0", "remote"),
+        ("remote", "local seed 0"),
     ], ids=["seed", "local-model-remote-predict",
             "remote-model-local-predict"])
     def test_mismatch_exits_1_before_embedding(self, tmp_path, capsys, argv,
-                                               embed_server, trained, used,
-                                               flags):
+                                               embed_server, trained, used):
         server = embed_server()
-        endpoint = ["--endpoint", server.endpoint]
-        assert cli.main([*argv["train"], *flags[0], *endpoint]) == 0
+        # the flags that select each embedding
+        flags = {"local seed 0": [], "remote": ["--endpoint", server.endpoint]}
+        if trained in flags:
+            assert cli.main([*argv["train"], *flags[trained]]) == 0
+        else:
+            # trained when the local embedder's seed was an option
+            corpusio.save_model(predictor.params_to_artifact(
+                random_params(0), {"embedding": trained}),
+                tmp_path / "model.bin")
         posts = len(server.posts)
         capsys.readouterr()
-        assert cli.main([*argv["predict"], *flags[1], *endpoint]) == 1
+        assert cli.main([*argv["predict"], *flags[used]]) == 1
         assert (f"error: {tmp_path / 'model.bin'} was trained on the "
                 f"{trained!r} embedding, but predict would use {used!r}\n"
                 ) in capsys.readouterr().err
         assert len(server.posts) == posts
         assert not (tmp_path / "p.jsonl").exists()
-        assert cli.main([*argv["predict"], *flags[0], *endpoint]) == 0
+        if trained in flags:
+            assert cli.main([*argv["predict"], *flags[trained]]) == 0
+
+    @pytest.mark.parametrize("flag, value", [("--provider", "remote"),
+                                             ("--embed-seed", "3")])
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_removed_embedding_flags_exit_2(self, tmp_path, capsys, argv,
+                                            command, flag, value):
+        # the endpoint alone selects the embedding
+        assert cli.main(argv["train"]) == 0
+        capsys.readouterr()
+        out = Path(argv[command][argv[command].index("--out") + 1])
+        before = out.read_bytes() if out.exists() else None
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv[command], flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert (out.read_bytes() if out.exists() else None) == before
+        # the same run without the flag succeeds
+        assert cli.main(argv[command]) == 0
+
+    def test_endpoint_alone_selects_the_remote_service(self, tmp_path, argv,
+                                                       embed_server):
+        server = embed_server()
+        endpoint = ["--endpoint", server.endpoint]
+        assert cli.main([*argv["train"], *endpoint]) == 0
+        assert server.posts == [[f"text {i}" for i in range(12)]]
+        model = corpusio.load_model(tmp_path / "model.bin")
+        assert model.metadata["embedding"] == "remote"
+        assert cli.main([*argv["predict"], *endpoint]) == 0
+        assert server.posts[1:] == [["one", "two"]]
+        # without it, the local embedder
+        assert cli.main(argv["train"]) == 0
+        model = corpusio.load_model(tmp_path / "model.bin")
+        assert model.metadata["embedding"] == "local seed 0"
+        assert cli.main(argv["predict"]) == 0
+        assert len(server.posts) == 2
 
     def test_model_without_embedding_refused(self, tmp_path, capsys, argv):
         corpusio.save_model(predictor.params_to_artifact(random_params(0)),
@@ -515,7 +535,7 @@ def test_remote_provider_posts_to_the_echoed_endpoint(tmp_path, capsys,
     texts = tmp_path / "texts.txt"
     texts.write_text("one\ntwo\n", encoding="utf-8")
     assert cli.main(["predict", "--model", str(model), "--texts", str(texts),
-                     "--provider", "remote", "--endpoint", used.endpoint,
+                     "--endpoint", used.endpoint,
                      "--out", str(tmp_path / "preds.jsonl")]) == 0
     assert f"  endpoint = {used.endpoint}\n" in capsys.readouterr().err
     assert used.posts == [["one", "two"]]
@@ -725,8 +745,8 @@ import sys
 from emopred import cli, textembed
 assert cli.main(["features", "--manifest", sys.argv[1],
                  "--out", sys.argv[2]]) == 0
-config = textembed.ProviderConfig(mode="remote", timeout=5.0,
-                                  endpoint="http://127.0.0.1:1")
+config = textembed.ProviderConfig(endpoint="http://127.0.0.1:1",
+                                  timeout=5.0)
 try:
     textembed.embed_remote(["a"], config)
     sys.exit("embed_remote did not fail")

@@ -58,9 +58,8 @@ def run_every_feature(tmp: Path, manifest: Path, endpoint: str) -> None:
     run("features", "--manifest", manifest, "--out", tmp / "features.jsonl")
     run("annotate", "--manifest", manifest, "--features",
         tmp / "features.jsonl", "--out", tmp / "annotated.jsonl")
-    providers = {"local.bin": ["--provider", "local"],
-                 "remote.bin": ["--provider", "remote", "--endpoint",
-                                endpoint]}
+    # the endpoint alone selects the remote service
+    providers = {"local.bin": [], "remote.bin": ["--endpoint", endpoint]}
     run("train", "--annotated", tmp / "annotated.jsonl", "--out",
         tmp / "local.bin", "--trace", tmp / "trace.txt")
     run("train", "--annotated", tmp / "annotated.jsonl", "--out",

@@ -82,45 +82,30 @@ class TestEmbedLocalOracle:
 
 
 class TestProviderConfig:
-    def test_remote_requires_endpoint(self):
-        with pytest.raises(ValueError, match="endpoint"):
-            ProviderConfig(mode="remote").validate()
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            ProviderConfig(mode="cloud").validate()
-
     def test_bad_timeout(self):
         with pytest.raises(ValueError, match="timeout"):
-            ProviderConfig(mode="local", timeout=0).validate()
+            ProviderConfig(timeout=0)
 
-    def test_embed_refuses_bad_config(self):
-        with pytest.raises(ValueError, match="unknown provider mode"):
-            ProviderConfig(mode="cloud").embed(["a"])
-        with pytest.raises(ValueError, match="timeout must be positive"):
-            ProviderConfig(mode="local", timeout=0).embed(["a"])
+    def test_embed_refuses_bad_config(self, embed_server):
+        # the config is refused where it is built, so that neither
+        # provider is asked
+        server = embed_server()
+        for endpoint in ("", server.endpoint):
+            with pytest.raises(ValueError, match="timeout must be positive"):
+                ProviderConfig(endpoint=endpoint, timeout=0).embed(["a"])
+        assert server.posts == []
 
     @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
     def test_nonfinite_timeout(self, timeout):
         with pytest.raises(ValueError, match="timeout must be positive and "
                            "finite"):
-            ProviderConfig(mode="local", timeout=timeout).validate()
-
-    @pytest.mark.parametrize("seed", [2 ** 63, -2 ** 63 - 1])
-    def test_out_of_range_seed_refused_by_every_entry_point(self, seed):
-        message = f"embedding seed must be a signed 64-bit integer, got {seed}"
-        with pytest.raises(ValueError, match=message):
-            ProviderConfig(mode="local", seed=seed).validate()
-        with pytest.raises(ValueError, match=message):
-            textembed.embed_local(["a"], seed=seed)
-        with pytest.raises(ValueError, match=message):
-            ProviderConfig(mode="local", seed=seed).embed(["a"])
+            ProviderConfig(timeout=timeout)
 
 
 class TestEmbedRemote:
     def test_passthrough_in_order(self, embed_server):
         server = embed_server(dim=768)
-        config = ProviderConfig(mode="remote", endpoint=server.endpoint)
+        config = ProviderConfig(endpoint=server.endpoint)
         result = textembed.embed_remote(["one", "two"], config)
         assert result.shape == (2, 768)
         # the mock returns row-dependent vectors; order must be preserved
@@ -131,40 +116,38 @@ class TestEmbedRemote:
 
     def test_dimension_mismatch(self, embed_server):
         server = embed_server(dim=512)
-        config = ProviderConfig(mode="remote", endpoint=server.endpoint)
+        config = ProviderConfig(endpoint=server.endpoint)
         with pytest.raises(ProviderError, match="dimension mismatch"):
             textembed.embed_remote(["a"], config)
 
     def test_unreachable_endpoint(self):
-        config = ProviderConfig(mode="remote",
-                                endpoint="http://127.0.0.1:1",
-                                timeout=0.5)
+        config = ProviderConfig(endpoint="http://127.0.0.1:1", timeout=0.5)
         with pytest.raises(ProviderError, match="request failed"):
             textembed.embed_remote(["a"], config)
 
     def test_timeout(self, embed_server):
         server = embed_server(delay_s=2.0)
-        config = ProviderConfig(mode="remote", endpoint=server.endpoint,
+        config = ProviderConfig(endpoint=server.endpoint,
                                 timeout=0.2)
         with pytest.raises(ProviderError, match="request failed"):
             textembed.embed_remote(["a"], config)
 
     def test_non_success_status(self, embed_server):
         server = embed_server(status=503)
-        config = ProviderConfig(mode="remote", endpoint=server.endpoint)
+        config = ProviderConfig(endpoint=server.endpoint)
         with pytest.raises(ProviderError, match="status 503"):
             textembed.embed_remote(["a"], config)
 
     def test_malformed_body(self, embed_server):
         server = embed_server(raw_body=b"this is not json")
-        config = ProviderConfig(mode="remote", endpoint=server.endpoint)
+        config = ProviderConfig(endpoint=server.endpoint)
         with pytest.raises(ProviderError, match="malformed"):
             textembed.embed_remote(["a"], config)
 
     def test_wrong_count(self, embed_server):
         body = json.dumps({"embeddings": [[0.0] * 768]}).encode()
         server = embed_server(raw_body=body)
-        config = ProviderConfig(mode="remote", endpoint=server.endpoint)
+        config = ProviderConfig(endpoint=server.endpoint)
         with pytest.raises(ProviderError, match="expected 2 embeddings"):
             textembed.embed_remote(["a", "b"], config)
 
@@ -173,25 +156,26 @@ class TestEmbedRemote:
         row = [0.0] * 767 + [value]
         body = json.dumps({"embeddings": [[0.0] * 768, row]}).encode()
         server = embed_server(raw_body=body)
-        config = ProviderConfig(mode="remote", endpoint=server.endpoint)
+        config = ProviderConfig(endpoint=server.endpoint)
         with pytest.raises(ProviderError, match="embedding 1 is not a list "
                            "of finite JSON numbers"):
             textembed.embed_remote(["a", "b"], config)
 
     def test_empty_texts_rejected(self, embed_server):
         server = embed_server()
-        config = ProviderConfig(mode="remote", endpoint=server.endpoint)
+        config = ProviderConfig(endpoint=server.endpoint)
         with pytest.raises(ValueError, match="nonempty"):
             textembed.embed_remote([], config)
 
 
 class TestMakeProvider:
     def test_local(self):
-        provider = ProviderConfig(mode="local", seed=9)
-        E = provider.embed(["x"])
-        np.testing.assert_array_equal(E, textembed.embed_local(["x"], seed=9))
+        # without an endpoint, the local embedder at seed 0
+        E = ProviderConfig().embed(["x"])
+        np.testing.assert_array_equal(E, textembed.embed_local(["x"], seed=0))
 
     def test_remote(self, embed_server):
         server = embed_server()
-        provider = ProviderConfig(mode="remote", endpoint=server.endpoint)
+        provider = ProviderConfig(endpoint=server.endpoint)
         assert provider.embed(["x", "y"]).shape == (2, 768)
+        assert server.posts == [["x", "y"]]
