@@ -13,17 +13,21 @@ end-to-end metric the runs printed, each side's median and quartiles and
 the number of pairs the change won (a tie counts for neither side). For
 each metric BENCHMARK.json declares, it then prints the verdict a change
 that claims no gain is judged on (see `verdict`). A run that fails is
-reported and left out of the pairs.
+reported and left out of the pairs. Both sides share one fresh bytecode
+cache (PYTHONPYCACHEPREFIX), so neither reads a `__pycache__` left in its
+checkout; one untimed run of each side fills it before pair 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 # An end-to-end line of run.py: name, value, unit, better, sample count.
@@ -31,14 +35,14 @@ METRIC_LINE = re.compile(
     r"^(\S+)\s+(-?\d+(?:\.\d+)?)\s+(\S+)\s+(lower|higher)\s+n=\d+$")
 
 
-def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> dict[str, tuple[float, str]] | None:
-    """Run the benchmark once; return {metric: (value, better)}, or None
-    when the run failed."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             env: dict[str, str]) -> dict[str, tuple[float, str]] | None:
+    """Run the benchmark once in environment `env`; return {metric:
+    (value, better)}, or None when the run failed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         print(f"  {checkout}: exit {proc.returncode}\n{proc.stdout}"
               f"{proc.stderr}", file=sys.stderr)
@@ -99,21 +103,27 @@ def main(argv=None) -> int:
         bounds = {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     pairs = []
-    for index in range(args.pairs):
-        order = ["parent", "change"]
-        if index % 2:
-            order.reverse()
-        result = {side: run_once(sides[side], args.workload, args.seed,
-                                 args.seconds) for side in order}
-        if None in result.values():
-            print(f"pair {index + 1}: a run failed, pair dropped")
-            continue
-        pairs.append(result)
-        shown = "  ".join(
-            f"{name} {result['parent'][name][0]:.4f}/"
-            f"{result['change'][name][0]:.4f}" for name in bounds)
-        print(f"pair {index + 1} ({order[0]} first, parent/change): {shown}",
-              flush=True)
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        # with the cache left empty, every process would compile numpy
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        for checkout in sides.values():
+            run_once(checkout, args.workload, args.seed, 0, env)
+        for index in range(args.pairs):
+            order = ["parent", "change"]
+            if index % 2:
+                order.reverse()
+            result = {side: run_once(sides[side], args.workload, args.seed,
+                                     args.seconds, env) for side in order}
+            if None in result.values():
+                print(f"pair {index + 1}: a run failed, pair dropped")
+                continue
+            pairs.append(result)
+            shown = "  ".join(
+                f"{name} {result['parent'][name][0]:.4f}/"
+                f"{result['change'][name][0]:.4f}" for name in bounds)
+            print(f"pair {index + 1} ({order[0]} first, parent/change): "
+                  f"{shown}", flush=True)
     if not pairs:
         return 1
 

@@ -2,11 +2,12 @@
 
 Each subcommand reads and writes the package's file formats so every
 stage's output is an inspectable fixture for the next. `annotate`
-writes strengths only: its rankers are not used after labelling. Every
-option is set by its flag, and the fully resolved configuration is
-echoed to stderr on every run. `train` and `predict` embed their texts
-with the remote service at `--endpoint`, or with the local embedder
-when no endpoint is given.
+writes strengths only: its rankers, fitted at the fixed `ranker.C`, are
+not used after labelling. Every option is set by its flag, and the fully
+resolved configuration is echoed to stderr on every run; `train` also
+prints its objective after each Newton step there. `train` and
+`predict` embed their texts with the remote service at `--endpoint`, or
+with the local embedder when no endpoint is given.
 
 CPUs: each process runs BLAS on one thread, since the products here are
 small enough that a second BLAS thread only burns CPU; a caller who sets
@@ -138,8 +139,7 @@ def cmd_annotate(args) -> int:
     records = _records(corpusio.read_manifest, args.manifest)
     features = corpusio.read_features(args.features)
     annotated, models = ranker.annotate_corpus(
-        records, features, c=args.C, manifest=args.manifest,
-        features_file=args.features)
+        records, features, manifest=args.manifest, features_file=args.features)
     corpusio.write_annotations(annotated, args.out)
     for emotion, model in sorted(models.items()):
         capped = (f" (stopped at the {ranker.MAX_ITERATIONS}-step cap)"
@@ -155,19 +155,11 @@ def cmd_annotate(args) -> int:
 def cmd_train(args) -> int:
     from . import predictor
 
-    # the trace is renamed into place first, and the model would replace it
-    if args.trace and (os.path.realpath(args.trace)
-                       == os.path.realpath(args.out)):
-        raise ValueError(f"--trace and --out name the same file: {args.out}")
     records = _records(corpusio.read_annotations, args.annotated)
     provider = _provider_from_args(args)
-    # the model and the trace are opened first, so that a path that cannot
-    # be written stops the run before any work; save_model writes the
-    # finished model under the temporary name, which the block then
-    # renames to --out
-    with corpusio.atomic_write(args.out, binary=True) as model_file, (
-            corpusio.atomic_write(args.trace) if args.trace
-            else contextlib.nullcontext()) as trace_file:
+    # --out is opened first, so that a path that cannot be written stops
+    # the run before any work; save_model fills its temporary file
+    with corpusio.atomic_write(args.out, binary=True) as model_file:
         params, trace = predictor.train(records, provider)
         metadata = {"embedding": _embedding(args),
                     "lambda": repr(predictor.LAMBDA),
@@ -176,10 +168,9 @@ def cmd_train(args) -> int:
                     "final_loss": repr(trace[-1])}
         corpusio.save_model(predictor.params_to_artifact(params, metadata),
                             model_file.name)
-        if args.trace:
-            trace_file.writelines(f"{value!r}\n" for value in trace)
     capped = (f" (stopped at the {predictor.MAX_NEWTON_STEPS}-step cap)"
               if params.grad_norm > predictor.GRAD_TOL else "")
+    print("objective by step:", *map(repr, trace), file=sys.stderr)
     print(f"trained in {len(trace) - 1} Newton steps, gradient norm "
           f"{params.grad_norm:.2e}, final objective {trace[-1]:.6f}{capped}",
           file=sys.stderr)
@@ -281,15 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--manifest", type=str, required=True)
     sub.add_argument("--features", type=str, required=True)
     sub.add_argument("--out", type=str, required=True)
-    sub.add_argument("--C", type=float, default=corpusio.DEFAULT_C,
-                     help="RankSVM trade-off C (default: %(default)s)")
 
     sub = add("train", cmd_train, "train the joint emotion predictor")
     sub.add_argument("--annotated", type=str, required=True)
     sub.add_argument("--out", type=str, required=True)
-    sub.add_argument("--trace", type=str, default="",
-                     help="write the objective before and after each "
-                     "Newton step to this file")
     _add_provider_flags(sub)
 
     sub = add("predict", cmd_predict, "predict emotion class and strength")
@@ -317,14 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _terminate(signum: int, frame) -> None:
-    raise SystemExit(128 + signum)
-
-
 def main(argv: list[str] | None = None) -> int:
-    # SIGTERM exits through the stack as SystemExit(143), the code of its
-    # default action, so that atomic_write removes its temporary file
-    previous = signal.signal(signal.SIGTERM, _terminate)
+    # SIGTERM exits as SystemExit(143), its default action's code, through
+    # the stack (so atomic_write cleans up), or here if that exception is lost
+    previous = signal.signal(signal.SIGTERM, corpusio.terminate)
     try:
         args = build_parser().parse_args(argv)
         _echo_config(args, args.command)
@@ -334,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     finally:
         signal.signal(signal.SIGTERM, previous)
+        terminated, corpusio.terminated = corpusio.terminated, False
+        if terminated:
+            raise SystemExit(143)
 
 
 def entry() -> None:

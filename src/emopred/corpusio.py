@@ -31,9 +31,6 @@ import numpy as np
 EMOTIONS = ("neutral", "happiness", "sadness", "anger")
 # width of the text embeddings, remote and local alike
 EMBED_DIM = 768
-# RankSVM trade-off C of `annotate`: ranker's default, kept here so that
-# the CLI parser shows it without importing ranker
-DEFAULT_C = 1.0
 SPLITS = ("train", "valid", "test")
 ARTIFACT_KINDS = ("predictor",)
 ARTIFACT_VERSION = 2
@@ -77,6 +74,17 @@ class AnnotatedRecord(UtteranceRecord):
             )
 
 
+# set by terminate, cli.main's SIGTERM handler, whose SystemExit can be
+# lost: CPython drops it when SIGTERM lands while an import compiles
+terminated = False
+
+
+def terminate(signum: int, frame) -> None:
+    global terminated
+    terminated = True
+    raise SystemExit(143)
+
+
 @contextmanager
 def atomic_write(path: str | Path, binary: bool = False):
     """Open a file whose content replaces `path` only on success.
@@ -85,24 +93,30 @@ def atomic_write(path: str | Path, binary: bool = False):
 
     Writes go to a new temporary file in the target directory, which is
     flushed to disk and renamed over `path` (os.replace) when the block
-    exits normally. If the block raises, the temporary file is removed
-    and any previous file at `path` is left untouched. When the temporary
-    file cannot be created, the OSError names `path`.
+    exits normally and `terminate` has not run. Otherwise the temporary
+    file is removed and any previous file at `path` is left untouched.
+    When the temporary file cannot be created, nothing is removed, and the
+    OSError names `path`.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    created = True  # an interrupt can land as open returns
     try:
-        fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    try:
+        try:
+            fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+        except OSError as exc:
+            created = False
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         with fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
+        if terminated:
+            raise SystemExit(143)
         os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        if created:
+            tmp.unlink(missing_ok=True)
         raise
 
 

@@ -23,8 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpusio import AnnotatedRecord, DEFAULT_C, EMOTIONS, UtteranceRecord
+from .corpusio import AnnotatedRecord, EMOTIONS, UtteranceRecord
 
+C = 1.0  # fixed: a real corpus has no intensity truth to choose C by
 STD_FLOOR = 1e-8
 GAP_TOL = 1e-6
 MAX_ITERATIONS = 200
@@ -125,7 +126,7 @@ def newton_minimize(terms, x: np.ndarray, tol: float, max_steps: int):
 def train_ranksvm(
     strong: np.ndarray,
     weak: np.ndarray,
-    c: float = DEFAULT_C,
+    c: float = C,
 ) -> RankModel:
     """Train a linear RankSVM to a certified optimum of J(w).
 
@@ -186,7 +187,6 @@ def rank_scores(model: RankModel, features: np.ndarray) -> np.ndarray:
 def annotate_corpus(
     records: Sequence[UtteranceRecord],
     features: dict[str, np.ndarray],
-    c: float = DEFAULT_C,
     manifest: str = "corpus",
     features_file: str = "features",
 ) -> tuple[list[AnnotatedRecord], dict[str, RankModel]]:
@@ -197,9 +197,9 @@ def annotate_corpus(
     emotional utterance is scored by its own emotion's model and min-max
     normalized within that emotion (0.5 for all when its scores are
     equal). Neutral strengths are 0. Each model minimizes the squared
-    hinge J until its relative dual gap is GAP_TOL (train_ranksvm). A
-    corpus is refused by the name `manifest`, or `features_file` when it
-    lacks an utterance's features.
+    hinge J at the fixed C until its relative dual gap is GAP_TOL
+    (train_ranksvm). A corpus is refused by the name `manifest`, or
+    `features_file` when it lacks an utterance's features.
     """
     if not records:
         raise ValueError("empty corpus")
@@ -220,7 +220,7 @@ def annotate_corpus(
     models: dict[str, RankModel] = {}
     for emotion in emotions:
         idx = np.flatnonzero(labels == emotion)
-        model = train_ranksvm(X[idx], neutral, c=c)
+        model = train_ranksvm(X[idx], neutral)
         models[emotion] = model
         scores = rank_scores(model, X[idx])
         lo, hi = scores.min(), scores.max()

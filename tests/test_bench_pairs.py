@@ -1,6 +1,8 @@
-"""The paired-run verdict of scripts/bench_pairs.py, on synthetic runs."""
+"""The paired-run verdict of scripts/bench_pairs.py, on synthetic runs,
+and the environment it runs both checkouts in."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -68,3 +70,37 @@ def test_single_runs():
         pytest.approx(0.2), "within bound")
     assert bench_pairs.verdict([2.0], [1.0], "lower", 0.25) == (
         pytest.approx(-0.5), "better in every run")
+
+
+def test_both_sides_share_one_fresh_bytecode_cache(tmp_path, monkeypatch,
+                                                   capsys):
+    # each fake checkout's run.py appends the cache prefix it ran with,
+    # and whether it may write bytecode there
+    run_py = (
+        "import sys\n"
+        "with open('prefixes.txt', 'a') as fh:\n"
+        "    print(sys.pycache_prefix, sys.dont_write_bytecode, file=fh)\n"
+        "print('wall_s 1.0 s lower n=1')\n")
+    checkouts = [tmp_path / "parent", tmp_path / "change"]
+    for checkout in checkouts:
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text(run_py)
+        (checkout / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "wall_s", "bound": 0.25}]}))
+    monkeypatch.delenv("PYTHONPYCACHEPREFIX", raising=False)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.main([*map(str, checkouts), "--workload", "w",
+                             "--seed", "1", "--seconds", "0",
+                             "--pairs", "2"]) == 0
+    assert "within bound" in capsys.readouterr().out
+    runs = [line.split() for checkout in checkouts for line in
+            (checkout / "prefixes.txt").read_text().splitlines()]
+    # one untimed run per side, then two pairs
+    assert len(runs) == 6
+    assert {write for _, write in runs} == {"False"}
+    assert len({prefix for prefix, _ in runs}) == 1
+    prefix = Path(runs[0][0])
+    assert prefix.is_absolute()
+    assert all(not prefix.is_relative_to(checkout) for checkout in checkouts)
+    # and it is removed once the pairs are run
+    assert not prefix.exists()

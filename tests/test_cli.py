@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emopred import afeat, cli, corpusio, encoder, predictor, ranker
+from emopred import afeat, cli, corpusio, encoder, predictor, ranker, textembed
 
 from conftest import random_params
 from synthcorpus import generate_micro_corpus, write_manifest
@@ -28,8 +28,8 @@ LOCAL, REMOTE = {"embedding": "local seed 0"}, {"embedding": "remote"}
 # option is added here
 OPTIONS = {
     "features": ["--manifest", "--out"],
-    "annotate": ["--manifest", "--features", "--out", "--C"],
-    "train": ["--annotated", "--out", "--trace", "--endpoint", "--timeout"],
+    "annotate": ["--manifest", "--features", "--out"],
+    "train": ["--annotated", "--out", "--endpoint", "--timeout"],
     "predict": ["--model", "--texts", "--mode", "--window", "--out",
                 "--endpoint", "--timeout"],
     "encode": ["--predictions", "--out"],
@@ -50,7 +50,7 @@ def test_options_are_the_inventory_and_set_by_flags_only(tmp_path, capsys):
     assert {name: [flag for a in sub._actions for flag in a.option_strings
                    if flag not in ("-h", "--help")]
             for name, sub in commands.items()} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 23
+    assert sum(map(len, OPTIONS.values())) == 21
 
     def exits_2(argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -194,6 +194,38 @@ def test_sigterm_during_predict_leaves_no_file(tmp_path):
         out, signal.SIGTERM) == 143
 
 
+def test_lost_sigterm_still_ends_predict_with_143_and_no_file(tmp_path,
+                                                             monkeypatch):
+    model, out = tmp_path / "model.bin", tmp_path / "preds.jsonl"
+    corpusio.save_model(
+        predictor.params_to_artifact(random_params(0), LOCAL), model)
+    texts = tmp_path / "texts.txt"
+    texts.write_text("one.\ntwo.\n", encoding="utf-8")
+    argv = ["predict", "--model", str(model), "--texts", str(texts),
+            "--out", str(out)]
+    real_predict = predictor.predict
+
+    def predict(*args, **kwargs):
+        # CPython drops the handler's SystemExit when SIGTERM lands while an
+        # import compiles its module; here it is swallowed on purpose
+        try:
+            signal.raise_signal(signal.SIGTERM)
+        except SystemExit:
+            pass
+        return real_predict(*args, **kwargs)
+
+    monkeypatch.setattr(predictor, "predict", predict)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 143
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin",
+                                                          "texts.txt"]
+    # the next run is not refused
+    monkeypatch.setattr(predictor, "predict", real_predict)
+    assert cli.main(argv) == 0
+    assert out.exists()
+
+
 def test_main_restores_the_sigterm_handler(tmp_path):
     before = signal.getsignal(signal.SIGTERM)
     assert cli.main(["train", "--annotated", str(tmp_path / "missing.jsonl"),
@@ -232,25 +264,6 @@ class TestOptionRanges:
         assert not out.exists()
         for mode in ("single", "paragraph"):
             assert cli.main([*argv, "--mode", mode, "--window", "0"]) == 0
-
-    @pytest.mark.parametrize("flags, message", [
-        (["--C", "-1"], "C must be positive, got -1.0"),
-        (["--C", "0"], "C must be positive, got 0.0"),
-        (["--C", "inf"], "C must be finite, got inf"),
-    ])
-    def test_annotate_solver_options(self, tmp_path, capsys, flags, message):
-        manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=2)
-        records = corpusio.read_manifest(manifest)
-        rng = np.random.default_rng(0)
-        features = tmp_path / "features.jsonl"
-        corpusio.write_features({r.id: rng.normal(size=384) for r in records},
-                                features)
-        out = tmp_path / "annotated.jsonl"
-        assert cli.main(["annotate", "--manifest", str(manifest),
-                         "--features", str(features), "--out", str(out),
-                         *flags]) == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
 
     def test_annotate_refuses_empty_feature_vectors(self, tmp_path, capsys):
         manifest = generate_micro_corpus(tmp_path / "corpus", per_emotion=1)
@@ -302,10 +315,16 @@ class TestOptionRanges:
             for i in range(12)], annotated)
         assert cli.main(["train", "--annotated", str(annotated), "--out",
                          str(tmp_path / "model.bin")]) == 0
-        line = capsys.readouterr().err.splitlines()[-1]
+        *_, objective, line = capsys.readouterr().err.splitlines()
         assert line.startswith("trained in ")
         assert 1 <= int(line.split()[2]) <= cap
         assert ("(stopped at the 2-step cap)" in line) is marked
+        # the objective after each step, exactly as the solver traced it
+        label, values = objective.split(": ")
+        _, trace = predictor.train(corpusio.read_annotations(annotated),
+                                   textembed.ProviderConfig())
+        assert label == "objective by step"
+        assert [float(value) for value in values.split()] == trace
 
     @pytest.mark.parametrize("epochs", ["5", "-1", "0"])
     def test_annotate_has_no_epochs_option(self, tmp_path, epochs):
@@ -318,9 +337,26 @@ class TestOptionRanges:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["annotate", "--manifest", "m.jsonl", "--features", "f.jsonl", "--C", "1"],
+    ["train", "--annotated", "a.jsonl", "--trace", "x"],
+], ids=["annotate --C", "train --trace"])
+def test_removed_solver_flags_exit_2_and_write_nothing(tmp_path, capsys,
+                                                       monkeypatch, argv):
+    # annotate fits at the fixed ranker.C; train prints its objective by
+    # step to stderr
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", "out"])
+    assert exc.value.code == 2
+    assert (f"unrecognized arguments: {argv[-2]} {argv[-1]}"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestNonFiniteOptions:
     """A NaN train option exits 1 naming the option, before the model is
-    written (annotate --C inf is in TestOptionRanges)."""
+    written."""
 
     @pytest.mark.parametrize("flags, message", [
         (["--timeout", "nan"], "timeout must be positive and finite, got nan"),
@@ -352,43 +388,6 @@ class TestRemovedTrainOptions:
                       "--out", str(out), flag, value])
         assert exc.value.code == 2
         assert not out.exists()
-
-
-def test_train_with_unwritable_trace_stops_before_embedding(tmp_path, capsys,
-                                                           embed_server):
-    server = embed_server()
-    annotated = tmp_path / "annotated.jsonl"
-    corpusio.write_annotations([corpusio.AnnotatedRecord(
-        id=f"u{i}", text=f"text {i}", emotion="anger", audio_path="",
-        split="train", strength=0.5) for i in range(3)], annotated)
-    out, trace = tmp_path / "model.bin", tmp_path / "nodir" / "trace.txt"
-    assert cli.main(["train", "--annotated", str(annotated), "--out",
-                     str(out), "--trace", str(trace), "--endpoint",
-                     server.endpoint]) == 1
-    err = capsys.readouterr().err
-    # the error names the file asked for, not atomic_write's temporary one
-    assert f"error: [Errno 2] No such file or directory: '{trace}'\n" in err
-    assert server.posts == []
-    assert not out.exists()
-    assert [p.name for p in tmp_path.iterdir()] == ["annotated.jsonl"]
-
-
-@pytest.mark.parametrize("trace", ["model.bin", "./model.bin",
-                                   "{tmp}/model.bin"])
-def test_train_with_trace_at_out_path_writes_nothing(tmp_path, capsys,
-                                                     monkeypatch, trace):
-    # the trace is renamed into place first, so the model would replace it
-    monkeypatch.chdir(tmp_path)
-    corpusio.write_annotations([corpusio.AnnotatedRecord(
-        id=f"u{i}", text=f"text {i}", emotion="anger", audio_path="",
-        split="train", strength=0.5) for i in range(3)], "annotated.jsonl")
-    # the refusal comes before any training
-    monkeypatch.setattr(predictor, "train", None)
-    assert cli.main(["train", "--annotated", "annotated.jsonl", "--out",
-                     "model.bin", "--trace", trace.format(tmp=tmp_path)]) == 1
-    assert ("error: --trace and --out name the same file: model.bin\n"
-            in capsys.readouterr().err)
-    assert [p.name for p in tmp_path.iterdir()] == ["annotated.jsonl"]
 
 
 @pytest.mark.parametrize("command", ["train", "predict"])

@@ -239,6 +239,32 @@ class TestAtomicWrite:
         assert str(exc.value) == (
             f"[Errno 2] No such file or directory: '{path}'")
 
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_interrupt_as_the_file_opens_leaves_no_file(self, tmp_path,
+                                                        monkeypatch, binary):
+        # a signal handler can raise as soon as open returns
+        def open_then_interrupt(*args, **kwargs):
+            open(*args, **kwargs).close()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(corpusio, "open", open_then_interrupt,
+                            raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            with corpusio.atomic_write(tmp_path / "out.txt", binary=binary):
+                pass
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_open_removes_nothing(self, tmp_path, monkeypatch):
+        # the temporary name is taken, so the file there is not ours
+        monkeypatch.setattr(corpusio.os, "urandom", lambda n: bytes(n))
+        taken = tmp_path / ".out.txt.00000000.tmp"
+        taken.write_bytes(b"not ours\n")
+        with pytest.raises(FileExistsError):
+            with corpusio.atomic_write(tmp_path / "out.txt"):
+                pass
+        assert [p.name for p in tmp_path.iterdir()] == [taken.name]
+        assert taken.read_bytes() == b"not ours\n"
+
     def test_failed_features_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "features.jsonl"
         corpusio.write_features({"a": np.ones(3)}, path)

@@ -414,7 +414,7 @@ class TestAnnotateCorpus:
         X = rng.normal(size=(6, 20))
         records = make_records(["anger"] * 3 + ["neutral"] * 3)
         features = {rec.id: X[i] for i, rec in enumerate(records)}
-        annotated, models = ranker.annotate_corpus(records, features, c=1.0)
+        annotated, models = ranker.annotate_corpus(records, features)
         model = models["anger"]
         assert model.gap <= 1e-6
         scores = ranker.rank_scores(model, X[:3])

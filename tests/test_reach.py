@@ -48,10 +48,10 @@ def package_functions() -> dict[tuple[str, int, str], str]:
 
 
 def run_every_feature(tmp: Path, manifest: Path, endpoint: str) -> None:
-    """features, annotate, train with each provider (once with --trace),
-    a train ended by SIGTERM, predict on plain and JSONL texts in single
-    and paragraph mode with both providers, encode of the predictions,
-    and eval, on the corpus of `manifest`."""
+    """features, annotate, train with each provider, a train ended by
+    SIGTERM, predict on plain and JSONL texts in single and paragraph
+    mode with both providers, encode of the predictions, and eval, on
+    the corpus of `manifest`."""
     def run(*argv) -> None:
         assert cli.main([str(a) for a in argv]) == 0, argv
 
@@ -60,10 +60,9 @@ def run_every_feature(tmp: Path, manifest: Path, endpoint: str) -> None:
         tmp / "features.jsonl", "--out", tmp / "annotated.jsonl")
     # the endpoint alone selects the remote service
     providers = {"local.bin": [], "remote.bin": ["--endpoint", endpoint]}
-    run("train", "--annotated", tmp / "annotated.jsonl", "--out",
-        tmp / "local.bin", "--trace", tmp / "trace.txt")
-    run("train", "--annotated", tmp / "annotated.jsonl", "--out",
-        tmp / "remote.bin", *providers["remote.bin"])
+    for model, provider in providers.items():
+        run("train", "--annotated", tmp / "annotated.jsonl", "--out",
+            tmp / model, *provider)
     with mock.patch.object(corpusio, "save_model", lambda *_: os.kill(
             os.getpid(), signal.SIGTERM)), pytest.raises(SystemExit) as exc:
         cli.main(["train", "--annotated", str(tmp / "annotated.jsonl"),
