@@ -14,21 +14,21 @@ the number of pairs the change won (a tie counts for neither side). For
 each metric BENCHMARK.json declares, it then prints the verdict a change
 that claims no gain is judged on (see `verdict`). A run that fails is
 reported and left out of the pairs. Both sides share one fresh bytecode
-cache (PYTHONPYCACHEPREFIX), so neither reads a `__pycache__` left in its
-checkout; one untimed run of each side fills it before pair 1.
+cache (checkouts.shared_cache_env); one untimed run of each side fills it
+before pair 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
+
+from checkouts import checkout, shared_cache_env
 
 # An end-to-end line of run.py: name, value, unit, better, sample count.
 METRIC_LINE = re.compile(
@@ -91,8 +91,8 @@ def verdict(parent: list[float], change: list[float], better: str,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
+    parser.add_argument("parent", type=checkout)
+    parser.add_argument("change", type=checkout)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
@@ -103,12 +103,9 @@ def main(argv=None) -> int:
         bounds = {m["name"]: m["bound"] for m in json.load(fh)["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     pairs = []
-    with tempfile.TemporaryDirectory() as cache:
-        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
-        # with the cache left empty, every process would compile numpy
-        env.pop("PYTHONDONTWRITEBYTECODE", None)
-        for checkout in sides.values():
-            run_once(checkout, args.workload, args.seed, 0, env)
+    with shared_cache_env() as env:
+        for root in sides.values():
+            run_once(root, args.workload, args.seed, 0, env)
         for index in range(args.pairs):
             order = ["parent", "change"]
             if index % 2:

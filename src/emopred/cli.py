@@ -9,8 +9,10 @@ prints its objective after each Newton step there. `train` and
 `predict` embed their texts with the remote service at `--endpoint`, or
 with the local embedder when no endpoint is given.
 
-CPUs: each process runs BLAS on one thread, since the products here are
-small enough that a second BLAS thread only burns CPU; a caller who sets
+CPUs: `predict` runs on the standard library and never loads numpy, so
+its start-up is the interpreter's. Every other subcommand loads numpy and
+runs BLAS on one thread, since the products here are small enough that a
+second BLAS thread only burns CPU; a caller who sets
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS keeps that
 choice. `features` instead extracts its clips on threads, one per CPU
 the process may run on (numpy's FFT, BLAS and array loops release the
@@ -32,8 +34,6 @@ import contextlib
 import json
 import signal
 import sys
-
-import numpy as np
 
 from . import corpusio
 
@@ -113,7 +113,7 @@ def cmd_features(args) -> int:
 
     from . import afeat
 
-    def clip_features(rec: corpusio.UtteranceRecord) -> np.ndarray:
+    def clip_features(rec: corpusio.UtteranceRecord):
         try:
             return afeat.extract_features(afeat.load_audio(rec.audio_path))
         except (OSError, ValueError) as exc:
@@ -304,9 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # SIGTERM exits as SystemExit(143), its default action's code, through
-    # the stack (so atomic_write cleans up), or here if that exception is lost
-    previous = signal.signal(signal.SIGTERM, corpusio.terminate)
+    # SIGTERM exits as SystemExit(143), its default action's code, and
+    # SIGINT as KeyboardInterrupt, through the stack (so atomic_write cleans
+    # up), or here if that exception is lost; an ignored signal stays so
+    previous = {signum: signal.signal(signum, corpusio.terminate)
+                for signum in (signal.SIGTERM, signal.SIGINT)
+                if signal.getsignal(signum) is not signal.SIG_IGN}
     try:
         args = build_parser().parse_args(argv)
         _echo_config(args, args.command)
@@ -315,10 +318,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        signal.signal(signal.SIGTERM, previous)
-        terminated, corpusio.terminated = corpusio.terminated, False
-        if terminated:
-            raise SystemExit(143)
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+        signum, corpusio.stopped_by = corpusio.stopped_by, 0
+        corpusio.raise_for(signum)
 
 
 def entry() -> None:

@@ -18,15 +18,22 @@ bit exact.
 
 from __future__ import annotations
 
+import array
+import functools
 import json
 import math
+import operator
 import os
 import reprlib
+import signal
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 EMOTIONS = ("neutral", "happiness", "sadness", "anger")
 # width of the text embeddings, remote and local alike
@@ -35,7 +42,7 @@ SPLITS = ("train", "valid", "test")
 ARTIFACT_KINDS = ("predictor",)
 ARTIFACT_VERSION = 2
 MODEL_MAGIC = b"\x93EMOPRED"
-_FLOAT_MAX = float(np.finfo(np.float64).max)
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -74,15 +81,27 @@ class AnnotatedRecord(UtteranceRecord):
             )
 
 
-# set by terminate, cli.main's SIGTERM handler, whose SystemExit can be
-# lost: CPython drops it when SIGTERM lands while an import compiles
-terminated = False
+# the signal that terminate, cli.main's SIGTERM and SIGINT handler, ran
+# for, or 0: the exception it raises can be lost, since CPython drops it
+# when the signal lands while an import compiles
+stopped_by = 0
 
 
 def terminate(signum: int, frame) -> None:
-    global terminated
-    terminated = True
-    raise SystemExit(143)
+    global stopped_by
+    stopped_by = signum
+    raise_for(signum)
+
+
+def raise_for(signum: int) -> None:
+    """Raise what a stop by signal `signum` (0: none) asks for:
+    KeyboardInterrupt for SIGINT (the interpreter then ends itself with
+    SIGINT), and SystemExit(143), the code of SIGTERM's default action, for
+    SIGTERM."""
+    if signum == signal.SIGINT:
+        raise KeyboardInterrupt
+    if signum:
+        raise SystemExit(143)
 
 
 @contextmanager
@@ -111,8 +130,7 @@ def atomic_write(path: str | Path, binary: bool = False):
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
-        if terminated:
-            raise SystemExit(143)
+        raise_for(stopped_by)
         os.replace(tmp, path)
     except BaseException:
         if created:
@@ -164,30 +182,28 @@ def _is_finite_number(value) -> bool:
     return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
-def _finite_float_array(value) -> np.ndarray | None:
-    """`value` as a float64 array if it is a list whose every entry passes
-    `_is_finite_number`, else None. One type scan and one conversion
-    replace the per-entry calls."""
-    if type(value) is not list or not set(map(type, value)) <= {int, float}:
+def _finite_floats(value) -> list[float] | None:
+    """`value` as a list of floats if it is a list whose every entry passes
+    `_is_finite_number`, else None. Each pass runs in C, but ints (JSON
+    numbers without a fraction or exponent) are range-tested one by one."""
+    if type(value) is not list:
         return None
-    try:
-        array = np.array(value, dtype=np.float64)
-    except OverflowError:  # an int beyond float64 range
+    kinds = set(map(type, value))
+    if not kinds <= {int, float} or (
+            int in kinds and not all(map(_is_finite_number, value))):
         return None
-    if not np.isfinite(array).all():
+    floats = list(map(float, value))
+    # a finite sum proves every entry finite; an overflowed one proves nothing
+    if not (math.isfinite(sum(floats)) or all(map(math.isfinite, floats))):
         return None
-    # an int just past the float64 maximum rounds to it without overflow
-    edge = np.flatnonzero(np.abs(array) == _FLOAT_MAX)
-    if not all(_is_finite_number(value[i]) for i in edge):
-        return None
-    return array
+    return floats
 
 
 def _require(obj: dict, key: str, path, lineno: int, kind: type | None = None):
     """Field `key` of the object on line `lineno` of `path`. kind=str
     requires a string without lone surrogates; kind=float a finite
-    number, not a bool; kind=np.ndarray a flat list of such numbers,
-    returned as a float64 array."""
+    number, not a bool; kind=list a flat list of such numbers, returned
+    as a list of floats."""
     if key not in obj:
         raise ValueError(f"{path}: line {lineno}: missing field {key!r}")
     value = obj[key]
@@ -197,10 +213,10 @@ def _require(obj: dict, key: str, path, lineno: int, kind: type | None = None):
         expected = "a string without lone surrogates"
     elif kind is float and not _is_finite_number(value):
         expected = "a finite number"
-    elif kind is np.ndarray:
-        array = _finite_float_array(value)
-        if array is not None:
-            return array
+    elif kind is list:
+        floats = _finite_floats(value)
+        if floats is not None:
+            return floats
         expected = "a flat list of finite numbers"
     else:
         return float(value) if kind is float else value
@@ -257,11 +273,12 @@ def write_annotations(records: list[AnnotatedRecord], path: str | Path) -> None:
 def read_features(path: str | Path) -> dict[str, np.ndarray]:
     """Read a feature file: JSONL records {"id": ..., "features": [...]},
     every vector non-empty and as long as the first one."""
+    import numpy as np
     feats: dict[str, np.ndarray] = {}
     dim = first_line = None
     for lineno, obj in _read_jsonl(path):
         uid = _require(obj, "id", path, lineno, str)
-        vec = _require(obj, "features", path, lineno, np.ndarray)
+        vec = np.array(_require(obj, "features", path, lineno, list))
         if uid in feats:
             raise ValueError(f"{path}: duplicate id {uid!r}")
         if len(vec) == 0:
@@ -278,6 +295,7 @@ def read_features(path: str | Path) -> dict[str, np.ndarray]:
 
 def write_features(features: dict[str, np.ndarray], path: str | Path) -> None:
     """Write features as JSONL, in the dict's insertion order."""
+    import numpy as np
     with atomic_write(path) as fh:
         for uid, vec in features.items():
             values = np.asarray(vec, dtype=np.float64).tolist()
@@ -290,13 +308,15 @@ def write_features(features: dict[str, np.ndarray], path: str | Path) -> None:
 
 @dataclass
 class ModelArtifact:
-    """Container for named float64 tensors plus string metadata."""
+    """Container for named float64 tensors plus string metadata: numpy
+    arrays to save, memoryviews as loaded."""
 
     kind: str
-    tensors: dict[str, np.ndarray]
+    tensors: dict[str, np.ndarray | memoryview]
     metadata: dict[str, str] = field(default_factory=dict)
 
     def validate(self) -> None:
+        import numpy as np
         if self.kind not in ARTIFACT_KINDS:
             raise ValueError(f"unknown artifact kind {self.kind!r}")
         for name, arr in self.tensors.items():
@@ -311,6 +331,7 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
     data, with no intermediate bytes copy; the file replaces `path` only
     once it is complete (atomic_write).
     """
+    import numpy as np
     artifact.validate()
     arrays = {name: np.asarray(artifact.tensors[name], dtype="<f8", order="C")
               for name in sorted(artifact.tensors)}
@@ -334,8 +355,11 @@ def load_model(path: str | Path) -> ModelArtifact:
     Refuses, naming `path`: a file that does not start with MODEL_MAGIC,
     an unsupported version, an unknown kind, a shape that is not a list
     of non-negative ints, and a file whose size is not what the header's
-    shapes require (truncated tensors or trailing bytes). The tensors are
-    read straight into new arrays, which are writable.
+    shapes require (truncated tensors or trailing bytes). Each tensor is
+    read straight into its own buffer and returned as a writable float64
+    memoryview of its shape, which numpy.asarray takes without a copy; a
+    shape holding a zero, which memoryview.cast refuses, gets a ctypes
+    array instead.
     """
     with open(path, "rb") as fh:
         if fh.read(len(MODEL_MAGIC)) != MODEL_MAGIC:
@@ -355,12 +379,19 @@ def load_model(path: str | Path) -> ModelArtifact:
         if size != expected:
             raise ValueError(f"{path}: file has {size} bytes, the header's "
                              f"shapes need {expected}")
-        tensors: dict[str, np.ndarray] = {}
+        tensors: dict[str, memoryview] = {}
         for name, shape in shapes.items():
-            arr = np.empty(shape, dtype="<f8")
-            if fh.readinto(arr) != arr.nbytes:
+            if 0 in shape:
+                import ctypes
+                tensors[name] = memoryview(functools.reduce(
+                    operator.mul, reversed(shape), ctypes.c_double)())
+                continue
+            values = array.array("d", bytes(8 * math.prod(shape)))
+            if fh.readinto(values) != 8 * len(values):
                 raise ValueError(f"{path}: tensor {name!r}: truncated payload")
-            tensors[name] = arr
+            if sys.byteorder == "big":
+                values.byteswap()
+            tensors[name] = memoryview(values).cast("B").cast("d", shape)
     return ModelArtifact(kind=kind, tensors=tensors, metadata=metadata)
 
 

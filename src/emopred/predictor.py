@@ -1,7 +1,7 @@
 """Joint emotion predictor: two linear heads on frozen text embeddings.
-For m texts they give two arrays, passed on as they are to
-predictions_to_jsonl() and evaluate(): the (m, 4) softmax over the
-emotion classes and the (m,) strengths clamped to [0, 1].
+For m texts they give two lists, passed on as they are to
+predictions_to_jsonl() and evaluate(): m rows of the softmax over the 4
+emotion classes and m strengths clamped to [0, 1].
 
 Both heads read the same 768-dim embedding x: the class head is the
 softmax over (neutral, happiness, sadness, anger) of Wc @ x + bc, and the
@@ -29,16 +29,19 @@ QR of the first min(n, 768) rows' transpose: a basis of the rows for n <=
 768, an orthogonal 768 x 768 matrix above), train() solves both problems
 on the bias-augmented coordinates A = [X @ Q, 1], where the penalty is
 the same, and maps the weights back through Q.T.
+
+forward() and predict() serve on the standard library, one Python dot
+product per logit and strength; only the fit and evaluate() load numpy.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .corpusio import (AnnotatedRecord, EMBED_DIM, EMOTIONS, ModelArtifact,
                        _check_unique_ids, _read_jsonl, _require)
@@ -53,11 +56,15 @@ MAX_NEWTON_STEPS = 50
 PARAM_SHAPES = {"Wc": (NUM_CLASSES, EMBED_DIM), "bc": (NUM_CLASSES,),
                 "ws": (EMBED_DIM,), "bs": (1,)}
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass
 class PredictorParams:
     """Weights of both heads: class weights Wc and biases bc, strength
-    weights ws and bias bs. grad_norm is the class objective's gradient
+    weights ws and bias bs, as numpy arrays from train() or memoryviews
+    from a loaded artifact. grad_norm is the class objective's gradient
     norm where train() stopped (nan for parameters it did not return)."""
 
     Wc: np.ndarray
@@ -74,33 +81,47 @@ class PredictorParams:
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
+            rows = arr.tolist() if len(shape) == 2 else [arr.tolist()]
+            if not all(math.isfinite(v) for row in rows for v in row):
                 raise ValueError(f"{name} contains non-finite values")
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    import numpy as np
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def _cross_entropy(log_probs: np.ndarray, class_idx: np.ndarray) -> float:
-    return float(-np.mean(log_probs[np.arange(len(log_probs)), class_idx]))
+    return float(-log_probs[range(len(log_probs)), class_idx].mean())
 
 
-def forward(params: PredictorParams,
-            X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run both heads on an (m, 768) batch of embeddings in one pass.
+def forward(params: PredictorParams, X: Sequence[Sequence[float]]
+            ) -> tuple[list[list[float]], list[float]]:
+    """Run both heads on a batch of m embeddings, rows of 768 numbers.
 
-    Returns (probs, strengths): the (m, 4) class distributions, a softmax
-    computed with max subtraction, and the (m,) raw strengths clamped to
-    [0, 1]. A row agrees with the same row run as a one-row batch up to
-    matmul rounding.
+    Returns (probs, strengths): m class distributions of 4 floats, a
+    softmax computed with max subtraction, and m raw strengths clamped to
+    [0, 1]. Each row is computed on its own, so a row equals the same row
+    run as a one-row batch.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != EMBED_DIM:
-        raise ValueError(f"embedding shape {X.shape}, expected (m, {EMBED_DIM})")
-    probs = np.exp(_log_softmax(X @ params.Wc.T + params.bc))
-    return probs, np.clip(X @ params.ws + params.bs, 0.0, 1.0)
+    try:
+        rows = [list(map(float, x)) for x in X]
+    except TypeError:  # a row that is a number, or entries that are not
+        rows = [[]]
+    if any(len(x) != EMBED_DIM for x in rows):
+        raise ValueError(f"embedding shape: rows must hold {EMBED_DIM} numbers")
+    Wc, bc, ws, (bs,) = (getattr(params, name).tolist()
+                         for name in PARAM_SHAPES)
+    probs, strengths = [], []
+    for x in rows:
+        logits = [sum(map(operator.mul, w, x)) + b for w, b in zip(Wc, bc)]
+        top = max(logits)
+        log_total = math.log(sum(math.exp(z - top) for z in logits))
+        probs.append([math.exp(z - top - log_total) for z in logits])
+        strength = sum(map(operator.mul, ws, x)) + bs
+        strengths.append(min(max(strength, 0.0), 1.0))
+    return probs, strengths
 
 
 def objective(params: PredictorParams, X: np.ndarray, class_idx: np.ndarray,
@@ -110,9 +131,9 @@ def objective(params: PredictorParams, X: np.ndarray, class_idx: np.ndarray,
     log_probs = _log_softmax(X @ params.Wc.T + params.bc)
     residual = X @ params.ws + params.bs - strengths
     return (_cross_entropy(log_probs, class_idx)
-            + LAMBDA / 2 * float(np.sum(params.Wc ** 2)
+            + LAMBDA / 2 * float((params.Wc ** 2).sum()
                                  + params.bc @ params.bc)
-            + float(np.mean(residual ** 2))
+            + float((residual ** 2).mean())
             + LAMBDA * float(params.ws @ params.ws + params.bs @ params.bs))
 
 
@@ -122,6 +143,7 @@ def _class_terms(v: np.ndarray, A: np.ndarray, class_idx: np.ndarray):
     V as a flat vector; the gradient's norm, which certifies the optimum;
     and its Hessian-vector product on flat vectors: with U = A D, row i of
     the curvature term is p_i * u_i - p_i (p_i . u_i)."""
+    import numpy as np
     V = np.reshape(v, (A.shape[1], NUM_CLASSES))
     log_probs = _log_softmax(A @ V)
     P = np.exp(log_probs)
@@ -143,6 +165,7 @@ def _class_terms(v: np.ndarray, A: np.ndarray, class_idx: np.ndarray):
 def _conjugate_gradient(product, b: np.ndarray, tol: float) -> np.ndarray:
     """Solve H x = b, H d = product(d), from x = 0 to a residual of tol *
     ||b||, or for len(b) steps; each iterate descends for b = -gradient."""
+    import numpy as np
     x, r, d = np.zeros_like(b), b.copy(), b.copy()
     rr = float(r @ r)
     for _ in range(len(b)):
@@ -154,14 +177,6 @@ def _conjugate_gradient(product, b: np.ndarray, tol: float) -> np.ndarray:
         rr, rr_last = float(r @ r), rr
         d = r + (rr / rr_last) * d
     return x
-
-
-def _fit_strengths(A: np.ndarray, strengths: np.ndarray) -> np.ndarray:
-    """The ridge solution u of (A.T A / n + LAMBDA I) u = A.T s / n."""
-    gram = A.T @ A
-    gram /= len(A)
-    gram.flat[::len(gram) + 1] += LAMBDA
-    return np.linalg.solve(gram, A.T @ strengths / len(A))
 
 
 def train(
@@ -185,6 +200,7 @@ def train(
     parameters, and the model's `steps` metadata is 0. Deterministic for
     a fixed provider.
     """
+    import numpy as np
     if not records:
         raise ValueError("empty corpus")
     texts = [r.text for r in records]
@@ -206,7 +222,11 @@ def train(
         return (*head, lambda g: _conjugate_gradient(product, g, GAP_TOL),
                 lambda p: float(p @ product(p)))
 
-    u = _fit_strengths(A, strengths)
+    # the strength head's ridge solution: (A.T A / n + LAMBDA I) u = A.T s / n
+    gram = A.T @ A
+    gram /= len(A)
+    gram.flat[::len(gram) + 1] += LAMBDA
+    u = np.linalg.solve(gram, A.T @ strengths / len(A))
     ridge = float(np.mean((A @ u - strengths) ** 2) + LAMBDA * (u @ u))
     v, _, grad_norm, class_trace = newton_minimize(
         terms, np.zeros(A.shape[1] * NUM_CLASSES), GRAD_TOL,
@@ -246,9 +266,10 @@ def predict(
     window = window or len(texts)
     inputs = [" ".join(texts[max(0, i - window + 1):i + 1])
               for i in range(len(texts))]
-    X = np.asarray(provider.embed(inputs), dtype=np.float64)
-    if X.shape != (len(inputs), EMBED_DIM):
-        raise ValueError(f"provider returned shape {X.shape}")
+    X = provider.embed(inputs)
+    if len(X) != len(inputs):
+        raise ValueError(f"provider returned {len(X)} embeddings for "
+                         f"{len(inputs)} texts")
     return forward(params, X)
 
 
@@ -258,6 +279,7 @@ def predict(
 
 def _rankdata(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1, ties replaced by their average rank."""
+    import numpy as np
     _, inverse, counts = np.unique(np.asarray(values, dtype=np.float64),
                                    return_inverse=True, return_counts=True)
     # a group of c tied values ending at sorted position k has ranks k-c+1..k
@@ -269,7 +291,7 @@ def _spearman(a: np.ndarray, b: np.ndarray) -> float:
     sa, sb = ra.std(), rb.std()
     if sa == 0.0 or sb == 0.0:
         return 0.0
-    return float(np.mean((ra - ra.mean()) * (rb - rb.mean())) / (sa * sb))
+    return float(((ra - ra.mean()) * (rb - rb.mean())).mean() / (sa * sb))
 
 
 def evaluate(labels: Sequence[str], strengths: Sequence[float],
@@ -282,6 +304,7 @@ def evaluate(labels: Sequence[str], strengths: Sequence[float],
     over classes with support), strength MSE, and Spearman rank
     correlation of strengths (0 when either side is constant).
     """
+    import numpy as np
     sizes = [len(v) for v in (labels, strengths, ref_labels, ref_strengths)]
     if len(set(sizes)) > 1:
         raise ValueError(f"length mismatch: labels, strengths, reference "
@@ -312,31 +335,31 @@ def evaluate(labels: Sequence[str], strengths: Sequence[float],
 # Serialization
 
 
-def predictions_to_jsonl(ids: Sequence[str], probs: np.ndarray,
+def predictions_to_jsonl(ids: Sequence[str], probs: list[list[float]],
                          strengths: Sequence[float]) -> str:
     """Line-delimited JSON, one {"id", "probs", "class", "strength"} line
     per row of forward()'s (probs, strengths). The class is the first
     class of largest probability."""
     if not len(ids) == len(probs) == len(strengths):
         raise ValueError("ids, probs and strengths must have equal lengths")
-    return "".join(json.dumps({"id": uid, "probs": p.tolist(),
-                               "class": EMOTIONS[int(np.argmax(p))],
+    return "".join(json.dumps({"id": uid, "probs": p,
+                               "class": EMOTIONS[p.index(max(p))],
                                "strength": float(strength)}) + "\n"
                    for uid, p, strength in zip(ids, probs, strengths))
 
 
 def predictions_from_jsonl(path: str | Path) -> tuple[
-        list[str], np.ndarray, list[str], list[float]]:
+        list[str], list[list[float]], list[str], list[float]]:
     """Read a predictions JSONL file back as (ids, probs, labels,
-    strengths) in file order: probs is an (n, 4) array, the rest lists.
-    A file that holds no records is refused by name."""
+    strengths) in file order, probs as forward() gives them. A file that
+    holds no records is refused by name."""
     ids, probs, labels, strengths = [], [], [], []
     for lineno, obj in _read_jsonl(path):
         uid, p, label, strength = (
             _require(obj, key, path, lineno, kind)
-            for key, kind in (("id", str), ("probs", np.ndarray),
+            for key, kind in (("id", str), ("probs", list),
                               ("class", str), ("strength", float)))
-        if p.shape != (NUM_CLASSES,):
+        if len(p) != NUM_CLASSES:
             raise ValueError(f"{path}: line {lineno}: field 'probs' must have "
                              f"{NUM_CLASSES} entries, got {len(p)}")
         if label not in EMOTIONS:
@@ -351,7 +374,7 @@ def predictions_from_jsonl(path: str | Path) -> tuple[
     if not ids:
         raise ValueError(f"{path}: no records found")
     _check_unique_ids(ids, path)
-    return ids, np.reshape(probs, (-1, NUM_CLASSES)), labels, strengths
+    return ids, probs, labels, strengths
 
 
 def params_to_artifact(params: PredictorParams,

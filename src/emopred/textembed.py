@@ -7,21 +7,25 @@ model over HTTP: POST {endpoint}/embed with {"texts": [...]} returns
 {"embeddings": [[...768 floats...], ...]}. The local embedder is a
 deterministic offline stand-in for development and tests: signed
 feature hashing (Weinberger et al., ICML 2009) of UTF-8 byte n-grams.
-Each n-gram occurrence is hashed by the splitmix64 finalizer (Steele,
-Lea & Flood, OOPSLA 2014) of its code XOR a key drawn from the seed, in
-one uint64 array pass per text, and one bincount sums the signs per
-bin.
+Each n-gram occurrence is hashed on Python ints by the splitmix64
+finalizer (Steele, Lea & Flood, OOPSLA 2014) of its code XOR a key drawn
+from the seed, through a code-to-slot memo that lasts one call. Counts
+add up over occurrences, so an input that extends the previous one byte
+for byte (paragraph mode's whole-paragraph inputs) starts from that
+input's counts and adds only the n-grams ending in its new bytes; counts
+and squared norms are exact integers, so rows stay independent. Both
+providers return one list of 768 floats per text, without numpy.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import operator
 import reprlib
 from dataclasses import dataclass
 
-import numpy as np
-
-from .corpusio import EMBED_DIM, _finite_float_array
+from .corpusio import EMBED_DIM, _finite_floats
 
 NGRAM_SIZES = (1, 2, 3)
 # An n-gram's code holds its bytes big-endian in the low 8*max(n) bits and
@@ -41,11 +45,11 @@ class ProviderConfig:
     timeout: float = 10.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.timeout < np.inf:
+        if not 0 < self.timeout < math.inf:
             raise ValueError(
                 f"timeout must be positive and finite, got {self.timeout}")
 
-    def embed(self, texts: list[str]) -> np.ndarray:
+    def embed(self, texts: list[str]) -> list[list[float]]:
         """One embedding row per text: the remote service's if there is an
         endpoint, the local embedder's at seed 0 if not."""
         if self.endpoint:
@@ -53,65 +57,53 @@ class ProviderConfig:
         return embed_local(texts)
 
 
-def _ngram_codes(data: np.ndarray) -> np.ndarray:
-    """Codes of every 1..3-gram of a uint8 byte array, in any order."""
-    data = data.astype(np.int64)
-    parts = []
-    for n in NGRAM_SIZES:
-        count = len(data) - n + 1
-        if count <= 0:
-            continue
-        code = np.full(count, n << _LENGTH_SHIFT, dtype=np.int64)
-        for i in range(n):
-            code |= data[i:i + count] << (8 * (n - 1 - i))
-        parts.append(code)
-    return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+def _mix(z: int) -> int:
+    """The splitmix64 finalizer of a 64-bit int (its products are taken
+    mod 2**64)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2 ** 64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2 ** 64
+    return z ^ (z >> 31)
 
 
-def _mix(z):
-    """The splitmix64 finalizer, in place on a uint64 array (whose
-    products wrap mod 2**64)."""
-    z ^= z >> 30
-    z *= 0xBF58476D1CE4E5B9
-    z ^= z >> 27
-    z *= 0x94D049BB133111EB
-    z ^= z >> 31
-    return z
-
-
-def embed_local(texts: list[str], seed: int = 0) -> np.ndarray:
+def embed_local(texts: list[str], seed: int = 0) -> list[list[float]]:
     """Deterministic hashed character n-gram embeddings, L2 normalized.
 
     The key is SplitMix64's first output for the seed: mix(seed + gamma
     mod 2**64), 0xE220A8397B1DCDAF for seed 0. Each occurrence of a
     1..3-gram of the UTF-8 bytes hashes to value = mix(code ^ key), which
     gives bin (value >> 1) % 768 and sign +1 if its low bit is set, -1
-    otherwise; one bincount per text sums the signs per bin. The empty
-    string maps to the zero vector. A text's row depends on that text and
-    the seed alone, so embeddings are independent of batch composition.
-    The loop runs per text, so that one text's codes are held at a time:
-    together, the window-0 inputs of an 80-sentence paragraph hold about
-    0.7 M codes (5.6 MB per int64 array).
+    otherwise; a row is the signed count of each bin over its norm. The
+    empty string maps to the zero vector. A text's row depends on that
+    text and the seed alone, so embeddings are independent of batch
+    composition.
     """
-    key = _mix(np.array([(seed + _GAMMA) % 2 ** 64], dtype=np.uint64))
-    out = np.zeros((len(texts), EMBED_DIM))
-    for row, text in enumerate(texts):
-        codes = _ngram_codes(np.frombuffer(text.encode("utf-8"),
-                                           dtype=np.uint8))
-        value = _mix(codes.view(np.uint64) ^ key)
-        # value % (2 * 768) is 2 * bin + sign bit, so one integer bincount
-        # counts the +1 and the -1 occurrences of every bin
-        counts = np.bincount((value % (2 * EMBED_DIM)).view(np.int64),
-                             minlength=2 * EMBED_DIM).reshape(EMBED_DIM, 2)
-        vec = out[row]
-        np.subtract(counts[:, 1], counts[:, 0], out=vec)
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-    return out
+    key = _mix((seed + _GAMMA) % 2 ** 64)
+    # value % (2 * 768) is 2 * bin + sign bit: its slot in `counts`
+    slots: dict[int, int] = {}
+    data, counts = b"", [0] * (2 * EMBED_DIM)
+    rows = []
+    for text in texts:
+        new = text.encode("utf-8")
+        done = len(data) if new.startswith(data) else 0
+        if not done:  # else add to the previous input's counts, in place
+            counts = [0] * (2 * EMBED_DIM)
+        for n in NGRAM_SIZES:
+            for start in range(max(0, done - n + 1), len(new) - n + 1):
+                code = (n << _LENGTH_SHIFT) | int.from_bytes(
+                    new[start:start + n], "big")
+                slot = slots.get(code)
+                if slot is None:
+                    slot = slots[code] = _mix(code ^ key) % (2 * EMBED_DIM)
+                counts[slot] += 1
+        data = new
+        signed = list(map(operator.sub, counts[1::2], counts[::2]))
+        norm = math.sqrt(sum(map(operator.mul, signed, signed))) or 1.0
+        rows.append([c / norm for c in signed])
+    return rows
 
 
-def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
+def embed_remote(texts: list[str],
+                 config: ProviderConfig) -> list[list[float]]:
     """Fetch embeddings from the remote service, order preserved.
 
     Raises ProviderError on network failure or timeout, on non-200
@@ -148,14 +140,14 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
             f"expected {len(texts)} embeddings, got "
             f"{len(embeddings) if isinstance(embeddings, list) else 'non-list'}"
         )
-    arr = np.empty((len(texts), EMBED_DIM))
+    rows = []
     for i, row in enumerate(embeddings):
-        values = _finite_float_array(row)
+        values = _finite_floats(row)
         if values is None:
             raise ProviderError(f"embedding {i} is not a list of finite JSON "
                                 f"numbers: {reprlib.repr(row)}")
         if len(values) != EMBED_DIM:
             raise ProviderError(f"embedding dimension mismatch: got "
                                 f"{len(values)}, expected {EMBED_DIM}")
-        arr[i] = values
-    return arr
+        rows.append(values)
+    return rows

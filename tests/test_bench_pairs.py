@@ -1,16 +1,15 @@
 """The paired-run verdict of scripts/bench_pairs.py, on synthetic runs,
 and the environment it runs both checkouts in."""
 
-import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
-spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+# the scripts import their shared module, checkouts.py, from their folder
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import bench_pairs  # noqa: E402
 
 # ten runs with median 1.0 and quartiles 0.9775 and 1.0225 (IQR 4.5%)
 TIGHT = [0.95, 0.97, 0.98, 0.99, 1.0, 1.0, 1.01, 1.02, 1.03, 1.05]
@@ -83,6 +82,8 @@ def test_both_sides_share_one_fresh_bytecode_cache(tmp_path, monkeypatch,
         "print('wall_s 1.0 s lower n=1')\n")
     checkouts = [tmp_path / "parent", tmp_path / "change"]
     for checkout in checkouts:
+        (checkout / "src" / "emopred").mkdir(parents=True)
+        (checkout / "src" / "emopred" / "cli.py").touch()
         (checkout / "perfbench").mkdir(parents=True)
         (checkout / "perfbench" / "run.py").write_text(run_py)
         (checkout / "BENCHMARK.json").write_text(json.dumps(

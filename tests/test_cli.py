@@ -226,11 +226,73 @@ def test_lost_sigterm_still_ends_predict_with_143_and_no_file(tmp_path,
     assert out.exists()
 
 
+def test_lost_sigint_still_ends_predict_interrupted_and_no_file(tmp_path,
+                                                               monkeypatch):
+    model, out = tmp_path / "model.bin", tmp_path / "preds.jsonl"
+    corpusio.save_model(
+        predictor.params_to_artifact(random_params(0), LOCAL), model)
+    texts = tmp_path / "texts.txt"
+    texts.write_text("one.\ntwo.\n", encoding="utf-8")
+    argv = ["predict", "--model", str(model), "--texts", str(texts),
+            "--out", str(out)]
+    real_predict = predictor.predict
+
+    def predict(*args, **kwargs):
+        # CPython drops the handler's KeyboardInterrupt when SIGINT lands
+        # while an import compiles its module; here it is swallowed on
+        # purpose
+        try:
+            signal.raise_signal(signal.SIGINT)
+        except KeyboardInterrupt:
+            pass
+        return real_predict(*args, **kwargs)
+
+    monkeypatch.setattr(predictor, "predict", predict)
+    # KeyboardInterrupt, which ends the interpreter with SIGINT (status -2)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(argv)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin",
+                                                          "texts.txt"]
+    # the next run is not refused
+    monkeypatch.setattr(predictor, "predict", real_predict)
+    assert cli.main(argv) == 0
+    assert out.exists()
+
+
 def test_main_restores_the_sigterm_handler(tmp_path):
     before = signal.getsignal(signal.SIGTERM)
     assert cli.main(["train", "--annotated", str(tmp_path / "missing.jsonl"),
                      "--out", str(tmp_path / "model.bin")]) == 1
     assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_main_restores_the_sigint_handler_and_keeps_it_ignored(tmp_path,
+                                                               monkeypatch):
+    before = signal.getsignal(signal.SIGINT)
+    assert cli.main(["train", "--annotated", str(tmp_path / "missing.jsonl"),
+                     "--out", str(tmp_path / "model.bin")]) == 1
+    assert signal.getsignal(signal.SIGINT) is before
+    # a shell starts a background job with SIGINT ignored, and it stays so
+    model, out = tmp_path / "model.bin", tmp_path / "preds.jsonl"
+    corpusio.save_model(
+        predictor.params_to_artifact(random_params(0), LOCAL), model)
+    texts = tmp_path / "texts.txt"
+    texts.write_text("one.\n", encoding="utf-8")
+    real_predict = predictor.predict
+
+    def predict(*args, **kwargs):
+        signal.raise_signal(signal.SIGINT)
+        return real_predict(*args, **kwargs)
+
+    monkeypatch.setattr(predictor, "predict", predict)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        assert cli.main(["predict", "--model", str(model), "--texts",
+                         str(texts), "--out", str(out)]) == 0
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGINT, before)
+    assert out.exists()
 
 
 class TestOptionRanges:
@@ -578,6 +640,39 @@ print([m for m in names if m in sys.modules])
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "['emopred.afeat']"]
+
+
+@pytest.mark.parametrize("embedding", ["local", "remote"])
+def test_predict_imports_no_numpy(tmp_path, embed_server, embedding):
+    # a request pays no numpy import: single mode, and paragraph mode at
+    # windows 0 and 2, embedded locally or by the remote service
+    model, texts = tmp_path / "model.bin", tmp_path / "texts.txt"
+    corpusio.save_model(predictor.params_to_artifact(
+        random_params(0), {"local": LOCAL, "remote": REMOTE}[embedding]),
+        model)
+    texts.write_text("What a day.\nI am so glad.\nIt rained.\n",
+                     encoding="utf-8")
+    server = embed_server()
+    endpoint = ["--endpoint", server.endpoint] if embedding == "remote" else []
+    runs = [["predict", "--model", str(model), "--texts", str(texts), *mode,
+             *endpoint, "--out", str(tmp_path / "preds.jsonl")]
+            for mode in ([], ["--mode", "paragraph"],
+                         ["--mode", "paragraph", "--window", "2"])]
+    code = """
+import json, sys
+from emopred import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+print("ok")
+"""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
+    assert len(server.posts) == (3 if embedding == "remote" else 0)
 
 
 def test_local_embedding_and_predict_load_no_hashlib(tmp_path):

@@ -340,9 +340,12 @@ class TestModelArtifacts:
         assert list(back.tensors) == sorted(tensors)
         for name, arr in tensors.items():
             got = back.tensors[name]
-            assert got.shape == arr.shape and got.dtype == np.float64
+            assert got.shape == arr.shape
+            assert np.asarray(got).dtype == np.float64
             assert got.tobytes() == arr.tobytes()   # keeps -0.0
-            assert got.flags.writeable and got.flags.owndata
+            # writable, on a buffer that holds this tensor alone
+            assert not got.readonly
+            assert memoryview(got.obj).nbytes == arr.nbytes
 
     def test_v1_file_refused(self, tmp_path, capsys):
         params = random_params(7, 1.0)
